@@ -110,6 +110,9 @@ class Model:
     name: str
     signature: Sig
     finite: bool
+    # (verify_samples, seed) -> DesignatedSet, filled on demand by
+    # semantics.designated_set
+    _designated: dict | None = None
 
     def const(self, name: str):
         raise NotImplementedError

@@ -10,7 +10,7 @@ through the scalar Fraction path before it is returned.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -75,23 +75,26 @@ _GRID_CAP = 2_000_000
 def evaluate(t: Term, m: Model, valuation: dict):
     """Homomorphic evaluation of ``t`` in ``m`` under ``valuation`` (exact)."""
     check_signature(t, m.signature)
+    return _evaluate(t, m, valuation)
 
-    def go(s: Term):
-        if isinstance(s, Var):
-            try:
-                el = valuation[s.name]
-            except KeyError:
-                raise UnboundVariable(f"variable {s.name!r} is not bound") from None
-            m.check_member(el)
-            return el
-        if isinstance(s, Const0):
-            return m.const("zero")
-        if isinstance(s, Const1):
-            return m.const("one")
-        args = [go(c) for c in _children(s)]
-        return m.apply(_NODE_OP[type(s)], *args)
 
-    return go(t)
+# Plain recursion, not a nested closure: a closure that calls itself sits in a
+# reference cycle with the valuation, which then lives until the cyclic
+# collector runs.
+def _evaluate(s: Term, m: Model, valuation: dict):
+    if isinstance(s, Var):
+        try:
+            el = valuation[s.name]
+        except KeyError:
+            raise UnboundVariable(f"variable {s.name!r} is not bound") from None
+        m.check_member(el)
+        return el
+    if isinstance(s, Const0):
+        return m.const("zero")
+    if isinstance(s, Const1):
+        return m.const("one")
+    args = [_evaluate(c, m, valuation) for c in _children(s)]
+    return m.apply(_NODE_OP[type(s)], *args)
 
 
 def _children(t: Term):
@@ -306,21 +309,19 @@ def _env_exhaustive(m: FiniteModel, names: Sequence[str]):
 # Batch evaluation
 
 
+# Plain recursion for the same reason as ``_evaluate``: the valuation arrays
+# in ``env`` are freed when the check returns, not at the next cyclic collection.
 def _vec_eval(t: Term, m: Model, env: dict, D: int):
     if isinstance(m, FiniteModel):
         return md.eval_indices(t, m, env)
-
-    def go(s: Term):
-        if isinstance(s, Var):
-            return env[s.name]
-        if isinstance(s, Const0):
-            return m.vec_const("zero", D)
-        if isinstance(s, Const1):
-            return m.vec_const("one", D)
-        args = [go(c) for c in _children(s)]
-        return m.vec_apply(_NODE_OP[type(s)], args, D)
-
-    return go(t)
+    if isinstance(t, Var):
+        return env[t.name]
+    if isinstance(t, Const0):
+        return m.vec_const("zero", D)
+    if isinstance(t, Const1):
+        return m.vec_const("one", D)
+    args = [_vec_eval(c, m, env, D) for c in _children(t)]
+    return m.vec_apply(_NODE_OP[type(t)], args, D)
 
 
 def _vec_neq(m: Model, v1, v2, total: int) -> np.ndarray:
@@ -400,33 +401,35 @@ def check_equation(
 # Designated elements and entailment
 
 
-@dataclass
+@dataclass(frozen=True)
 class DesignatedSet:
-    model: Model
-    elements: tuple | None  # finite models only
+    """Membership in the designated set of one model.
+
+    It holds only the membership data, never the model, so caching it on the
+    model ties no reference cycle, and it is frozen because every caller of
+    ``designated_set`` on that model shares it.
+    """
+
+    kind: str  # "finite", "pair", "flat" or "interval"
+    elements: tuple | None = None  # finite models only
+    # finite models only: read-only membership flags by carrier index
+    table: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def contains(self, el) -> bool:
-        m = self.model
         if self.elements is not None:
             return el in self.elements
-        if isinstance(m, PairModel):
+        if self.kind == "pair":
             return el[1] == 0 and 0 <= el[0] <= 1
-        if isinstance(m, FlatStandardModel):
+        if self.kind == "flat":
             return el == 0
-        if isinstance(m, IntervalModel):
-            return 0 <= el <= 1
-        raise SemanticsError(f"no designated set for {m.name}")
+        return 0 <= el <= 1
 
     def vec_contains(self, rep, D: int, total: int) -> np.ndarray:
-        m = self.model
-        if isinstance(m, FiniteModel):
-            table = np.asarray(
-                [self.contains(el) for el in m.elements], dtype=bool
-            )
-            return np.broadcast_to(table[rep], (total,))
-        if isinstance(m, PairModel):
+        if self.table is not None:
+            mask = self.table[rep]
+        elif self.kind == "pair":
             mask = (np.asarray(rep[1]) == 0) & (np.asarray(rep[0]) >= 0)
-        elif isinstance(m, FlatStandardModel):
+        elif self.kind == "flat":
             mask = np.asarray(rep) == 0
         else:
             mask = np.asarray(rep) >= 0
@@ -438,10 +441,23 @@ def designated_set(m: Model, verify_samples: int = 1000, seed: int = 17) -> Desi
 
     Finite models get the computed set; standard models get a closed-form
     membership test that is verified against brute-force samples of c (both
-    inclusions), aborting on any mismatch.
+    inclusions), aborting on any mismatch.  The set is built, and the check
+    run, once per model object and ``(verify_samples, seed)`` pair, on the
+    first call; the result is cached on the model.  A failed check caches
+    nothing, so the next call checks again.
     """
     if m.signature is not Sig.W:
         raise SemanticsError("designated elements live in the implicational signature")
+    key = (verify_samples, seed)
+    if m._designated is None:
+        m._designated = {}
+    ds = m._designated.get(key)
+    if ds is None:
+        ds = m._designated[key] = _build_designated_set(m, verify_samples, seed)
+    return ds
+
+
+def _build_designated_set(m: Model, verify_samples: int, seed: int) -> DesignatedSet:
     one = m.const("one")
 
     def desig_of(c):
@@ -450,9 +466,18 @@ def designated_set(m: Model, verify_samples: int = 1000, seed: int = 17) -> Desi
     if isinstance(m, FiniteModel):
         els = tuple(sorted({desig_of(c) for c in m.elements},
                            key=label_str))
-        return DesignatedSet(m, els)
+        table = np.asarray([el in els for el in m.elements], dtype=bool)
+        table.flags.writeable = False
+        return DesignatedSet("finite", els, table)
 
-    ds = DesignatedSet(m, None)
+    if isinstance(m, PairModel):
+        ds = DesignatedSet("pair")
+    elif isinstance(m, FlatStandardModel):
+        ds = DesignatedSet("flat")
+    elif isinstance(m, IntervalModel):
+        ds = DesignatedSet("interval")
+    else:
+        raise SemanticsError(f"no designated set for {m.name}")
     rng = np.random.default_rng(seed)
     D = 120
     for _ in range(verify_samples):

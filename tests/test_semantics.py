@@ -1,3 +1,8 @@
+import dataclasses
+import gc
+import itertools
+import json
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +16,7 @@ from conftest import (
     random_term,
 )
 from sqmv import corpus
-from sqmv.models import resolve
+from sqmv.models import IntervalModel, PairModel, finite_w_view, resolve
 from sqmv.semantics import (
     Exhaustive,
     Grid,
@@ -20,6 +25,7 @@ from sqmv.semantics import (
     StrategyError,
     UnboundVariable,
     Verdict,
+    Witness,
     check_entailment,
     check_equation,
     designated_set,
@@ -148,6 +154,22 @@ class TestCheckEquation:
         assert not report.found_countermodel
 
 
+@pytest.fixture
+def apply_calls(monkeypatch):
+    """Counts scalar ``apply`` calls on the pair and interval models."""
+
+    class Calls:
+        n = 0
+
+    for cls in (PairModel, IntervalModel):
+        def counted(self, op, *args, _apply=cls.apply):
+            Calls.n += 1
+            return _apply(self, op, *args)
+
+        monkeypatch.setattr(cls, "apply", counted)
+    return Calls
+
+
 class TestDesignated:
     def test_finite_sets(self):
         assert designated_set(resolve("chain:1@w")).elements == (F(0), F(1))
@@ -171,6 +193,72 @@ class TestDesignated:
     def test_needs_wajsberg_signature(self):
         with pytest.raises(SemanticsError):
             designated_set(resolve("square"))
+
+    def test_check_runs_once_per_model(self, apply_calls):
+        designated_set(PairModel("square", Sig.W))
+        one_check = apply_calls.n
+        assert one_check >= 2 * 1000  # (c -> 1) -> 1 for every sample
+        apply_calls.n = 0
+        sw = PairModel("square", Sig.W)
+        designated_set(sw)
+        designated_set(sw)
+        for seed in (1, 2):
+            report = check_entailment([w("p")], w("p"), sw, RandomSampling(500), seed=seed)
+            assert not report.found_countermodel
+        assert apply_calls.n == one_check
+
+    def test_fresh_model_runs_its_own_check(self, apply_calls):
+        designated_set(resolve("interval@w"))
+        apply_calls.n = 0
+        designated_set(resolve("interval@w"))
+        assert apply_calls.n == 0
+        designated_set(IntervalModel(Sig.W))
+        assert apply_calls.n >= 2 * 1000
+
+    def test_other_sample_count_or_seed_runs_its_own_check(self, apply_calls):
+        iw = IntervalModel(Sig.W)
+        designated_set(iw)
+        for kwargs in ({"verify_samples": 200}, {"seed": 5}):
+            apply_calls.n = 0
+            designated_set(iw, **kwargs)
+            assert apply_calls.n >= 2 * kwargs.get("verify_samples", 1000)
+            apply_calls.n = 0
+            designated_set(iw, **kwargs)
+            assert apply_calls.n == 0
+
+    def test_wrong_closed_form_raises_on_every_call(self, apply_calls):
+        class BrokenInterval(IntervalModel):
+            def apply(self, op, *args):
+                out = super().apply(op, *args)
+                return -out if op == "impl" else out
+
+        bad = BrokenInterval(Sig.W)
+        for _ in range(2):
+            apply_calls.n = 0
+            with pytest.raises(SemanticsError, match="misses"):
+                designated_set(bad)
+            assert apply_calls.n > 0
+
+    def test_cache_does_not_keep_the_model_alive(self):
+        gc.collect()
+        gc.disable()
+        try:
+            fresh = [finite_w_view(resolve("chain:2")), PairModel("square", Sig.W)]
+            refs = [weakref.ref(m) for m in fresh]
+            for m in fresh:
+                designated_set(m)
+            del fresh, m
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_cached_set_is_shared_and_immutable(self):
+        ds = designated_set(resolve("chain:2@w"))
+        assert designated_set(resolve("chain:2@w")) is ds
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.elements = ()
+        with pytest.raises(ValueError):
+            ds.table[0] = not ds.table[0]
 
 
 class TestEntailment:
@@ -342,6 +430,72 @@ class TestEntailmentTransfer:
                 prem, parse(f"(z -> z) -> ({conclusion})", Sig.W), STRONG_W_MODELS
             )
             assert plain == prefixed == expected, conclusion
+
+
+FINITE_W_VIEWS = [f"{base}@w" for n in (1, 2, 3)
+                  for base in (f"chain:{n}", f"flatten:chain:{n}:0")]
+
+
+def _scalar_entailment_json(premises, conclusion, m) -> str:
+    """``check_entailment(..., Exhaustive()).as_json()`` computed valuation by
+    valuation through the exact path, in the batch path's row-major order."""
+    ds = designated_set(m)
+    names = sorted(set().union(*[variables(t) for t in (*premises, conclusion)]))
+    out = {"verdict": "VALID_EXHAUSTIVE", "samples": len(m.elements) ** len(names),
+           "seed": 0, "witness": None}
+    for i, vals in enumerate(itertools.product(m.elements, repeat=len(names))):
+        v = dict(zip(names, vals))
+        if all(ds.contains(evaluate(t, m, v)) for t in premises):
+            c = evaluate(conclusion, m, v)
+            if not ds.contains(c):
+                out.update(verdict="COUNTERMODEL", samples=i + 1,
+                           witness=Witness(m.name, v, c, None).as_json())
+                break
+    return json.dumps(out)
+
+
+class TestFiniteEntailmentMembership:
+    def test_batch_membership_matches_scalar_path(self):
+        corpus_ = ENTAILMENT_CORPUS + [
+            (["p", "~1"], "~p", None),
+            (["1 -> p"], "p", None),
+            (["~p"], "p -> 1", None),
+            ([], "(p -> 1) -> 1", None),
+        ]
+        for name in FINITE_W_VIEWS:
+            m = resolve(name)
+            for premises, conclusion, _ in corpus_:
+                prem, concl = [w(t) for t in premises], w(conclusion)
+                report = check_entailment(prem, concl, m, Exhaustive())
+                assert json.dumps(report.as_json()) == _scalar_entailment_json(
+                    prem, concl, m), (name, conclusion)
+
+
+class TestNoReferenceCycles:
+    def test_checks_leave_no_cyclic_garbage(self):
+        chain, sq, sw = resolve("chain:2"), resolve("square"), resolve("square@w")
+        comm = (mv("x (+) y"), mv("y (+) x"))
+        unit = (mv("x (+) 0"), mv("x"))
+        absorb = (mv("x (+) 1"), mv("1"))
+        identity = ([w("p")], w("p"))
+        detachment = ([w("p"), w("p -> q")], w("q"))
+        gc.collect()
+        gc.disable()
+        try:
+            reports = [
+                check_equation(*comm, chain, Exhaustive()),
+                check_equation(*absorb, chain, Exhaustive()),
+                check_equation(*comm, sq, Grid(4)),
+                check_equation(*unit, sq, Grid(4)),
+                check_equation(*comm, sq, RandomSampling(2000), seed=1),
+                check_equation(*unit, sq, RandomSampling(2000), seed=1),
+                check_entailment(*identity, sw, RandomSampling(2000), seed=3),
+                check_entailment(*detachment, sw, RandomSampling(5000), seed=3),
+            ]
+            assert [r.found_countermodel for r in reports] == [False, True] * 4
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestStrategyParsing:
