@@ -29,6 +29,7 @@ from .syntax import (
     Term,
     UMinus,
     Var,
+    join_term,
 )
 
 
@@ -513,26 +514,6 @@ def finite_restriction(base: Model, points: Iterable, name: str) -> FiniteModel:
 # Signature views (tables only; verified wrappers live in transform)
 
 
-def derived_w_ops(m: Model) -> dict[str, Callable]:
-    """Implication-signature operations computed from additive ones."""
-    return {
-        "impl": lambda x, y: m.apply("oplus", m.apply("uminus", x), y),
-        "wneg": lambda x: m.apply("uminus", x),
-        "pos": lambda x: m.apply("pos", x),
-        "npart": lambda x: m.apply("npart", x),
-    }
-
-
-def derived_mv_ops(m: Model) -> dict[str, Callable]:
-    """Additive-signature operations computed from implicational ones."""
-    return {
-        "oplus": lambda x, y: m.apply("impl", m.apply("wneg", x), y),
-        "uminus": lambda x: m.apply("wneg", x),
-        "pos": lambda x: m.apply("pos", x),
-        "npart": lambda x: m.apply("npart", x),
-    }
-
-
 def finite_w_view(m: FiniteModel, name: str | None = None) -> FiniteModel:
     t = m.np_tables
     one = m.consts["one"]
@@ -569,7 +550,7 @@ def finite_mv_view(m: FiniteModel, name: str | None = None) -> FiniteModel:
 # Exhaustive term evaluation on finite models (index arrays)
 
 
-_NODE_OP = {
+NODE_OP = {
     OPlus: "oplus",
     UMinus: "uminus",
     Impl: "impl",
@@ -577,6 +558,13 @@ _NODE_OP = {
     PosPart: "pos",
     NegPart: "npart",
 }
+
+
+def index_product(n: int, k: int) -> list[np.ndarray]:
+    """Index arrays of the ``k``-fold product of ``range(n)``, in row-major
+    order: the last coordinate varies fastest, so position i holds the i-th
+    tuple of ``itertools.product(range(n), repeat=k)``."""
+    return [g.ravel() for g in np.meshgrid(*[np.arange(n)] * k, indexing="ij")]
 
 
 def eval_indices(t: Term, m: FiniteModel, env: dict[str, np.ndarray]) -> np.ndarray:
@@ -587,40 +575,10 @@ def eval_indices(t: Term, m: FiniteModel, env: dict[str, np.ndarray]) -> np.ndar
         return np.int64(m.consts["zero"])
     if isinstance(t, Const1):
         return np.int64(m.consts["one"])
-    op = _NODE_OP[type(t)]
-    tbl = m.np_tables[op]
+    tbl = m.np_tables[NODE_OP[type(t)]]
     if isinstance(t, (OPlus, Impl)):
         return tbl[eval_indices(t.left, m, env), eval_indices(t.right, m, env)]
     return tbl[eval_indices(t.arg, m, env)]
-
-
-def holds_exhaustively(
-    m: FiniteModel, lhs: Term, rhs: Term
-) -> tuple[bool, dict | None]:
-    """Check lhs = rhs on every valuation; returns (holds, witness valuation)."""
-    names = sorted(set(_term_vars(lhs)) | set(_term_vars(rhs)))
-    n = len(m.elements)
-    if not names:
-        env: dict[str, np.ndarray] = {}
-        shape: tuple[int, ...] = (1,)
-    else:
-        grids = np.meshgrid(*[np.arange(n)] * len(names), indexing="ij")
-        env = {nm: g.ravel() for nm, g in zip(names, grids)}
-        shape = (n ** len(names),)
-    lv = np.broadcast_to(eval_indices(lhs, m, env), shape)
-    rv = np.broadcast_to(eval_indices(rhs, m, env), shape)
-    bad = np.nonzero(lv != rv)[0]
-    if bad.size == 0:
-        return True, None
-    first = int(bad[0])
-    witness = {nm: m.elements[int(env[nm][first])] for nm in names}
-    return False, witness
-
-
-def _term_vars(t: Term) -> list[str]:
-    from .syntax import variables
-
-    return list(variables(t))
 
 
 # ---------------------------------------------------------------------------
@@ -655,28 +613,26 @@ def classify(m: FiniteModel) -> ClassFlags:
         raise ClassError("classification sweeps require a finite carrier")
     if m._flags is not None:
         return m._flags
+    # imported here because semantics imports this module
+    from .semantics import Exhaustive, check_equation
+
     sig = m.signature
     results: dict[str, bool] = {}
     witnesses: dict[str, dict] = {}
 
-    def run(eqs):
+    def run(eqs) -> bool:
         ok_all = True
         for eq in eqs:
-            ok, wit = holds_exhaustively(m, eq.lhs, eq.rhs)
-            results[eq.name] = ok
-            if not ok:
-                witnesses[eq.name] = wit
+            report = check_equation(eq.lhs, eq.rhs, m, Exhaustive())
+            results[eq.name] = not report.found_countermodel
+            if report.found_countermodel:
+                witnesses[eq.name] = report.witness.valuation
                 ok_all = False
         return ok_all
 
     is_quasi = run(axioms.quasi_axioms(sig))
     is_strong = run(axioms.strong_axioms(sig)) and is_quasi
-    flat_eq = axioms.flat_equation(sig)
-    flat_ok, wit = holds_exhaustively(m, flat_eq.lhs, flat_eq.rhs)
-    results[flat_eq.name] = flat_ok
-    if not flat_ok and wit is not None:
-        witnesses[flat_eq.name] = wit
-    is_flat = flat_ok and is_quasi
+    is_flat = run([axioms.flat_equation(sig)]) and is_quasi
     is_star = run(axioms.star_axioms(sig))
     m._flags = ClassFlags(sig, results, witnesses, is_quasi, is_strong, is_flat, is_star)
     return m._flags
@@ -795,60 +751,14 @@ def _partition_from_relation(m: FiniteModel, related: Callable) -> Congruence:
     return cong
 
 
-def _mv_ops_of(m: FiniteModel) -> dict[str, Callable]:
-    if m.signature is Sig.MV:
-        return {op: (lambda *a, op=op: m.apply(op, *a)) for op in MV_OPS}
-    return derived_mv_ops(m)
-
-
-def join_op(m: FiniteModel) -> Callable:
-    """The lattice join computed from the defining term."""
-    ops = _mv_ops_of(m)
-
-    def join(x, y):
-        xp, yp = ops["pos"](x), ops["pos"](y)
-        xn, yn = ops["npart"](x), ops["npart"](y)
-        left = ops["oplus"](xp, ops["pos"](ops["oplus"](ops["uminus"](xp), yp)))
-        right = ops["oplus"](xn, ops["pos"](ops["oplus"](ops["uminus"](xn), yn)))
-        return ops["oplus"](left, right)
-
-    return join
-
-
-def _mv_np_tables(m: FiniteModel) -> dict:
-    """Additive-signature index tables (derived ones for implicational models)."""
-    t = m.np_tables
-    if m.signature is Sig.MV:
-        return {
-            "oplus": t["oplus"], "uminus": t["uminus"],
-            "pos": t["pos"], "npart": t["npart"],
-            "zero": m.consts["zero"], "one": m.consts["one"],
-        }
-    impl, wneg = t["impl"], t["wneg"]
-    one = m.consts["one"]
-    return {
-        "oplus": impl[wneg, :], "uminus": wneg,
-        "pos": t["pos"], "npart": t["npart"],
-        "zero": int(impl[one, one]), "one": one,
-    }
-
-
-def _join_index_table(tabs: dict) -> np.ndarray:
-    oplus, uminus = tabs["oplus"], tabs["uminus"]
-    pos, npart = tabs["pos"], tabs["npart"]
-    n = len(uminus)
-    x, y = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    xp, yp, xn, yn = pos[x], pos[y], npart[x], npart[y]
-    left = oplus[xp, pos[oplus[uminus[xp], yp]]]
-    right = oplus[xn, pos[oplus[uminus[xn], yn]]]
-    return oplus[left, right]
-
-
 def mu_congruence(m: FiniteModel) -> Congruence:
-    """Mutual order-relatedness: x and y below each other in the quasi-order."""
-    tabs = _mv_np_tables(m)
-    join = _join_index_table(tabs)
-    below = join == tabs["oplus"][:, tabs["zero"]][None, :]
+    """Mutual order-relatedness: x and y below each other in the quasi-order,
+    where x is below y when x \\/ y = y (+) 0 (evaluated in the additive view)."""
+    mv = m if m.signature is Sig.MV else finite_mv_view(m)
+    n = len(m.elements)
+    env = dict(zip("xy", index_product(n, 2)))
+    join = eval_indices(join_term(Var("x"), Var("y"), Sig.MV), mv, env)
+    below = (join == eval_indices(OPlus(Var("y"), Const0()), mv, env)).reshape(n, n)
     rel = below & below.T
     return _partition_from_relation(
         m, lambda x, y: bool(rel[m.index[x], m.index[y]])

@@ -29,16 +29,11 @@ from .models import (
 from .syntax import (
     Const0,
     Const1,
-    Impl,
-    Neg,
-    NegPart,
-    OPlus,
-    PosPart,
     Sig,
     Term,
-    UMinus,
     Var,
     check_signature,
+    children,
     count_connective,
     variables,
 )
@@ -56,16 +51,11 @@ class StrategyError(SemanticsError):
     pass
 
 
-_NODE_OP = {
-    OPlus: "oplus",
-    UMinus: "uminus",
-    Impl: "impl",
-    Neg: "wneg",
-    PosPart: "pos",
-    NegPart: "npart",
-}
-
 _GRID_CAP = 2_000_000
+
+# Largest max denominator of random sampling: numerators stay in [-D, D], so
+# D*D in the disk test and the sum of two numerators fit in int64.
+_MAX_DENOMINATOR = 2**31
 
 
 # ---------------------------------------------------------------------------
@@ -93,14 +83,8 @@ def _evaluate(s: Term, m: Model, valuation: dict):
         return m.const("zero")
     if isinstance(s, Const1):
         return m.const("one")
-    args = [_evaluate(c, m, valuation) for c in _children(s)]
-    return m.apply(_NODE_OP[type(s)], *args)
-
-
-def _children(t: Term):
-    if isinstance(t, (OPlus, Impl)):
-        return (t.left, t.right)
-    return (t.arg,)
+    args = [_evaluate(c, m, valuation) for c in children(s)]
+    return m.apply(md.NODE_OP[type(s)], *args)
 
 
 def zero_second_coordinates(valuation: dict) -> dict:
@@ -128,6 +112,12 @@ class Exhaustive:
 class Grid:
     denominator: int | None = None
 
+    def __post_init__(self):
+        if self.denominator is not None and self.denominator < 1:
+            raise StrategyError(
+                f"strategy 'grid:{self.denominator}' needs a denominator of at least 1"
+            )
+
     def describe(self) -> str:
         return f"grid:{self.denominator}" if self.denominator else "grid"
 
@@ -136,6 +126,17 @@ class Grid:
 class RandomSampling:
     count: int
     max_denominator: int = 120
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise StrategyError(
+                f"strategy 'random:{self.count}' needs a sample count of at least 1"
+            )
+        if not 1 <= self.max_denominator <= _MAX_DENOMINATOR:
+            raise StrategyError(
+                f"strategy 'random:{self.count}' has max denominator "
+                f"{self.max_denominator}; it must lie in 1..{_MAX_DENOMINATOR}"
+            )
 
     def describe(self) -> str:
         return f"random:{self.count}"
@@ -150,10 +151,13 @@ def parse_strategy(text: str) -> Strategy:
         return Exhaustive()
     if text == "grid":
         return Grid()
-    if text.startswith("grid:"):
-        return Grid(int(text.split(":", 1)[1]))
-    if text.startswith("random:"):
-        return RandomSampling(int(text.split(":", 1)[1]))
+    kind, colon, arg = text.partition(":")
+    if colon and kind in ("grid", "random"):
+        try:
+            n = int(arg)
+        except ValueError:
+            raise StrategyError(f"strategy {text!r} needs an integer after ':'") from None
+        return Grid(n) if kind == "grid" else RandomSampling(n)
     raise StrategyError(f"unknown strategy {text!r}")
 
 
@@ -250,26 +254,18 @@ def _grid_points(m: Model, d: int) -> tuple[list, int]:
 
 def _env_from_grid(m: Model, names: Sequence[str], d: int):
     pts, D = _grid_points(m, d)
-    total = len(pts) ** len(names) if names else 1
+    total = len(pts) ** len(names)
     if total > _GRID_CAP:
         raise StrategyError(
             f"grid of {total} valuations is too large; lower the denominator"
         )
-    if not names:
-        return {}, D, 1
-    idx = np.meshgrid(*[np.arange(len(pts))] * len(names), indexing="ij")
-    idx = [g.ravel() for g in idx]
-    env = {}
+    idx = md.index_product(len(pts), len(names))
     if _is_pair(m):
         a = np.asarray([p[0] for p in pts], dtype=np.int64)
         b = np.asarray([p[1] for p in pts], dtype=np.int64)
-        for nm, g in zip(names, idx):
-            env[nm] = (a[g], b[g])
-    else:
-        a = np.asarray(pts, dtype=np.int64)
-        for nm, g in zip(names, idx):
-            env[nm] = a[g]
-    return env, D, total
+        return {nm: (a[g], b[g]) for nm, g in zip(names, idx)}, D, total
+    a = np.asarray(pts, dtype=np.int64)
+    return {nm: a[g] for nm, g in zip(names, idx)}, D, total
 
 
 def _env_from_random(m: Model, names: Sequence[str], count: int, seed: int, max_den: int):
@@ -283,26 +279,42 @@ def _env_from_random(m: Model, names: Sequence[str], count: int, seed: int, max_
             a = rng.integers(-D, D + 1, size=count)
             b = rng.integers(-D, D + 1, size=count)
             if getattr(m, "kind", "") == "disk":
-                bad = a * a + b * b > D * D
+                bad = a * a > D * D - b * b
                 while bad.any():
                     n_bad = int(bad.sum())
                     a[bad] = rng.integers(-D, D + 1, size=n_bad)
                     b[bad] = rng.integers(-D, D + 1, size=n_bad)
-                    bad = a * a + b * b > D * D
+                    bad = a * a > D * D - b * b
             env[nm] = (a, b)
         else:
             env[nm] = rng.integers(-D, D + 1, size=count)
     return env, D, count
 
 
-def _env_exhaustive(m: FiniteModel, names: Sequence[str]):
-    n = len(m.elements)
-    if not names:
-        return {}, 1
-    total = n ** len(names)
-    idx = np.meshgrid(*[np.arange(n)] * len(names), indexing="ij")
-    env = {nm: g.ravel() for nm, g in zip(names, idx)}
-    return env, total
+def _valuations(m: Model, strategy: Strategy, names: Sequence[str],
+                terms: Sequence[Term], seed: int):
+    """The valuations ``strategy`` checks on ``m``, as ``(env, D, total,
+    valid_verdict)``: ``env`` maps each name to its values (carrier indices on
+    finite models, numerators over ``D`` otherwise), and ``terms`` set the
+    default grid denominator."""
+    if isinstance(strategy, Exhaustive):
+        if not m.finite:
+            raise StrategyError("exhaustive checking needs a finite carrier")
+        n = len(m.elements)
+        env = dict(zip(names, md.index_product(n, len(names))))
+        return env, 1, n ** len(names), Verdict.VALID_EXHAUSTIVE
+    if isinstance(strategy, Grid):
+        if m.finite:
+            raise StrategyError("grid sampling targets standard carriers; use exhaustive")
+        tag = "oplus" if m.signature is Sig.MV else "impl"
+        d = strategy.denominator or sum(count_connective(t, tag) for t in terms) + 2
+        env, D, total = _env_from_grid(m, names, d)
+    elif isinstance(strategy, RandomSampling):
+        env, D, total = _env_from_random(m, names, strategy.count, seed,
+                                         strategy.max_denominator)
+    else:
+        raise StrategyError(f"unknown strategy {strategy!r}")
+    return env, D, total, Verdict.NO_COUNTEREXAMPLE_FOUND
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +332,8 @@ def _vec_eval(t: Term, m: Model, env: dict, D: int):
         return m.vec_const("zero", D)
     if isinstance(t, Const1):
         return m.vec_const("one", D)
-    args = [_vec_eval(c, m, env, D) for c in _children(t)]
-    return m.vec_apply(_NODE_OP[type(t)], args, D)
+    args = [_vec_eval(c, m, env, D) for c in children(t)]
+    return m.vec_apply(md.NODE_OP[type(t)], args, D)
 
 
 def _vec_neq(m: Model, v1, v2, total: int) -> np.ndarray:
@@ -346,11 +358,6 @@ def _valuation_at(m: Model, env: dict, D: int, i: int) -> dict:
     return out
 
 
-def _default_grid_denominator(lhs: Term, rhs: Term, sig: Sig) -> int:
-    tag = "oplus" if sig is Sig.MV else "impl"
-    return count_connective(lhs, tag) + count_connective(rhs, tag) + 2
-
-
 # ---------------------------------------------------------------------------
 # Equation checking
 
@@ -362,26 +369,7 @@ def check_equation(
     check_signature(lhs, m.signature)
     check_signature(rhs, m.signature)
     names = sorted(set(variables(lhs)) | set(variables(rhs)))
-
-    if isinstance(strategy, Exhaustive):
-        if not m.finite:
-            raise StrategyError("exhaustive checking needs a finite carrier")
-        env, total = _env_exhaustive(m, names)
-        D = 1
-        valid_verdict = Verdict.VALID_EXHAUSTIVE
-    elif isinstance(strategy, Grid):
-        if m.finite:
-            raise StrategyError("grid sampling targets standard carriers; use exhaustive")
-        d = strategy.denominator or _default_grid_denominator(lhs, rhs, m.signature)
-        env, D, total = _env_from_grid(m, names, d)
-        valid_verdict = Verdict.NO_COUNTEREXAMPLE_FOUND
-    elif isinstance(strategy, RandomSampling):
-        env, D, total = _env_from_random(m, names, strategy.count, seed,
-                                         strategy.max_denominator)
-        valid_verdict = Verdict.NO_COUNTEREXAMPLE_FOUND
-    else:
-        raise StrategyError(f"unknown strategy {strategy!r}")
-
+    env, D, total, valid_verdict = _valuations(m, strategy, names, (lhs, rhs), seed)
     lv = _vec_eval(lhs, m, env, D)
     rv = _vec_eval(rhs, m, env, D)
     bad = np.nonzero(_vec_neq(m, lv, rv, total))[0]
@@ -512,28 +500,9 @@ def check_entailment(
     for t in premises:
         check_signature(t, Sig.W)
     check_signature(conclusion, Sig.W)
-    names = sorted(set().union(*[variables(t) for t in (*premises, conclusion)]))
-
-    if isinstance(strategy, Exhaustive):
-        if not m.finite:
-            raise StrategyError("exhaustive checking needs a finite carrier")
-        env, total = _env_exhaustive(m, names)
-        D = 1
-        valid_verdict = Verdict.VALID_EXHAUSTIVE
-    elif isinstance(strategy, Grid):
-        if m.finite:
-            raise StrategyError("grid sampling targets standard carriers; use exhaustive")
-        d = strategy.denominator or (sum(
-            count_connective(t, "impl") for t in (*premises, conclusion)) + 2)
-        env, D, total = _env_from_grid(m, names, d)
-        valid_verdict = Verdict.NO_COUNTEREXAMPLE_FOUND
-    elif isinstance(strategy, RandomSampling):
-        env, D, total = _env_from_random(m, names, strategy.count, seed,
-                                         strategy.max_denominator)
-        valid_verdict = Verdict.NO_COUNTEREXAMPLE_FOUND
-    else:
-        raise StrategyError(f"unknown strategy {strategy!r}")
-
+    terms = (*premises, conclusion)
+    names = sorted(set().union(*[variables(t) for t in terms]))
+    env, D, total, valid_verdict = _valuations(m, strategy, names, terms, seed)
     ds = designated_set(m)
     all_premises = np.ones(total, dtype=bool)
     for t in premises:

@@ -181,11 +181,6 @@ def count_connective(t: Term, tag: str | type) -> int:
     return sum(1 for s in subterms(t) if isinstance(s, cls))
 
 
-def signature_ok(t: Term, sig: Sig) -> bool:
-    bad = _W_ONLY if sig is Sig.MV else _MV_ONLY
-    return not any(isinstance(s, bad) for s in subterms(t))
-
-
 def check_signature(t: Term, sig: Sig) -> None:
     bad = _W_ONLY if sig is Sig.MV else _MV_ONLY
     for s in subterms(t):
@@ -240,21 +235,23 @@ def expand_abbreviations(
     if not target_strong:
         raise ModeError("strong expansion requested for a non-strong target")
     check_signature(t, sig)
+    return _expand(t, sig)
 
-    def go(s: Term) -> Term:
-        cs = tuple(go(c) for c in children(s))
-        s = rebuild(s, cs)
-        if isinstance(s, PosPart):
-            if sig is Sig.W:
-                return Impl(Impl(s.arg, ONE), ONE)
-            return OPlus(ONE, OPlus(UMinus(ONE), s.arg))
-        if isinstance(s, NegPart):
-            if sig is Sig.W:
-                return Impl(Impl(s.arg, Neg(ONE)), Neg(ONE))
-            return OPlus(UMinus(ONE), OPlus(ONE, s.arg))
-        return s
 
-    return go(t)
+# The recursive helpers below are module-level functions, not nested closures:
+# a closure that calls itself sits in a reference cycle, so every call would
+# leave garbage for the cyclic collector.
+def _expand(s: Term, sig: Sig) -> Term:
+    s = rebuild(s, tuple(_expand(c, sig) for c in children(s)))
+    if isinstance(s, PosPart):
+        if sig is Sig.W:
+            return Impl(Impl(s.arg, ONE), ONE)
+        return OPlus(ONE, OPlus(UMinus(ONE), s.arg))
+    if isinstance(s, NegPart):
+        if sig is Sig.W:
+            return Impl(Impl(s.arg, Neg(ONE)), Neg(ONE))
+        return OPlus(UMinus(ONE), OPlus(ONE, s.arg))
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -435,35 +432,32 @@ def _level(t: Term) -> int:
     return _LEVEL_ATOM
 
 
-def print_term(t: Term) -> str:
-    """Render ``t`` with minimal parentheses; ``parse(print_term(t))`` is ``t``."""
+def _paren(s: Term, minimum: int) -> str:
+    text = print_term(s)
+    if _level(s) < minimum:
+        return f"({text})"
+    return text
 
-    def p(s: Term, minimum: int) -> str:
-        text = _render(s)
-        if _level(s) < minimum:
-            return f"({text})"
-        return text
 
-    def _render(s: Term) -> str:
-        if isinstance(s, Var):
-            return s.name
-        if isinstance(s, Const0):
-            return "0"
-        if isinstance(s, Const1):
-            return "1"
-        if isinstance(s, OPlus):
-            return f"{p(s.left, _LEVEL_INFIX)} (+) {p(s.right, _LEVEL_INFIX + 1)}"
-        if isinstance(s, Impl):
-            return f"{p(s.left, _LEVEL_INFIX + 1)} -> {p(s.right, _LEVEL_INFIX)}"
-        if isinstance(s, UMinus):
-            return f"-{p(s.arg, _LEVEL_PREFIX)}"
-        if isinstance(s, Neg):
-            return f"~{p(s.arg, _LEVEL_PREFIX)}"
-        if isinstance(s, PosPart):
-            return f"{p(s.arg, _LEVEL_POSTFIX)}^+"
-        return f"{p(s.arg, _LEVEL_POSTFIX)}^-"
-
-    return _render(t)
+def print_term(s: Term) -> str:
+    """Render ``s`` with minimal parentheses; ``parse(print_term(s))`` is ``s``."""
+    if isinstance(s, Var):
+        return s.name
+    if isinstance(s, Const0):
+        return "0"
+    if isinstance(s, Const1):
+        return "1"
+    if isinstance(s, OPlus):
+        return f"{_paren(s.left, _LEVEL_INFIX)} (+) {_paren(s.right, _LEVEL_INFIX + 1)}"
+    if isinstance(s, Impl):
+        return f"{_paren(s.left, _LEVEL_INFIX + 1)} -> {_paren(s.right, _LEVEL_INFIX)}"
+    if isinstance(s, UMinus):
+        return f"-{_paren(s.arg, _LEVEL_PREFIX)}"
+    if isinstance(s, Neg):
+        return f"~{_paren(s.arg, _LEVEL_PREFIX)}"
+    if isinstance(s, PosPart):
+        return f"{_paren(s.arg, _LEVEL_POSTFIX)}^+"
+    return f"{_paren(s.arg, _LEVEL_POSTFIX)}^-"
 
 
 # ---------------------------------------------------------------------------
@@ -501,19 +495,19 @@ def match_schema(
     occurring in ``ground`` are treated as ordinary constants.
     """
     out = dict(bindings) if bindings else {}
+    return out if _match(pattern, ground, out) else None
 
-    def go(pat: Term, g: Term) -> bool:
-        if isinstance(pat, Var):
-            bound = out.get(pat.name)
-            if bound is None:
-                out[pat.name] = g
-                return True
-            return bound == g
-        if type(pat) is not type(g):
-            return False
-        return all(go(pc, gc) for pc, gc in zip(children(pat), children(g)))
 
-    return out if go(pattern, ground) else None
+def _match(pat: Term, g: Term, out: dict[str, Term]) -> bool:
+    if isinstance(pat, Var):
+        bound = out.get(pat.name)
+        if bound is None:
+            out[pat.name] = g
+            return True
+        return bound == g
+    if type(pat) is not type(g):
+        return False
+    return all(_match(pc, gc, out) for pc, gc in zip(children(pat), children(g)))
 
 
 def substitute(pattern: Term, assignment: dict[str, Term], sig: Sig | None = None) -> Term:
@@ -521,16 +515,16 @@ def substitute(pattern: Term, assignment: dict[str, Term], sig: Sig | None = Non
     if sig is not None:
         for name, image in assignment.items():
             check_signature(image, sig)
-
-    def go(s: Term) -> Term:
-        if isinstance(s, Var):
-            try:
-                return assignment[s.name]
-            except KeyError:
-                raise MissingBinding(f"no binding for metavariable {s.name!r}") from None
-        return rebuild(s, tuple(go(c) for c in children(s)))
-
-    result = go(pattern)
+    result = _substitute(pattern, assignment)
     if sig is not None:
         check_signature(result, sig)
     return result
+
+
+def _substitute(s: Term, assignment: dict[str, Term]) -> Term:
+    if isinstance(s, Var):
+        try:
+            return assignment[s.name]
+        except KeyError:
+            raise MissingBinding(f"no binding for metavariable {s.name!r}") from None
+    return rebuild(s, tuple(_substitute(c, assignment) for c in children(s)))

@@ -38,31 +38,33 @@ from .syntax import (
 def mv_to_w_term(t: Term) -> Term:
     """Rewrite an additive-signature term into the implicational signature."""
     check_signature(t, Sig.MV)
+    return _mv_to_w(t)
 
-    def go(s: Term) -> Term:
-        if isinstance(s, OPlus):
-            return Impl(Neg(go(s.left)), go(s.right))
-        if isinstance(s, UMinus):
-            return Neg(go(s.arg))
-        if isinstance(s, Const0):
-            return Impl(Const1(), Const1())
-        return rebuild(s, tuple(go(c) for c in children(s)))
 
-    return go(t)
+# Module-level recursions, not self-calling closures, which would leave a
+# reference cycle per call for the cyclic collector.
+def _mv_to_w(s: Term) -> Term:
+    if isinstance(s, OPlus):
+        return Impl(Neg(_mv_to_w(s.left)), _mv_to_w(s.right))
+    if isinstance(s, UMinus):
+        return Neg(_mv_to_w(s.arg))
+    if isinstance(s, Const0):
+        return Impl(Const1(), Const1())
+    return rebuild(s, tuple(_mv_to_w(c) for c in children(s)))
 
 
 def w_to_mv_term(t: Term) -> Term:
     """Rewrite an implicational-signature term into the additive signature."""
     check_signature(t, Sig.W)
+    return _w_to_mv(t)
 
-    def go(s: Term) -> Term:
-        if isinstance(s, Impl):
-            return OPlus(UMinus(go(s.left)), go(s.right))
-        if isinstance(s, Neg):
-            return UMinus(go(s.arg))
-        return rebuild(s, tuple(go(c) for c in children(s)))
 
-    return go(t)
+def _w_to_mv(s: Term) -> Term:
+    if isinstance(s, Impl):
+        return OPlus(UMinus(_w_to_mv(s.left)), _w_to_mv(s.right))
+    if isinstance(s, Neg):
+        return UMinus(_w_to_mv(s.arg))
+    return rebuild(s, tuple(_w_to_mv(c) for c in children(s)))
 
 
 class DerivedOpModel(Model):

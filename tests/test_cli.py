@@ -86,6 +86,39 @@ class TestDeterminism:
         assert out1 == out2
 
 
+class TestRejections:
+    @pytest.mark.parametrize(
+        "strategy", ["random:-5", "random:abc", "random:0", "grid:0", "grid:-3"]
+    )
+    def test_bad_strategy_exits_two(self, capsys, strategy):
+        code, out, err = run(
+            capsys, "check-eq", "--model", "square", "--strategy", strategy,
+            "--", "x (+) y", "y (+) x",
+        )
+        assert (code, out) == (2, "")
+        assert f"error: strategy '{strategy}'" in err
+
+    @pytest.mark.parametrize("max_den", ["0", "-3", "5000000000000000000"])
+    def test_bad_max_den_exits_two(self, capsys, max_den):
+        # at 5e18 the numerator sums overflowed int64 and the valid equation
+        # was reported as a disagreement with the exact evaluator
+        code, out, err = run(
+            capsys, "check-eq", "--model", "interval", "--strategy", "random:1000",
+            "--max-den", max_den, "--", "x^+ (+) x^+", "(x (+) x)^+",
+        )
+        assert (code, out) == (2, "")
+        assert f"max denominator {max_den};" in err
+
+    @pytest.mark.parametrize("model", ["interval", "disk"])
+    def test_largest_max_den_stays_exact(self, capsys, model):
+        code, out, _ = run(
+            capsys, "check-eq", "--model", model, "--strategy", "random:5000",
+            "--max-den", str(2**31), "--", "x^+ (+) x^+", "(x (+) x)^+",
+        )
+        assert code == 0
+        assert "NO_COUNTEREXAMPLE_FOUND" in out
+
+
 class TestVerbs:
     def test_parse_tree(self, capsys):
         code, out, _ = run(capsys, "parse", "--sig", "mv", "-(p (+) q)")

@@ -18,7 +18,6 @@ from sqmv.models import (
     finite_restriction,
     find_isomorphism,
     flattening,
-    join_op,
     label_str,
     mu_congruence,
     quotient,
@@ -26,7 +25,8 @@ from sqmv.models import (
     resolve,
     tau_congruence,
 )
-from sqmv.syntax import Sig
+from sqmv.semantics import evaluate
+from sqmv.syntax import Sig, Var, join_term
 
 
 class TestStandardOps:
@@ -204,9 +204,9 @@ class TestCongruences:
 
     def test_join_matches_vector_table(self):
         m = resolve("chain:2")
-        join = join_op(m)
-        assert join(F(-1, 2), F(1, 2)) == F(1, 2)
-        assert join(F(-1), F(0)) == F(0)
+        join = join_term(Var("x"), Var("y"), Sig.MV)
+        assert evaluate(join, m, {"x": F(-1, 2), "y": F(1, 2)}) == F(1, 2)
+        assert evaluate(join, m, {"x": F(-1), "y": F(0)}) == F(0)
 
 
 class TestQuotients:

@@ -507,6 +507,23 @@ class TestStrategyParsing:
         with pytest.raises(StrategyError):
             parse_strategy("montecarlo")
 
+    @pytest.mark.parametrize(
+        "text", ["random:-5", "random:abc", "random:0", "grid:0", "grid:-3", "grid:"]
+    )
+    def test_rejects_bad_text(self, text):
+        with pytest.raises(StrategyError, match=f"strategy '{text}'"):
+            parse_strategy(text)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: Grid(0), lambda: RandomSampling(0),
+         lambda: RandomSampling(10, 0), lambda: RandomSampling(10, 2**31 + 1)],
+        ids=["grid-0", "random-0", "max-den-0", "max-den-2^31+1"],
+    )
+    def test_constructors_reject_out_of_range(self, make):
+        with pytest.raises(StrategyError):
+            make()
+
     def test_default_grid_denominator_scales(self):
         lhs, rhs = mv("(x (+) y) (+) 0"), mv("x (+) y")
         report = check_equation(lhs, rhs, resolve("square"), Grid())

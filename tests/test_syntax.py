@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_term
+from sqmv.transform import mv_to_w_term, w_to_mv_term
 from sqmv.syntax import (
     Const0,
     Const1,
@@ -245,3 +247,23 @@ class TestPaths:
         assert subterm_at(t, (0, 0, 1)) == q
         assert replace_at(t, (0, 0, 1), r) == parse("~(p -> r) -> 1", Sig.W)
         assert variables(t) == ("p", "q")
+
+
+def test_term_walks_leave_no_garbage():
+    """The recursive walks keep no reference cycle alive after they return."""
+    t = parse("x (+) y", Sig.MV)
+    tw = parse("x^+ -> y^-", Sig.W)
+    pattern = parse("p (+) q", Sig.MV)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            print_term(t)
+            substitute(pattern, {"p": t, "q": t}, Sig.MV)
+            match_schema(pattern, t)
+            expand_abbreviations(tw, Sig.W)
+            mv_to_w_term(t)
+            w_to_mv_term(tw)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
