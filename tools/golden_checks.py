@@ -162,9 +162,10 @@ def records() -> dict:
 def main() -> int:
     recs = records()
     OUT.parent.mkdir(parents=True, exist_ok=True)
+    # one record per line, so that a diff shows which records changed
+    lines = ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in recs.items())
     with open(OUT, "w", encoding="utf-8") as fh:
-        json.dump({"about": HEADER, "records": recs}, fh, indent=1)
-        fh.write("\n")
+        fh.write(f'{{"about": {json.dumps(HEADER)},\n "records": {{\n{lines}\n}}}}\n')
     print(f"wrote {len(recs)} records to {OUT.relative_to(ROOT)}")
     return 0
 
