@@ -57,7 +57,10 @@ def _default_strategy(m: md.Model, text: str | None) -> sem.Strategy:
 
 
 def _apply_max_den(strategy: sem.Strategy, max_den: int | None) -> sem.Strategy:
-    if max_den is not None and isinstance(strategy, sem.RandomSampling):
+    if max_den is None:
+        return strategy
+    sem.check_max_denominator(strategy, max_den)
+    if isinstance(strategy, sem.RandomSampling):
         return sem.RandomSampling(strategy.count, max_den)
     return strategy
 

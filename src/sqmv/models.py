@@ -111,6 +111,8 @@ class Model:
     name: str
     signature: Sig
     finite: bool
+    # batch values are pairs of numerator arrays (the square and the disk)
+    pair = False
     # (verify_samples, seed) -> DesignatedSet, filled on demand by
     # semantics.designated_set
     _designated: dict | None = None
@@ -136,22 +138,35 @@ class Model:
 # Standard models (infinite carriers, closed-form operations)
 
 
-class PairModel(Model):
-    """The square [-1,1]^2 or the disk a^2+b^2 <= 1, in either signature.
+class StandardModel(Model):
+    """The standard models ``square``, ``disk``, ``interval`` and
+    ``flat-standard`` in either signature.
 
-    First coordinates follow truncated addition, second coordinates collapse
-    to 0 under every operation except the componentwise minus.
+    ``square`` and ``disk`` (``pair``) carry pairs of Fractions inside
+    [-1,1]^2 resp. the unit disk; ``interval`` and ``flat-standard`` carry bare
+    Fractions in [-1,1].  Minus negates every coordinate.  Every other
+    operation follows truncated addition on first coordinates, is constantly 0
+    on ``flat-standard`` (``flat``), and sets the second coordinate of a pair
+    to 0.
+
+    ``apply`` computes on Fractions and ``vec_apply`` on int64 numerators over
+    a common denominator D; they are kept as separate code so that the exact
+    path re-checks every witness of the batch path independently.
     """
 
     finite = False
 
     def __init__(self, kind: str, signature: Sig):
-        assert kind in ("square", "disk")
+        assert kind in STANDARD_CATALOG
         self.kind = kind
         self.signature = signature
         self.name = kind + ("" if signature is Sig.MV else "@w")
+        self.pair = kind in ("square", "disk")
+        self.flat = kind == "flat-standard"
 
     def contains(self, el) -> bool:
+        if not self.pair:
+            return isinstance(el, Fraction) and -1 <= el <= 1
         if not (isinstance(el, tuple) and len(el) == 2):
             return False
         a, b = el
@@ -162,131 +177,53 @@ class PairModel(Model):
         return -1 <= a <= 1 and -1 <= b <= 1
 
     def const(self, name: str):
-        return (ZERO, ZERO) if name == "zero" else (ONE, ZERO)
+        v = ZERO if name == "zero" or self.flat else ONE
+        return (v, ZERO) if self.pair else v
 
     def apply(self, op: str, *args):
         for x in args:
             self.check_member(x)
-        if op == "oplus" and self.signature is Sig.MV:
-            return (clamp(args[0][0] + args[1][0]), ZERO)
-        if op == "impl" and self.signature is Sig.W:
-            return (clamp(args[1][0] - args[0][0]), ZERO)
-        if op in ("uminus", "wneg") and op in ops_for(self.signature):
-            return (-args[0][0], -args[0][1])
-        if op == "pos":
-            return (max(ZERO, args[0][0]), ZERO)
-        if op == "npart":
-            return (min(ZERO, args[0][0]), ZERO)
-        raise DomainError(f"operation {op!r} is not available on {self.name}")
+        if op not in ops_for(self.signature):
+            raise DomainError(f"operation {op!r} is not available on {self.name}")
+        if op in ("uminus", "wneg"):
+            x = args[0]
+            return (-x[0], -x[1]) if self.pair else -x
+        a = [x[0] for x in args] if self.pair else args
+        if self.flat:
+            v = ZERO
+        elif op == "oplus":
+            v = clamp(a[0] + a[1])
+        elif op == "impl":
+            v = clamp(a[1] - a[0])
+        elif op == "pos":
+            v = max(ZERO, a[0])
+        else:
+            v = min(ZERO, a[0])
+        return (v, ZERO) if self.pair else v
 
     # vectorised numerator arithmetic over a common denominator D
     def vec_const(self, name: str, D: int):
-        return (0, 0) if name == "zero" else (D, 0)
+        v = 0 if name == "zero" or self.flat else D
+        return (v, 0) if self.pair else v
 
     def vec_apply(self, op: str, args, D: int):
-        if op == "oplus":
-            (a, _), (c, _) = args
-            return (np.clip(a + c, -D, D), np.zeros_like(a))
-        if op == "impl":
-            (a, _), (c, _) = args
-            return (np.clip(c - a, -D, D), np.zeros_like(a))
+        if op not in ops_for(self.signature):
+            raise DomainError(f"operation {op!r} is not available on {self.name}")
         if op in ("uminus", "wneg"):
-            (a, b) = args[0]
-            return (-a, -b)
-        if op == "pos":
-            (a, _) = args[0]
-            return (np.maximum(a, 0), np.zeros_like(a))
-        if op == "npart":
-            (a, _) = args[0]
-            return (np.minimum(a, 0), np.zeros_like(a))
-        raise DomainError(f"operation {op!r} is not available on {self.name}")
-
-
-class IntervalModel(Model):
-    """The standard algebra on [-1,1] with truncated addition."""
-
-    finite = False
-
-    def __init__(self, signature: Sig):
-        self.signature = signature
-        self.name = "interval" + ("" if signature is Sig.MV else "@w")
-
-    def contains(self, el) -> bool:
-        return isinstance(el, Fraction) and -1 <= el <= 1
-
-    def const(self, name: str):
-        return ZERO if name == "zero" else ONE
-
-    def apply(self, op: str, *args):
-        for x in args:
-            self.check_member(x)
-        if op == "oplus" and self.signature is Sig.MV:
-            return clamp(args[0] + args[1])
-        if op == "impl" and self.signature is Sig.W:
-            return clamp(args[1] - args[0])
-        if op in ("uminus", "wneg") and op in ops_for(self.signature):
-            return -args[0]
-        if op == "pos":
-            return max(ZERO, args[0])
-        if op == "npart":
-            return min(ZERO, args[0])
-        raise DomainError(f"operation {op!r} is not available on {self.name}")
-
-    def vec_const(self, name: str, D: int):
-        return 0 if name == "zero" else D
-
-    def vec_apply(self, op: str, args, D: int):
-        if op == "oplus":
-            return np.clip(args[0] + args[1], -D, D)
-        if op == "impl":
-            return np.clip(args[1] - args[0], -D, D)
-        if op in ("uminus", "wneg"):
-            return -args[0]
-        if op == "pos":
-            return np.maximum(args[0], 0)
-        if op == "npart":
-            return np.minimum(args[0], 0)
-        raise DomainError(f"operation {op!r} is not available on {self.name}")
-
-
-class FlatStandardModel(Model):
-    """The 0-flattening of the standard interval algebra: every sum is 0."""
-
-    finite = False
-
-    def __init__(self, signature: Sig):
-        self.signature = signature
-        self.name = "flat-standard" + ("" if signature is Sig.MV else "@w")
-
-    def contains(self, el) -> bool:
-        return isinstance(el, Fraction) and -1 <= el <= 1
-
-    def const(self, name: str):
-        return ZERO
-
-    def apply(self, op: str, *args):
-        for x in args:
-            self.check_member(x)
-        if op == "oplus" and self.signature is Sig.MV:
-            return ZERO
-        if op == "impl" and self.signature is Sig.W:
-            return ZERO
-        if op in ("uminus", "wneg") and op in ops_for(self.signature):
-            return -args[0]
-        if op in ("pos", "npart"):
-            return ZERO
-        raise DomainError(f"operation {op!r} is not available on {self.name}")
-
-    def vec_const(self, name: str, D: int):
-        return 0
-
-    def vec_apply(self, op: str, args, D: int):
-        if op in ("oplus", "impl", "pos", "npart"):
-            ref = args[0]
-            return np.zeros_like(ref)
-        if op in ("uminus", "wneg"):
-            return -args[0]
-        raise DomainError(f"operation {op!r} is not available on {self.name}")
+            x = args[0]
+            return (-x[0], -x[1]) if self.pair else -x
+        a = [x[0] for x in args] if self.pair else args
+        if self.flat:
+            v = np.zeros_like(a[0])
+        elif op == "oplus":
+            v = np.clip(a[0] + a[1], -D, D)
+        elif op == "impl":
+            v = np.clip(a[1] - a[0], -D, D)
+        elif op == "pos":
+            v = np.maximum(a[0], 0)
+        else:
+            v = np.minimum(a[0], 0)
+        return (v, np.zeros_like(a[0])) if self.pair else v
 
 
 # ---------------------------------------------------------------------------
@@ -497,17 +434,12 @@ def product(m1: FiniteModel, m2: FiniteModel) -> FiniteModel:
 
 
 def finite_restriction(base: Model, points: Iterable, name: str) -> FiniteModel:
-    """Restrict a standard model to a finite subset, checking closure."""
-    sig = base.signature
+    """Restrict ``base`` to a finite subset of its carrier, checking closure."""
     ops = {
-        op: (lambda *args, op=op: base.apply(op, *args)) for op in ops_for(sig)
+        op: (lambda *args, op=op: base.apply(op, *args)) for op in ops_for(base.signature)
     }
-    consts = {"one": base.const("one")}
-    if sig is Sig.MV:
-        consts["zero"] = base.const("zero")
-    else:
-        consts["zero"] = base.apply("impl", base.const("one"), base.const("one"))
-    return finite_model_from_ops(name, sig, tuple(points), ops, consts)
+    consts = {c: base.const(c) for c in ("zero", "one")}
+    return finite_model_from_ops(name, base.signature, tuple(points), ops, consts)
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +583,7 @@ def regular_elements(m: FiniteModel, check_star: bool = True) -> tuple:
         zero = m.apply("impl", m.const("one"), m.const("one"))
         regs = tuple(x for x in m.elements if m.apply("impl", zero, x) == x)
     if check_star:
-        sub = _restrict_to(m, regs, m.name + "|R")
+        sub = finite_restriction(m, regs, m.name + "|R")
         flags = classify(sub)
         if not flags.is_star:
             bad = [k for k, v in flags.axiom_results.items() if not v]
@@ -659,12 +591,6 @@ def regular_elements(m: FiniteModel, check_star: bool = True) -> tuple:
                 f"regular part of {m.name} fails the plain-algebra laws: {bad}"
             )
     return regs
-
-
-def _restrict_to(m: FiniteModel, subset: tuple, name: str) -> FiniteModel:
-    ops = {op: (lambda *args, op=op: m.apply(op, *args)) for op in ops_for(m.signature)}
-    consts = {c: m.const(c) for c in m.consts}
-    return finite_model_from_ops(name, m.signature, subset, ops, consts)
 
 
 # ---------------------------------------------------------------------------
@@ -974,21 +900,11 @@ def _build(name: str) -> Model:
         base = resolve(name[:-2])
         if base.signature is not Sig.MV:
             raise CatalogError(f"{name[:-2]} is already in the implicational signature")
-        if isinstance(base, PairModel):
-            return PairModel(base.kind, Sig.W)
-        if isinstance(base, IntervalModel):
-            return IntervalModel(Sig.W)
-        if isinstance(base, FlatStandardModel):
-            return FlatStandardModel(Sig.W)
+        if isinstance(base, StandardModel):
+            return StandardModel(base.kind, Sig.W)
         return finite_w_view(base, name)
-    if name == "square":
-        return PairModel("square", Sig.MV)
-    if name == "disk":
-        return PairModel("disk", Sig.MV)
-    if name == "interval":
-        return IntervalModel(Sig.MV)
-    if name == "flat-standard":
-        return FlatStandardModel(Sig.MV)
+    if name in STANDARD_CATALOG:
+        return StandardModel(name, Sig.MV)
     if name == "ex32-grid":
         return ex32_grid()
     if name.startswith("chain:"):

@@ -95,12 +95,6 @@ class EquivBuilder(ProofBuilder):
         super().__init__(system, hypotheses)
         self._refl_cache: dict[Term, int] = {}
 
-    @classmethod
-    def extending(cls, script: ProofScript) -> "EquivBuilder":
-        b = cls(script.system, script.hypotheses)
-        b._lines = list(script.lines)
-        return b
-
     def refl(self, t: Term) -> int:
         if t not in self._refl_cache:
             self._refl_cache[t] = self.add(Impl(t, t), LemmaRef("refl"))

@@ -18,14 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import models as md
-from .models import (
-    FiniteModel,
-    FlatStandardModel,
-    IntervalModel,
-    Model,
-    PairModel,
-    label_str,
-)
+from .models import FiniteModel, Model, StandardModel, label_str
 from .syntax import (
     Const0,
     Const1,
@@ -132,17 +125,23 @@ class RandomSampling:
             raise StrategyError(
                 f"strategy 'random:{self.count}' needs a sample count of at least 1"
             )
-        if not 1 <= self.max_denominator <= _MAX_DENOMINATOR:
-            raise StrategyError(
-                f"strategy 'random:{self.count}' has max denominator "
-                f"{self.max_denominator}; it must lie in 1..{_MAX_DENOMINATOR}"
-            )
+        check_max_denominator(self, self.max_denominator)
 
     def describe(self) -> str:
         return f"random:{self.count}"
 
 
 Strategy = Exhaustive | Grid | RandomSampling
+
+
+def check_max_denominator(strategy: Strategy, max_den: int) -> None:
+    """Reject a max denominator outside 1..2**31 whatever ``strategy`` is,
+    though only random sampling uses the value."""
+    if not 1 <= max_den <= _MAX_DENOMINATOR:
+        raise StrategyError(
+            f"strategy {strategy.describe()!r} has max denominator "
+            f"{max_den}; it must lie in 1..{_MAX_DENOMINATOR}"
+        )
 
 
 def parse_strategy(text: str) -> Strategy:
@@ -227,10 +226,6 @@ class CheckReport:
 # Valuation spaces (vectorised representations)
 
 
-def _is_pair(m: Model) -> bool:
-    return isinstance(m, PairModel)
-
-
 def _middle_out(d: int) -> list[int]:
     out = [0]
     for i in range(1, d + 1):
@@ -243,10 +238,10 @@ def _grid_points(m: Model, d: int) -> tuple[list, int]:
     D = lcm(2, d)
     step = D // d
     firsts = [i * step for i in _middle_out(d)]
-    if _is_pair(m):
+    if m.pair:
         seconds = [0, D // 2, -(D // 2)]
         pts = [(a, b) for a in firsts for b in seconds]
-        if getattr(m, "kind", "") == "disk":
+        if m.kind == "disk":
             pts = [(a, b) for (a, b) in pts if a * a + b * b <= D * D]
         return pts, D
     return firsts, D
@@ -260,7 +255,7 @@ def _env_from_grid(m: Model, names: Sequence[str], d: int):
             f"grid of {total} valuations is too large; lower the denominator"
         )
     idx = md.index_product(len(pts), len(names))
-    if _is_pair(m):
+    if m.pair:
         a = np.asarray([p[0] for p in pts], dtype=np.int64)
         b = np.asarray([p[1] for p in pts], dtype=np.int64)
         return {nm: (a[g], b[g]) for nm, g in zip(names, idx)}, D, total
@@ -275,10 +270,10 @@ def _env_from_random(m: Model, names: Sequence[str], count: int, seed: int, max_
     for nm in sorted(names):
         if isinstance(m, FiniteModel):
             env[nm] = rng.integers(0, len(m.elements), size=count)
-        elif _is_pair(m):
+        elif m.pair:
             a = rng.integers(-D, D + 1, size=count)
             b = rng.integers(-D, D + 1, size=count)
-            if getattr(m, "kind", "") == "disk":
+            if m.kind == "disk":
                 bad = a * a > D * D - b * b
                 while bad.any():
                     n_bad = int(bad.sum())
@@ -337,7 +332,7 @@ def _vec_eval(t: Term, m: Model, env: dict, D: int):
 
 
 def _vec_neq(m: Model, v1, v2, total: int) -> np.ndarray:
-    if _is_pair(m) and not isinstance(m, FiniteModel):
+    if m.pair:
         mask = (np.asarray(v1[0]) != np.asarray(v2[0])) | (
             np.asarray(v1[1]) != np.asarray(v2[1])
         )
@@ -351,7 +346,7 @@ def _valuation_at(m: Model, env: dict, D: int, i: int) -> dict:
     for nm, rep in env.items():
         if isinstance(m, FiniteModel):
             out[nm] = m.elements[int(rep[i])]
-        elif _is_pair(m):
+        elif m.pair:
             out[nm] = (Fraction(int(rep[0][i]), D), Fraction(int(rep[1][i]), D))
         else:
             out[nm] = Fraction(int(rep[i]), D)
@@ -458,18 +453,13 @@ def _build_designated_set(m: Model, verify_samples: int, seed: int) -> Designate
         table.flags.writeable = False
         return DesignatedSet("finite", els, table)
 
-    if isinstance(m, PairModel):
-        ds = DesignatedSet("pair")
-    elif isinstance(m, FlatStandardModel):
-        ds = DesignatedSet("flat")
-    elif isinstance(m, IntervalModel):
-        ds = DesignatedSet("interval")
-    else:
+    if not isinstance(m, StandardModel):
         raise SemanticsError(f"no designated set for {m.name}")
+    ds = DesignatedSet("pair" if m.pair else "flat" if m.flat else "interval")
     rng = np.random.default_rng(seed)
     D = 120
     for _ in range(verify_samples):
-        if isinstance(m, PairModel):
+        if m.pair:
             while True:
                 a, b = Fraction(int(rng.integers(-D, D + 1)), D), Fraction(
                     int(rng.integers(-D, D + 1)), D)

@@ -11,10 +11,8 @@ from __future__ import annotations
 from .models import (
     ClassError,
     FiniteModel,
-    FlatStandardModel,
-    IntervalModel,
     Model,
-    PairModel,
+    StandardModel,
     classify,
     finite_mv_view,
     finite_w_view,
@@ -113,7 +111,7 @@ def _require_strong(m: Model, sig: Sig) -> None:
     if isinstance(m, FiniteModel):
         if not classify(m).is_strong:
             raise ClassError(f"{m.name} is not a strong model")
-    elif not isinstance(m, (PairModel, IntervalModel, FlatStandardModel, DerivedOpModel)):
+    elif not isinstance(m, (StandardModel, DerivedOpModel)):
         raise ClassError(f"cannot certify strongness of {m.name}")
 
 

@@ -98,12 +98,17 @@ class TestRejections:
         assert (code, out) == (2, "")
         assert f"error: strategy '{strategy}'" in err
 
+    @pytest.mark.parametrize(
+        "model, strategy",
+        [("interval", "random:1000"), ("interval", "grid:2"), ("chain:2", "exhaustive")],
+    )
     @pytest.mark.parametrize("max_den", ["0", "-3", "5000000000000000000"])
-    def test_bad_max_den_exits_two(self, capsys, max_den):
+    def test_bad_max_den_exits_two(self, capsys, max_den, model, strategy):
         # at 5e18 the numerator sums overflowed int64 and the valid equation
-        # was reported as a disagreement with the exact evaluator
+        # was reported as a disagreement with the exact evaluator; strategies
+        # that ignore the value reject it too
         code, out, err = run(
-            capsys, "check-eq", "--model", "interval", "--strategy", "random:1000",
+            capsys, "check-eq", "--model", model, "--strategy", strategy,
             "--max-den", max_den, "--", "x^+ (+) x^+", "(x (+) x)^+",
         )
         assert (code, out) == (2, "")

@@ -5,6 +5,7 @@ import json
 import weakref
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -16,7 +17,7 @@ from conftest import (
     random_term,
 )
 from sqmv import corpus
-from sqmv.models import IntervalModel, PairModel, finite_w_view, resolve
+from sqmv.models import STANDARD_CATALOG, StandardModel, finite_w_view, resolve
 from sqmv.semantics import (
     Exhaustive,
     Grid,
@@ -26,6 +27,9 @@ from sqmv.semantics import (
     UnboundVariable,
     Verdict,
     Witness,
+    _valuation_at,
+    _valuations,
+    _vec_eval,
     check_entailment,
     check_equation,
     designated_set,
@@ -35,6 +39,9 @@ from sqmv.semantics import (
     zero_second_coordinates,
 )
 from sqmv.syntax import Sig, SignatureError, parse, variables
+
+
+STANDARD_VIEWS = [name + view for name in STANDARD_CATALOG for view in ("", "@w")]
 
 
 def mv(text):
@@ -71,8 +78,9 @@ class TestEvaluate:
 
     def test_matches_reference_evaluator(self, rng):
         sq, dk = resolve("square"), resolve("disk")
-        sw = resolve("square@w")
+        sw, dw = resolve("square@w"), resolve("disk@w")
         iv, fl = resolve("interval"), resolve("flat-standard")
+        iw, fw = resolve("interval@w"), resolve("flat-standard@w")
         for _ in range(400):
             t = random_term(rng, Sig.MV, 5)
             names = variables(t)
@@ -86,6 +94,11 @@ class TestEvaluate:
             s = random_term(rng, Sig.W, 5)
             vs = random_square_valuation(rng, variables(s))
             assert evaluate(s, sw, vs) == oracle_pair(s, vs)
+            vsd = random_disk_valuation(rng, variables(s))
+            assert evaluate(s, dw, vsd) == oracle_pair(s, vsd)
+            vsi = random_interval_valuation(rng, variables(s))
+            assert evaluate(s, iw, vsi) == oracle_interval(s, vsi)
+            assert evaluate(s, fw, vsi) == oracle_interval(s, vsi, flat=True)
 
 
 class TestBatchAgreesWithScalar:
@@ -98,6 +111,24 @@ class TestBatchAgreesWithScalar:
                 continue
             report = check_equation(eq.lhs, eq.rhs, sq, RandomSampling(300), seed=5)
             assert report.verdict is Verdict.COUNTERMODEL, eq.name
+
+    @pytest.mark.parametrize("name", STANDARD_VIEWS)
+    def test_vector_ops_match_scalar_on_every_valuation(self, rng, name):
+        # a VALID verdict re-checks nothing through the scalar path, so compare
+        # the batch value of every sampled valuation, not only witnesses
+        m = resolve(name)
+        for seed in range(40):
+            t = random_term(rng, m.signature, 5)
+            env, D, total, _ = _valuations(
+                m, RandomSampling(50), sorted(variables(t)), (t,), seed
+            )
+            got = _vec_eval(t, m, env, D)
+            pair = isinstance(got, tuple)
+            cols = [np.broadcast_to(c, (total,)) for c in (got if pair else (got,))]
+            for i in range(total):
+                batch = tuple(F(int(c[i]), D) for c in cols)
+                exact = evaluate(t, m, _valuation_at(m, env, D, i))
+                assert batch == (exact if pair else (exact,)), (name, t, i)
 
 
 class TestCheckEquation:
@@ -156,17 +187,16 @@ class TestCheckEquation:
 
 @pytest.fixture
 def apply_calls(monkeypatch):
-    """Counts scalar ``apply`` calls on the pair and interval models."""
+    """Counts scalar ``apply`` calls on the standard models."""
 
     class Calls:
         n = 0
 
-    for cls in (PairModel, IntervalModel):
-        def counted(self, op, *args, _apply=cls.apply):
-            Calls.n += 1
-            return _apply(self, op, *args)
+    def counted(self, op, *args, _apply=StandardModel.apply):
+        Calls.n += 1
+        return _apply(self, op, *args)
 
-        monkeypatch.setattr(cls, "apply", counted)
+    monkeypatch.setattr(StandardModel, "apply", counted)
     return Calls
 
 
@@ -195,11 +225,11 @@ class TestDesignated:
             designated_set(resolve("square"))
 
     def test_check_runs_once_per_model(self, apply_calls):
-        designated_set(PairModel("square", Sig.W))
+        designated_set(StandardModel("square", Sig.W))
         one_check = apply_calls.n
         assert one_check >= 2 * 1000  # (c -> 1) -> 1 for every sample
         apply_calls.n = 0
-        sw = PairModel("square", Sig.W)
+        sw = StandardModel("square", Sig.W)
         designated_set(sw)
         designated_set(sw)
         for seed in (1, 2):
@@ -212,11 +242,11 @@ class TestDesignated:
         apply_calls.n = 0
         designated_set(resolve("interval@w"))
         assert apply_calls.n == 0
-        designated_set(IntervalModel(Sig.W))
+        designated_set(StandardModel("interval", Sig.W))
         assert apply_calls.n >= 2 * 1000
 
     def test_other_sample_count_or_seed_runs_its_own_check(self, apply_calls):
-        iw = IntervalModel(Sig.W)
+        iw = StandardModel("interval", Sig.W)
         designated_set(iw)
         for kwargs in ({"verify_samples": 200}, {"seed": 5}):
             apply_calls.n = 0
@@ -227,12 +257,12 @@ class TestDesignated:
             assert apply_calls.n == 0
 
     def test_wrong_closed_form_raises_on_every_call(self, apply_calls):
-        class BrokenInterval(IntervalModel):
+        class BrokenInterval(StandardModel):
             def apply(self, op, *args):
                 out = super().apply(op, *args)
                 return -out if op == "impl" else out
 
-        bad = BrokenInterval(Sig.W)
+        bad = BrokenInterval("interval", Sig.W)
         for _ in range(2):
             apply_calls.n = 0
             with pytest.raises(SemanticsError, match="misses"):
@@ -243,7 +273,7 @@ class TestDesignated:
         gc.collect()
         gc.disable()
         try:
-            fresh = [finite_w_view(resolve("chain:2")), PairModel("square", Sig.W)]
+            fresh = [finite_w_view(resolve("chain:2")), StandardModel("square", Sig.W)]
             refs = [weakref.ref(m) for m in fresh]
             for m in fresh:
                 designated_set(m)
