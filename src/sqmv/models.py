@@ -492,11 +492,12 @@ NODE_OP = {
 }
 
 
-def index_product(n: int, k: int) -> list[np.ndarray]:
-    """Index arrays of the ``k``-fold product of ``range(n)``, in row-major
-    order: the last coordinate varies fastest, so position i holds the i-th
-    tuple of ``itertools.product(range(n), repeat=k)``."""
-    return [g.ravel() for g in np.meshgrid(*[np.arange(n)] * k, indexing="ij")]
+def product_axes(values: np.ndarray, k: int) -> list[np.ndarray]:
+    """``values`` once for each variable of a ``k``-fold product, the i-th on
+    its own broadcast axis (length ``len(values)`` on axis i, 1 elsewhere).
+    Broadcast together they enumerate the product in row-major order, the last
+    variable fastest, and a subterm over j of the k variables costs n^j."""
+    return [values.reshape((1,) * i + (-1,) + (1,) * (k - 1 - i)) for i in range(k)]
 
 
 def eval_indices(t: Term, m: FiniteModel, env: dict[str, np.ndarray]) -> np.ndarray:
@@ -682,9 +683,9 @@ def mu_congruence(m: FiniteModel) -> Congruence:
     where x is below y when x \\/ y = y (+) 0 (evaluated in the additive view)."""
     mv = m if m.signature is Sig.MV else finite_mv_view(m)
     n = len(m.elements)
-    env = dict(zip("xy", index_product(n, 2)))
+    env = dict(zip("xy", product_axes(np.arange(n), 2)))
     join = eval_indices(join_term(Var("x"), Var("y"), Sig.MV), mv, env)
-    below = (join == eval_indices(OPlus(Var("y"), Const0()), mv, env)).reshape(n, n)
+    below = join == eval_indices(OPlus(Var("y"), Const0()), mv, env)
     rel = below & below.T
     return _partition_from_relation(
         m, lambda x, y: bool(rel[m.index[x], m.index[y]])
@@ -769,75 +770,6 @@ def embed_into_product(m: FiniteModel) -> EmbeddingReport:
     injective = np.unique(map_idx).size == len(m.elements)
     surjective = np.unique(map_idx).size == len(prod.elements)
     return EmbeddingReport(m, qmu, qtau, prod, mapping, hom, injective, surjective)
-
-
-def find_isomorphism(m1: FiniteModel, m2: FiniteModel) -> dict | None:
-    """Search for an operation-preserving bijection (small models only)."""
-    if m1.signature is not m2.signature or len(m1.elements) != len(m2.elements):
-        return None
-    sig_ops = ops_for(m1.signature)
-    mapping: dict = {}
-
-    def consistent(x, y) -> bool:
-        trial = dict(mapping)
-        stack = [(x, y)]
-        while stack:
-            a, b = stack.pop()
-            if a in trial:
-                if trial[a] != b:
-                    return False
-                continue
-            if b in trial.values():
-                return False
-            trial[a] = b
-            for op, arity in sig_ops.items():
-                if arity == 1:
-                    ra, rb = m1.apply(op, a), m2.apply(op, b)
-                    if ra in trial and trial[ra] != rb:
-                        return False
-                else:
-                    for c in list(trial):
-                        for args1, args2 in (((a, c), (b, trial[c])), ((c, a), (trial[c], b))):
-                            ra = m1.apply(op, *args1)
-                            rb = m2.apply(op, *args2)
-                            if ra in trial and trial[ra] != rb:
-                                return False
-        mapping.update(trial)
-        return True
-
-    def backtrack(i: int) -> bool:
-        if i == len(m1.elements):
-            return _is_iso(m1, m2, mapping)
-        x = m1.elements[i]
-        if x in mapping:
-            return backtrack(i + 1)
-        used = set(mapping.values())
-        for y in m2.elements:
-            if y in used:
-                continue
-            saved = dict(mapping)
-            if consistent(x, y) and backtrack(i + 1):
-                return True
-            mapping.clear()
-            mapping.update(saved)
-        return False
-
-    for cname in m1.consts:
-        if cname in m2.consts:
-            mapping[m1.const(cname)] = m2.const(cname)
-    if len(set(mapping.values())) != len(mapping):
-        return None
-    return dict(mapping) if backtrack(0) else None
-
-
-def _is_iso(m1: FiniteModel, m2: FiniteModel, mapping: dict) -> bool:
-    if len(set(mapping.values())) != len(m2.elements):
-        return False
-    for op, arity in ops_for(m1.signature).items():
-        for args in itertools.product(m1.elements, repeat=arity):
-            if mapping[m1.apply(op, *args)] != m2.apply(op, *(mapping[a] for a in args)):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

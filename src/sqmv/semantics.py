@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,6 +45,13 @@ class StrategyError(SemanticsError):
 
 
 _GRID_CAP = 2_000_000
+
+# Exhaustive sweeps of more valuations are refused before anything is allocated.
+_EXHAUSTIVE_CAP = 10**9
+
+# Batch checks build their mask in blocks of at most this many valuations and
+# stop at the first block that holds a witness.
+_SLICE = 2**20
 
 # Largest max denominator of random sampling: numerators stay in [-D, D], so
 # D*D in the disk test and the sum of two numerators fit in int64.
@@ -249,18 +256,18 @@ def _grid_points(m: Model, d: int) -> tuple[list, int]:
 
 def _env_from_grid(m: Model, names: Sequence[str], d: int):
     pts, D = _grid_points(m, d)
-    total = len(pts) ** len(names)
+    k = len(names)
+    total = len(pts) ** k
     if total > _GRID_CAP:
         raise StrategyError(
             f"grid of {total} valuations is too large; lower the denominator"
         )
-    idx = md.index_product(len(pts), len(names))
     if m.pair:
-        a = np.asarray([p[0] for p in pts], dtype=np.int64)
-        b = np.asarray([p[1] for p in pts], dtype=np.int64)
-        return {nm: (a[g], b[g]) for nm, g in zip(names, idx)}, D, total
-    a = np.asarray(pts, dtype=np.int64)
-    return {nm: a[g] for nm, g in zip(names, idx)}, D, total
+        a = md.product_axes(np.asarray([p[0] for p in pts], dtype=np.int64), k)
+        b = md.product_axes(np.asarray([p[1] for p in pts], dtype=np.int64), k)
+        return {nm: (x, y) for nm, x, y in zip(names, a, b)}, D, total
+    a = md.product_axes(np.asarray(pts, dtype=np.int64), k)
+    return dict(zip(names, a)), D, total
 
 
 def _env_from_random(m: Model, names: Sequence[str], count: int, seed: int, max_den: int):
@@ -291,13 +298,22 @@ def _valuations(m: Model, strategy: Strategy, names: Sequence[str],
     """The valuations ``strategy`` checks on ``m``, as ``(env, D, total,
     valid_verdict)``: ``env`` maps each name to its values (carrier indices on
     finite models, numerators over ``D`` otherwise), and ``terms`` set the
-    default grid denominator."""
+    default grid denominator.  Product strategies (exhaustive, grid) put each
+    name on its own broadcast axis; random sampling gives flat arrays."""
+    if not isinstance(m, (FiniteModel, StandardModel)):
+        raise SemanticsError(f"no batch evaluation for {m.name}")
     if isinstance(strategy, Exhaustive):
         if not m.finite:
             raise StrategyError("exhaustive checking needs a finite carrier")
         n = len(m.elements)
-        env = dict(zip(names, md.index_product(n, len(names))))
-        return env, 1, n ** len(names), Verdict.VALID_EXHAUSTIVE
+        total = n ** len(names)
+        if total > _EXHAUSTIVE_CAP:
+            raise StrategyError(
+                f"exhaustive sweep of {total} valuations on {m.name} is too "
+                f"large; at most {_EXHAUSTIVE_CAP} are checked"
+            )
+        env = dict(zip(names, md.product_axes(np.arange(n), len(names))))
+        return env, 1, total, Verdict.VALID_EXHAUSTIVE
     if isinstance(strategy, Grid):
         if m.finite:
             raise StrategyError("grid sampling targets standard carriers; use exhaustive")
@@ -331,25 +347,78 @@ def _vec_eval(t: Term, m: Model, env: dict, D: int):
     return m.vec_apply(md.NODE_OP[type(t)], args, D)
 
 
-def _vec_neq(m: Model, v1, v2, total: int) -> np.ndarray:
+def _vec_neq(m: Model, v1, v2) -> np.ndarray:
     if m.pair:
-        mask = (np.asarray(v1[0]) != np.asarray(v2[0])) | (
+        return (np.asarray(v1[0]) != np.asarray(v2[0])) | (
             np.asarray(v1[1]) != np.asarray(v2[1])
         )
-    else:
-        mask = np.asarray(v1) != np.asarray(v2)
-    return np.broadcast_to(mask, (total,))
+    return np.asarray(v1) != np.asarray(v2)
+
+
+def _env_shape(env: dict) -> tuple:
+    """Broadcast shape of ``env``, whose arrays all have one axis per name
+    (product strategies) or one flat axis (random sampling)."""
+    shapes = [a.shape for rep in env.values()
+              for a in (rep if isinstance(rep, tuple) else (rep,))]
+    return tuple(map(max, zip(*shapes))) if shapes else ()
+
+
+def _blocks(shape: tuple):
+    """Cut the row-major order of ``shape`` into blocks of at most ``_SLICE``
+    valuations, slicing the first axis below which a block fits; yield each
+    block's first row-major index, its slices (none if one block) and shape."""
+    if prod(shape) <= _SLICE:
+        yield 0, (), shape
+        return
+    p = 0
+    while prod(shape[p + 1:]) > _SLICE:
+        p += 1
+    inner = prod(shape[p + 1:])
+    step = _SLICE // inner
+    for j, outer in enumerate(np.ndindex(*shape[:p])):
+        for s in range(0, shape[p], step):
+            e = min(s + step, shape[p])
+            cut = tuple(slice(o, o + 1) for o in outer) + (slice(s, e),)
+            yield (j * shape[p] + s) * inner, cut, (1,) * p + (e - s,) + shape[p + 1:]
+
+
+def _cut(rep, cut: tuple):
+    if isinstance(rep, tuple):
+        return tuple(_cut(a, cut) for a in rep)
+    # an axis of length 1 is broadcast, not sliced
+    return rep[tuple(c if d > 1 else slice(None) for c, d in zip(cut, rep.shape))]
+
+
+def _first_witness(env: dict, bad_in) -> int | None:
+    """Row-major index of the first valuation where the mask ``bad_in(part)``
+    holds, or None.  The mask is built for one block ``part`` of ``env`` at a
+    time, and the sweep stops at the first block with a witness."""
+    for offset, cut, block in _blocks(_env_shape(env)):
+        part = {nm: _cut(rep, cut) for nm, rep in env.items()} if cut else env
+        mask = bad_in(part)
+        hits = np.flatnonzero(mask if mask.shape == block else np.broadcast_to(mask, block))
+        if hits.size:
+            return offset + int(hits[0])
+    return None
 
 
 def _valuation_at(m: Model, env: dict, D: int, i: int) -> dict:
+    """The valuation at row-major index ``i`` of the broadcast ``env``; only
+    the element of each array is read, nothing is broadcast."""
+    shape = _env_shape(env)
+    coords = np.unravel_index(i, shape) if shape else ()
+
+    def at(a) -> int:
+        return int(a[tuple(c if d > 1 else 0 for c, d in zip(coords, a.shape))])
+
     out = {}
     for nm, rep in env.items():
         if isinstance(m, FiniteModel):
-            out[nm] = m.elements[int(rep[i])]
+            out[nm] = m.elements[at(rep)]
         elif m.pair:
-            out[nm] = (Fraction(int(rep[0][i]), D), Fraction(int(rep[1][i]), D))
+            out[nm] = (Fraction(at(rep[0]), D), Fraction(at(rep[1]), D))
         else:
-            out[nm] = Fraction(int(rep[i]), D)
+            out[nm] = Fraction(at(rep), D)
     return out
 
 
@@ -365,12 +434,10 @@ def check_equation(
     check_signature(rhs, m.signature)
     names = sorted(set(variables(lhs)) | set(variables(rhs)))
     env, D, total, valid_verdict = _valuations(m, strategy, names, (lhs, rhs), seed)
-    lv = _vec_eval(lhs, m, env, D)
-    rv = _vec_eval(rhs, m, env, D)
-    bad = np.nonzero(_vec_neq(m, lv, rv, total))[0]
-    if bad.size == 0:
+    i = _first_witness(env, lambda part: _vec_neq(
+        m, _vec_eval(lhs, m, part, D), _vec_eval(rhs, m, part, D)))
+    if i is None:
         return CheckReport(valid_verdict, total, strategy.describe(), seed)
-    i = int(bad[0])
     valuation = _valuation_at(m, env, D, i)
     lhs_val = evaluate(lhs, m, valuation)
     rhs_val = evaluate(rhs, m, valuation)
@@ -407,16 +474,14 @@ class DesignatedSet:
             return el == 0
         return 0 <= el <= 1
 
-    def vec_contains(self, rep, D: int, total: int) -> np.ndarray:
+    def vec_contains(self, rep) -> np.ndarray:
         if self.table is not None:
-            mask = self.table[rep]
-        elif self.kind == "pair":
-            mask = (np.asarray(rep[1]) == 0) & (np.asarray(rep[0]) >= 0)
-        elif self.kind == "flat":
-            mask = np.asarray(rep) == 0
-        else:
-            mask = np.asarray(rep) >= 0
-        return np.broadcast_to(mask, (total,))
+            return self.table[rep]
+        if self.kind == "pair":
+            return (np.asarray(rep[1]) == 0) & (np.asarray(rep[0]) >= 0)
+        if self.kind == "flat":
+            return np.asarray(rep) == 0
+        return np.asarray(rep) >= 0
 
 
 def designated_set(m: Model, verify_samples: int = 1000, seed: int = 17) -> DesignatedSet:
@@ -494,15 +559,16 @@ def check_entailment(
     names = sorted(set().union(*[variables(t) for t in terms]))
     env, D, total, valid_verdict = _valuations(m, strategy, names, terms, seed)
     ds = designated_set(m)
-    all_premises = np.ones(total, dtype=bool)
-    for t in premises:
-        val = _vec_eval(t, m, env, D)
-        all_premises &= ds.vec_contains(val, D, total)
-    concl = ds.vec_contains(_vec_eval(conclusion, m, env, D), D, total)
-    bad = np.nonzero(all_premises & ~concl)[0]
-    if bad.size == 0:
+
+    def bad_in(part):
+        bad = ~ds.vec_contains(_vec_eval(conclusion, m, part, D))
+        for t in premises:
+            bad = bad & ds.vec_contains(_vec_eval(t, m, part, D))
+        return bad
+
+    i = _first_witness(env, bad_in)
+    if i is None:
         return CheckReport(valid_verdict, total, strategy.describe(), seed)
-    i = int(bad[0])
     valuation = _valuation_at(m, env, D, i)
     for t in premises:
         if not ds.contains(evaluate(t, m, valuation)):

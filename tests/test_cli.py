@@ -114,6 +114,15 @@ class TestRejections:
         assert (code, out) == (2, "")
         assert f"max denominator {max_den};" in err
 
+    def test_oversized_exhaustive_sweep_exits_two(self, capsys):
+        # 401**4 valuations, refused before any array is allocated
+        code, out, err = run(
+            capsys, "check-eq", "--model", "chain:200", "--strategy", "exhaustive",
+            "x (+) (y (+) (z (+) w))", "((x (+) y) (+) z) (+) w",
+        )
+        assert (code, out) == (2, "")
+        assert "exhaustive sweep of 25856961601 valuations on chain:200" in err
+
     @pytest.mark.parametrize("model", ["interval", "disk"])
     def test_largest_max_den_stays_exact(self, capsys, model):
         code, out, _ = run(

@@ -9,6 +9,7 @@ from sqmv.models import (
     DomainError,
     CatalogError,
     FINITE_CATALOG,
+    FiniteModel,
     STANDARD_CATALOG,
     SpecError,
     classify,
@@ -16,10 +17,10 @@ from sqmv.models import (
     finite_chain,
     finite_model_from_ops,
     finite_restriction,
-    find_isomorphism,
     flattening,
     label_str,
     mu_congruence,
+    ops_for,
     quotient,
     regular_elements,
     resolve,
@@ -27,6 +28,76 @@ from sqmv.models import (
 )
 from sqmv.semantics import evaluate
 from sqmv.syntax import Sig, Var, join_term
+
+
+# Used only here: quotients are compared with catalog models up to isomorphism.
+def find_isomorphism(m1: FiniteModel, m2: FiniteModel) -> dict | None:
+    """Search for an operation-preserving bijection (small models only)."""
+    if m1.signature is not m2.signature or len(m1.elements) != len(m2.elements):
+        return None
+    sig_ops = ops_for(m1.signature)
+    mapping: dict = {}
+
+    def consistent(x, y) -> bool:
+        trial = dict(mapping)
+        stack = [(x, y)]
+        while stack:
+            a, b = stack.pop()
+            if a in trial:
+                if trial[a] != b:
+                    return False
+                continue
+            if b in trial.values():
+                return False
+            trial[a] = b
+            for op, arity in sig_ops.items():
+                if arity == 1:
+                    ra, rb = m1.apply(op, a), m2.apply(op, b)
+                    if ra in trial and trial[ra] != rb:
+                        return False
+                else:
+                    for c in list(trial):
+                        for args1, args2 in (((a, c), (b, trial[c])), ((c, a), (trial[c], b))):
+                            ra = m1.apply(op, *args1)
+                            rb = m2.apply(op, *args2)
+                            if ra in trial and trial[ra] != rb:
+                                return False
+        mapping.update(trial)
+        return True
+
+    def backtrack(i: int) -> bool:
+        if i == len(m1.elements):
+            return _is_iso(m1, m2, mapping)
+        x = m1.elements[i]
+        if x in mapping:
+            return backtrack(i + 1)
+        used = set(mapping.values())
+        for y in m2.elements:
+            if y in used:
+                continue
+            saved = dict(mapping)
+            if consistent(x, y) and backtrack(i + 1):
+                return True
+            mapping.clear()
+            mapping.update(saved)
+        return False
+
+    for cname in m1.consts:
+        if cname in m2.consts:
+            mapping[m1.const(cname)] = m2.const(cname)
+    if len(set(mapping.values())) != len(mapping):
+        return None
+    return dict(mapping) if backtrack(0) else None
+
+
+def _is_iso(m1: FiniteModel, m2: FiniteModel, mapping: dict) -> bool:
+    if len(set(mapping.values())) != len(m2.elements):
+        return False
+    for op, arity in ops_for(m1.signature).items():
+        for args in itertools.product(m1.elements, repeat=arity):
+            if mapping[m1.apply(op, *args)] != m2.apply(op, *(mapping[a] for a in args)):
+                return False
+    return True
 
 
 class TestStandardOps:

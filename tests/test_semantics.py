@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import itertools
 import json
+import tracemalloc
 import weakref
 from fractions import Fraction as F
 
@@ -16,8 +17,15 @@ from conftest import (
     random_square_valuation,
     random_term,
 )
-from sqmv import corpus
-from sqmv.models import STANDARD_CATALOG, StandardModel, finite_w_view, resolve
+from sqmv import corpus, semantics
+from sqmv.models import (
+    FINITE_CATALOG,
+    NODE_OP,
+    STANDARD_CATALOG,
+    StandardModel,
+    finite_w_view,
+    resolve,
+)
 from sqmv.semantics import (
     Exhaustive,
     Grid,
@@ -38,10 +46,12 @@ from sqmv.semantics import (
     search_countermodel,
     zero_second_coordinates,
 )
-from sqmv.syntax import Sig, SignatureError, parse, variables
+from sqmv.syntax import Const0, Const1, Sig, SignatureError, Var, children, parse, variables
+from sqmv.transform import mv_to_w_model
 
 
 STANDARD_VIEWS = [name + view for name in STANDARD_CATALOG for view in ("", "@w")]
+FINITE_VIEWS = [name + view for name in FINITE_CATALOG for view in ("", "@w")]
 
 
 def mv(text):
@@ -129,6 +139,142 @@ class TestBatchAgreesWithScalar:
                 batch = tuple(F(int(c[i]), D) for c in cols)
                 exact = evaluate(t, m, _valuation_at(m, env, D, i))
                 assert batch == (exact if pair else (exact,)), (name, t, i)
+
+    @staticmethod
+    def assert_batch_matches_scalar(m, strategy, t):
+        env, D, total, _ = _valuations(m, strategy, sorted(variables(t)), (t,), 0)
+        got = _vec_eval(t, m, env, D)
+        arrays = [a for rep in env.values() for a in (rep if isinstance(rep, tuple) else (rep,))]
+        shape = np.broadcast_shapes(*(np.shape(a) for a in arrays))
+        assert int(np.prod(shape)) == total
+        pair = isinstance(got, tuple)
+        cols = [np.broadcast_to(c, shape).ravel() for c in (got if pair else (got,))]
+        for i in range(total):
+            exact = evaluate(t, m, _valuation_at(m, env, D, i))
+            if m.finite:
+                assert m.elements[int(cols[0][i])] == exact, (m.name, t, i)
+            else:
+                batch = tuple(F(int(c[i]), D) for c in cols)
+                assert batch == (exact if pair else (exact,)), (m.name, t, i)
+
+    @pytest.mark.parametrize("name", FINITE_VIEWS)
+    def test_exhaustive_batch_matches_scalar_at_every_index(self, rng, name):
+        # every row-major index of the product layout, VALID sweeps included;
+        # three variables where the sweep stays small, two otherwise
+        m = resolve(name)
+        k = 3 if len(m.elements) ** 3 <= 1000 else 2
+        for _ in range(3):
+            t = random_term(rng, m.signature, 4, var_names=("x", "y", "z")[:k])
+            self.assert_batch_matches_scalar(m, Exhaustive(), t)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("name", STANDARD_VIEWS)
+    def test_grid_batch_matches_scalar_at_every_index(self, rng, name, d):
+        m = resolve(name)
+        k = 2 if m.pair else 3
+        for _ in range(3):
+            t = random_term(rng, m.signature, 4, var_names=("x", "y", "z")[:k])
+            self.assert_batch_matches_scalar(m, Grid(d), t)
+
+
+class TestBatchModels:
+    def test_derived_op_model_has_no_batch_evaluation(self):
+        m = mv_to_w_model(resolve("square"))
+        with pytest.raises(SemanticsError, match="no batch evaluation for square@derived-w"):
+            check_equation(w("x -> x"), w("1 -> 1"), m, RandomSampling(10))
+        with pytest.raises(SemanticsError, match="no batch evaluation for square@derived-w"):
+            check_entailment([w("p")], w("p"), m, RandomSampling(10))
+
+
+def _index_fn(t, m, names):
+    """``t`` as a function of a tuple of carrier indices, by table lookups."""
+    if isinstance(t, Var):
+        i = names.index(t.name)
+        return lambda v: v[i]
+    if isinstance(t, (Const0, Const1)):
+        c = m.consts["zero" if isinstance(t, Const0) else "one"]
+        return lambda v: c
+    tbl = m.tables[NODE_OP[type(t)]]
+    args = [_index_fn(c, m, names) for c in children(t)]
+    if len(args) == 2:
+        f, g = args
+        return lambda v: tbl[f(v)][g(v)]
+    return lambda v: tbl[args[0](v)]
+
+
+def _brute_force_first(m, names, failing):
+    for i, v in enumerate(itertools.product(range(len(m.elements)), repeat=len(names))):
+        if failing(v):
+            return i, {nm: m.elements[j] for nm, j in zip(names, v)}
+    return None
+
+
+class TestBlockedSweeps:
+    # chain:40 has 81 elements: a 4-variable sweep is 81 leading-axis slices of
+    # 81**3 valuations each, and the first witness sits in the second one
+    NAMES = ["w", "x", "y", "z"]
+
+    def assert_beyond_first_block(self, m, i):
+        rest = len(m.elements) ** (len(self.NAMES) - 1)
+        assert len(m.elements) ** len(self.NAMES) > 2 * semantics._SLICE
+        assert (semantics._SLICE // rest) * rest <= i
+
+    def test_equation_witness_in_later_slice(self):
+        m = resolve("chain:40")
+        lhs, rhs = mv("w (+) w (+) z (+) x^-^+"), mv("w (+) z (+) y^-^+")
+        fl, fr = _index_fn(lhs, m, self.NAMES), _index_fn(rhs, m, self.NAMES)
+        i, valuation = _brute_force_first(m, self.NAMES, lambda v: fl(v) != fr(v))
+        self.assert_beyond_first_block(m, i)
+        report = check_equation(lhs, rhs, m, Exhaustive())
+        assert report.verdict is Verdict.COUNTERMODEL
+        assert report.samples_tried == i + 1
+        assert report.witness.valuation == valuation
+
+    def test_entailment_witness_in_later_slice(self):
+        m = resolve("chain:40@w")
+        premises = [w("z"), w("x -> x"), w("y -> y")]
+        conclusion = w("w -> (~w -> w)")
+        ds = {m.index[el] for el in designated_set(m).elements}
+        fps = [_index_fn(t, m, self.NAMES) for t in premises]
+        fc = _index_fn(conclusion, m, self.NAMES)
+        i, valuation = _brute_force_first(
+            m, self.NAMES,
+            lambda v: fc(v) not in ds and all(f(v) in ds for f in fps))
+        self.assert_beyond_first_block(m, i)
+        report = check_entailment(premises, conclusion, m, Exhaustive())
+        assert report.verdict is Verdict.COUNTERMODEL
+        assert report.samples_tried == i + 1
+        assert report.witness.valuation == valuation
+
+    @pytest.mark.parametrize("shape", [(), (7,), (81,) * 4, (3, 2**10, 2**11), (2, 3, 2**21)])
+    def test_blocks_tile_the_row_major_order(self, shape):
+        # rows longer than a block are cut on the first axis below which a block fits
+        nxt = 0
+        for offset, cut, block in semantics._blocks(shape):
+            assert offset == nxt
+            assert len(block) == len(shape) and int(np.prod(block)) <= semantics._SLICE
+            starts = [c.start for c in cut] + [0] * (len(shape) - len(cut))
+            assert offset == (np.ravel_multi_index(starts, shape) if shape else 0)
+            assert [c.stop - c.start for c in cut] == list(block[:len(cut)])
+            assert block[len(cut):] == shape[len(cut):]
+            nxt = offset + int(np.prod(block))
+        assert nxt == int(np.prod(shape))
+
+    def test_large_sweeps_stay_small_in_memory(self):
+        # 401**3 valuations: at most one block of them is held at a time
+        m = resolve("chain:200")
+        tracemalloc.start()
+        try:
+            failing = check_equation(mv("x (+) (y (+) z)"), mv("(x (+) y) (+) z"),
+                                     m, Exhaustive())
+            valid = check_equation(mv("x (+) (y (+) z)"), mv("x (+) (z (+) y)"),
+                                   m, Exhaustive())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (failing.verdict, failing.samples_tried) == (Verdict.COUNTERMODEL, 202)
+        assert (valid.verdict, valid.samples_tried) == (Verdict.VALID_EXHAUSTIVE, 401**3)
+        assert peak < 100 * 2**20
 
 
 class TestCheckEquation:
