@@ -1,8 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success / valid / ACCEPT, 1 countermodel found or proof
-REJECTed, 2 usage, parse, or I/O errors.  Identical invocations produce
-byte-identical output; every sampling verb takes a ``--seed`` (default 0).
+REJECTed, 2 usage, parse, or I/O errors, 3 internal errors (with a
+traceback).  Identical invocations produce byte-identical output; every
+sampling verb takes a ``--seed`` (default 0).
+
+Each verb imports the modules it needs when it runs, so that ``parse``,
+``print``, ``translate`` and the proof verbs start without numpy.
 """
 
 from __future__ import annotations
@@ -11,31 +15,25 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import axioms as axioms_mod
-from . import models as md
-from . import semantics as sem
-from . import transform
-from .proofkit import (
-    check_proof,
-    deregularize_proof,
-    format_script,
-    lift_lstar_proof,
-    parse_script,
-    standard_registry,
-)
 from .syntax import (
-    FormulaError,
+    SqmvError,
     Sig,
     Term,
     children,
+    mv_to_w_term,
     parse,
     print_term,
+    w_to_mv_term,
 )
 
+if TYPE_CHECKING:
+    from . import models as md
+    from . import semantics as sem
 
-class CliError(Exception):
+
+class CliError(SqmvError):
     pass
 
 
@@ -44,19 +42,22 @@ def _sig(text: str) -> Sig:
 
 
 def _model(name: str) -> md.Model:
-    try:
-        return md.resolve(name)
-    except md.ModelError as exc:
-        raise CliError(str(exc)) from None
+    from . import models as md
+
+    return md.resolve(name)
 
 
 def _default_strategy(m: md.Model, text: str | None) -> sem.Strategy:
+    from . import semantics as sem
+
     if text:
         return sem.parse_strategy(text)
     return sem.Exhaustive() if m.finite else sem.RandomSampling(10000)
 
 
 def _apply_max_den(strategy: sem.Strategy, max_den: int | None) -> sem.Strategy:
+    from . import semantics as sem
+
     if max_den is None:
         return strategy
     sem.check_max_denominator(strategy, max_den)
@@ -66,6 +67,10 @@ def _apply_max_den(strategy: sem.Strategy, max_den: int | None) -> sem.Strategy:
 
 
 def _parse_element(m: md.Model, text: str):
+    from fractions import Fraction
+
+    from . import models as md
+
     text = text.strip()
     if text == "k*":
         return md.ADJOINED
@@ -76,7 +81,7 @@ def _parse_element(m: md.Model, text: str):
         return tuple(parts)
     try:
         return Fraction(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise CliError(f"cannot read element {text!r}") from None
 
 
@@ -137,8 +142,14 @@ def _resolve_script_path(path: str) -> str:
 
 
 def _load_script(path: str):
+    from .proofkit import parse_script
+
     with open(_resolve_script_path(path), encoding="utf-8") as fh:
-        return parse_script(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise CliError(f"cannot decode proof script {path}: {exc}") from None
+    return parse_script(text)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +171,9 @@ def cmd_print(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import models as md
+    from . import semantics as sem
+
     m = _model(args.model)
     t = parse(args.formula, m.signature)
     valuation = {}
@@ -177,6 +191,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_check_eq(args) -> int:
+    from . import semantics as sem
+
     m = _model(args.model)
     lhs = parse(args.lhs, m.signature)
     rhs = parse(args.rhs, m.signature)
@@ -186,6 +202,8 @@ def cmd_check_eq(args) -> int:
 
 
 def cmd_check_entail(args) -> int:
+    from . import semantics as sem
+
     m = _model(args.model)
     if m.signature is not Sig.W:
         raise CliError("entailment needs a Wajsberg view; pick a model with @w")
@@ -197,6 +215,8 @@ def cmd_check_entail(args) -> int:
 
 
 def cmd_find_countermodel(args) -> int:
+    from . import semantics as sem
+
     names = [n.strip() for n in args.models.split(",") if n.strip()]
     if not names:
         raise CliError("no models given")
@@ -214,12 +234,14 @@ def cmd_find_countermodel(args) -> int:
 def cmd_translate(args) -> int:
     source = Sig.MV if args.to == "w" else Sig.W
     t = parse(args.formula, source)
-    out = transform.mv_to_w_term(t) if args.to == "w" else transform.w_to_mv_term(t)
+    out = mv_to_w_term(t) if args.to == "w" else w_to_mv_term(t)
     print(print_term(out))
     return 0
 
 
 def cmd_classify(args) -> int:
+    from . import models as md
+
     m = _model(args.model)
     if not isinstance(m, md.FiniteModel):
         raise CliError("classification sweeps require a finite model")
@@ -248,8 +270,11 @@ def cmd_classify(args) -> int:
 
 
 def cmd_audit_axioms(args) -> int:
+    from . import semantics as sem
+    from .axioms import audit_battery
+
     m = _model(args.model)
-    battery = axioms_mod.audit_battery(m.signature)
+    battery = audit_battery(m.signature)
     strategy = _apply_max_den(_default_strategy(m, args.strategy), args.max_den)
     failures = 0
     for eq in battery:
@@ -262,6 +287,8 @@ def cmd_audit_axioms(args) -> int:
 
 
 def cmd_check_proof(args) -> int:
+    from .proofkit import check_proof, standard_registry
+
     script = _load_script(args.file)
     report = check_proof(script, standard_registry())
     print(report.summary())
@@ -273,6 +300,8 @@ def cmd_check_proof(args) -> int:
 
 
 def cmd_lift_proof(args) -> int:
+    from .proofkit import format_script, lift_lstar_proof
+
     script = _load_script(args.file)
     lifted = lift_lstar_proof(script, args.prefix)
     print(format_script(lifted), end="")
@@ -280,6 +309,8 @@ def cmd_lift_proof(args) -> int:
 
 
 def cmd_deregularize(args) -> int:
+    from .proofkit import deregularize_proof, format_script, standard_registry
+
     script = _load_script(args.file)
     out = deregularize_proof(script, standard_registry())
     print(format_script(out), end="")
@@ -383,15 +414,21 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, FormulaError, md.ModelError, sem.SemanticsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except RecursionError:
+        print("error: formula nests too deeply", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SqmvError, OSError) as exc:
+        text = str(exc)
+        # proofkit errors have always been reported under their class name
+        if type(exc).__module__.startswith("sqmv.proofkit"):
+            text = f"{type(exc).__name__}: {text}"
+        print(f"error: {text}", file=sys.stderr)
         return 2
-    except Exception as exc:  # proofkit errors and the rest
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

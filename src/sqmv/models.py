@@ -26,6 +26,7 @@ from .syntax import (
     OPlus,
     PosPart,
     Sig,
+    SqmvError,
     Term,
     UMinus,
     Var,
@@ -33,7 +34,7 @@ from .syntax import (
 )
 
 
-class ModelError(Exception):
+class ModelError(SqmvError):
     pass
 
 

@@ -11,13 +11,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from ..syntax import Term
+from ..syntax import SqmvError, Term
 from .checker import check_proof
 from .script import ProofScript, parse_script
 from .systems import SQL
 
 
-class CertificationFailed(Exception):
+class CertificationFailed(SqmvError):
     pass
 
 

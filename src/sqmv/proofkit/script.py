@@ -18,11 +18,19 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from ..syntax import Sig, Term, expand_abbreviations, parse, print_term
+from ..syntax import (
+    FormulaError,
+    Sig,
+    SqmvError,
+    Term,
+    expand_abbreviations,
+    parse,
+    print_term,
+)
 from .systems import SYSTEMS
 
 
-class ScriptError(Exception):
+class ScriptError(SqmvError):
     """Malformed proof-script text or structure."""
 
 
@@ -122,7 +130,7 @@ def _parse_just(text: str, lineno: int) -> Justification:
 def _parse_formula(text: str, lineno: int) -> Term:
     try:
         return expand_abbreviations(parse(text, Sig.W), Sig.W)
-    except Exception as exc:
+    except FormulaError as exc:
         raise ScriptError(f"line {lineno}: {exc}") from None
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from ..syntax import (
     Sig,
+    SqmvError,
     Term,
     expand_abbreviations,
     parse,
@@ -24,7 +25,7 @@ LSTAR = "L*"
 SYSTEMS = (SQL, LSTAR)
 
 
-class UnknownAxiom(Exception):
+class UnknownAxiom(SqmvError):
     pass
 
 

@@ -16,6 +16,7 @@ from ..syntax import (
     Const1,
     Impl,
     Neg,
+    SqmvError,
     Term,
     is_regular,
     subterm_at,
@@ -34,15 +35,15 @@ from .script import (
 from .systems import L_TO_SQ_AXIOM, LSTAR, SQL, instantiate_axiom
 
 
-class PathMismatch(Exception):
+class PathMismatch(SqmvError):
     pass
 
 
-class NotRegular(Exception):
+class NotRegular(SqmvError):
     pass
 
 
-class SourceProofInvalid(Exception):
+class SourceProofInvalid(SqmvError):
     pass
 
 

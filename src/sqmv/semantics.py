@@ -23,6 +23,7 @@ from .syntax import (
     Const0,
     Const1,
     Sig,
+    SqmvError,
     Term,
     Var,
     check_signature,
@@ -32,7 +33,7 @@ from .syntax import (
 )
 
 
-class SemanticsError(Exception):
+class SemanticsError(SqmvError):
     pass
 
 

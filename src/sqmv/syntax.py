@@ -22,7 +22,11 @@ class Sig(enum.Enum):
     W = "w"
 
 
-class FormulaError(Exception):
+class SqmvError(Exception):
+    """Base class of every error sqmv raises on bad input or a bad request."""
+
+
+class FormulaError(SqmvError):
     """Base class for errors raised while handling formulas."""
 
 
@@ -252,6 +256,40 @@ def _expand(s: Term, sig: Sig) -> Term:
             return Impl(Impl(s.arg, Neg(ONE)), Neg(ONE))
         return OPlus(UMinus(ONE), OPlus(ONE, s.arg))
     return s
+
+
+# ---------------------------------------------------------------------------
+# Term equivalence of the two signatures
+
+
+def mv_to_w_term(t: Term) -> Term:
+    """Rewrite an additive-signature term into the implicational signature."""
+    check_signature(t, Sig.MV)
+    return _mv_to_w(t)
+
+
+def _mv_to_w(s: Term) -> Term:
+    if isinstance(s, OPlus):
+        return Impl(Neg(_mv_to_w(s.left)), _mv_to_w(s.right))
+    if isinstance(s, UMinus):
+        return Neg(_mv_to_w(s.arg))
+    if isinstance(s, Const0):
+        return Impl(ONE, ONE)
+    return rebuild(s, tuple(_mv_to_w(c) for c in children(s)))
+
+
+def w_to_mv_term(t: Term) -> Term:
+    """Rewrite an implicational-signature term into the additive signature."""
+    check_signature(t, Sig.W)
+    return _w_to_mv(t)
+
+
+def _w_to_mv(s: Term) -> Term:
+    if isinstance(s, Impl):
+        return OPlus(UMinus(_w_to_mv(s.left)), _w_to_mv(s.right))
+    if isinstance(s, Neg):
+        return UMinus(_w_to_mv(s.arg))
+    return rebuild(s, tuple(_w_to_mv(c) for c in children(s)))
 
 
 # ---------------------------------------------------------------------------

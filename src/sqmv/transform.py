@@ -1,9 +1,10 @@
 """Translations between the additive and the implicational signature.
 
 Term level: purely syntactic rewrites (x (+) y becomes ~x -> y and back, the
-constant 0 becomes 1 -> 1); no simplification is performed.  Model level: the
-same carrier with derived operations; for finite models the tables are
-materialised so round trips can be compared table-for-table.
+constant 0 becomes 1 -> 1); no simplification is performed.  They live in
+``syntax``, so that they load without numpy, and are re-exported here.
+Model level: the same carrier with derived operations; for finite models the
+tables are materialised so round trips can be compared table-for-table.
 """
 
 from __future__ import annotations
@@ -18,51 +19,7 @@ from .models import (
     finite_w_view,
     ops_for,
 )
-from .syntax import (
-    Const0,
-    Const1,
-    Impl,
-    Neg,
-    OPlus,
-    Sig,
-    Term,
-    UMinus,
-    check_signature,
-    rebuild,
-    children,
-)
-
-
-def mv_to_w_term(t: Term) -> Term:
-    """Rewrite an additive-signature term into the implicational signature."""
-    check_signature(t, Sig.MV)
-    return _mv_to_w(t)
-
-
-# Module-level recursions, not self-calling closures, which would leave a
-# reference cycle per call for the cyclic collector.
-def _mv_to_w(s: Term) -> Term:
-    if isinstance(s, OPlus):
-        return Impl(Neg(_mv_to_w(s.left)), _mv_to_w(s.right))
-    if isinstance(s, UMinus):
-        return Neg(_mv_to_w(s.arg))
-    if isinstance(s, Const0):
-        return Impl(Const1(), Const1())
-    return rebuild(s, tuple(_mv_to_w(c) for c in children(s)))
-
-
-def w_to_mv_term(t: Term) -> Term:
-    """Rewrite an implicational-signature term into the additive signature."""
-    check_signature(t, Sig.W)
-    return _w_to_mv(t)
-
-
-def _w_to_mv(s: Term) -> Term:
-    if isinstance(s, Impl):
-        return OPlus(UMinus(_w_to_mv(s.left)), _w_to_mv(s.right))
-    if isinstance(s, Neg):
-        return UMinus(_w_to_mv(s.arg))
-    return rebuild(s, tuple(_w_to_mv(c) for c in children(s)))
+from .syntax import Sig, mv_to_w_term, w_to_mv_term  # noqa: F401  re-exported
 
 
 class DerivedOpModel(Model):

@@ -1,12 +1,30 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from sqmv.cli import main
-from sqmv.proofkit import check_proof, parse_script, standard_registry
+import sqmv.cli
+from sqmv.cli import CliError, main
+from sqmv.models import ModelError
+from sqmv.proofkit import (
+    CertificationFailed,
+    NotRegular,
+    PathMismatch,
+    ScriptError,
+    SourceProofInvalid,
+    UnknownAxiom,
+    check_proof,
+    parse_script,
+    standard_registry,
+)
+from sqmv.semantics import SemanticsError
+from sqmv.syntax import FormulaError, SqmvError
 
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "src" / "sqmv" / "fixtures"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+FIXTURES = SRC / "sqmv" / "fixtures"
 
 
 def run(capsys, *argv):
@@ -199,3 +217,207 @@ class TestVerbs:
         code, out, _ = run(capsys, "deregularize", str(lifted_path))
         assert code == 0
         assert out.splitlines()[-1].endswith("RULE AReg1 2")
+
+
+def fresh(code: str) -> dict:
+    """Run ``code`` in a fresh interpreter that imports sqmv from ``src/``, and
+    return the JSON object it prints last."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+# sqmv.__all__ at the commit that made the package attributes lazy
+PUBLIC_NAMES = [
+    "CheckReport", "Const0", "Const1", "Exhaustive", "Grid", "Impl", "Neg",
+    "NegPart", "OPlus", "PosPart", "RandomSampling", "Schema", "Sig", "Term",
+    "UMinus", "Var", "Verdict", "axioms", "check_entailment", "check_equation",
+    "classify", "count_connective", "designated_set", "evaluate",
+    "expand_abbreviations", "is_regular", "match_schema", "models",
+    "mv_to_w_model", "mv_to_w_term", "parse", "parse_iff", "print_term",
+    "resolve", "search_countermodel", "semantics", "substitute", "syntax",
+    "transform", "w_to_mv_model", "w_to_mv_term",
+]
+
+
+class TestImportSplit:
+    @pytest.mark.parametrize(
+        "argv, proofkit",
+        [
+            (["parse", "--sig", "w", "--json", "p -> ~q"], False),
+            (["print", "--sig", "mv", "((p)) (+) -q"], False),
+            (["translate", "--to", "w", "p (+) 0"], False),
+            (["translate", "--to", "mv", "~p -> q"], False),
+            (["check-proof", str(FIXTURES / "derived" / "05_refl.sqlp")], True),
+            (["lift-proof", str(FIXTURES / "lstar" / "rule_r1.sqlp")], True),
+            (["deregularize", "{lifted}"], True),
+        ],
+        ids=["parse", "print", "translate-w", "translate-mv", "check-proof",
+             "lift-proof", "deregularize"],
+    )
+    def test_verb_starts_without_numpy(self, capsys, tmp_path, argv, proofkit):
+        # deregularize needs an sqL* proof with a reflexive prefix: lift one
+        code, out, _ = run(capsys, "lift-proof", str(FIXTURES / "lstar" / "ax_p4.sqlp"))
+        assert code == 0
+        lifted = tmp_path / "lifted.sqlp"
+        lifted.write_text(out)
+        argv = [a.format(lifted=lifted) for a in argv]
+        probe = fresh(
+            "import io, json, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "from sqmv.cli import main\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv!r})\n"
+            "print(json.dumps({'code': code, 'loaded': sorted(sys.modules)}))\n"
+        )
+        assert probe["code"] == 0
+        loaded = set(probe["loaded"])
+        assert not loaded & {"numpy", "sqmv.models", "sqmv.semantics", "sqmv.axioms",
+                             "sqmv.transform"}
+        assert ("sqmv.proofkit" in loaded) is proofkit
+
+    def test_model_verb_still_loads_numpy(self):
+        probe = fresh(
+            "import io, json, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "from sqmv.cli import main\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            "    code = main(['eval', '--model', 'chain:2', '--let', 'x=1/2', 'x (+) x'])\n"
+            "print(json.dumps({'code': code, 'numpy': 'numpy' in sys.modules}))\n"
+        )
+        assert probe == {"code": 0, "numpy": True}
+
+    @pytest.mark.parametrize("module", ["sqmv", "sqmv.syntax", "sqmv.proofkit"])
+    def test_import_loads_no_numpy(self, module):
+        probe = fresh(
+            f"import json, sys, {module}\n"
+            "print(json.dumps({'numpy': 'numpy' in sys.modules,"
+            " 'models': 'sqmv.models' in sys.modules}))\n"
+        )
+        assert probe == {"numpy": False, "models": False}
+
+    def test_public_names_resolve(self):
+        probe = fresh(
+            "import json, sys, types, sqmv\n"
+            "names = sorted(sqmv.__all__)\n"
+            "homes = {}\n"
+            "for n in names:\n"
+            "    v = getattr(sqmv, n)\n"
+            "    homes[n] = v.__name__ if isinstance(v, types.ModuleType) else v.__module__\n"
+            "print(json.dumps({'names': names, 'homes': homes}))\n"
+        )
+        assert probe["names"] == PUBLIC_NAMES
+        for name, home in probe["homes"].items():
+            assert home.startswith("sqmv."), name
+        assert probe["homes"]["models"] == "sqmv.models"
+        assert probe["homes"]["mv_to_w_term"] == "sqmv.syntax"
+        assert probe["homes"]["check_equation"] == "sqmv.semantics"
+
+    def test_star_import_and_submodules(self):
+        probe = fresh(
+            "import json\n"
+            "from sqmv import *\n"
+            "from sqmv import corpus, parse, check_equation\n"
+            "import sqmv, sqmv.transform as tr, sqmv.syntax as sx\n"
+            "names = set(sqmv.__all__)\n"
+            "print(json.dumps({\n"
+            "    'missing': sorted(names - set(globals())),\n"
+            "    'corpus': corpus.__name__,\n"
+            "    'same': parse is sx.parse and tr.mv_to_w_term is sx.mv_to_w_term\n"
+            "            and check_equation is sqmv.semantics.check_equation,\n"
+            "}))\n"
+        )
+        assert probe == {"missing": [], "corpus": "sqmv.corpus", "same": True}
+
+    def test_unknown_name_raises_attribute_error(self):
+        import sqmv
+
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            sqmv.no_such_name
+        assert not hasattr(sqmv, "numpy")
+        with pytest.raises(ImportError):
+            from sqmv import no_such_name  # noqa: F401
+
+
+class TestErrorTaxonomy:
+    @pytest.mark.parametrize(
+        "exc, text",
+        [
+            (CliError("no models given"), "no models given"),
+            (FormulaError("bad formula"), "bad formula"),
+            (ModelError("bad model"), "bad model"),
+            (SemanticsError("bad check"), "bad check"),
+            (OSError("disk gone"), "disk gone"),
+            (ScriptError("line 1: odd"), "ScriptError: line 1: odd"),
+            (CertificationFailed("twice"), "CertificationFailed: twice"),
+            (UnknownAxiom("Q0"), "UnknownAxiom: Q0"),
+            (PathMismatch("nowhere"), "PathMismatch: nowhere"),
+            (NotRegular("~p"), "NotRegular: ~p"),
+            (SourceProofInvalid("not L*"), "SourceProofInvalid: not L*"),
+        ],
+        ids=lambda v: type(v).__name__ if isinstance(v, Exception) else "",
+    )
+    def test_sqmv_errors_exit_two(self, capsys, monkeypatch, exc, text):
+        assert isinstance(exc, (SqmvError, OSError))
+
+        def verb(args):
+            raise exc
+
+        monkeypatch.setattr(sqmv.cli, "cmd_print", verb)
+        code, out, err = run(capsys, "print", "p")
+        assert (code, out, err) == (2, "", f"error: {text}\n")
+
+    @pytest.mark.parametrize("exc", [TypeError("bad operand"), KeyError("oplus")])
+    def test_programming_error_exits_three_with_traceback(self, capsys, monkeypatch, exc):
+        def verb(args):
+            raise exc
+
+        monkeypatch.setattr(sqmv.cli, "cmd_translate", verb)
+        code, out, err = run(capsys, "translate", "--to", "w", "p")
+        assert (code, out) == (3, "")
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.rstrip().splitlines()[-1] == f"{type(exc).__name__}: {exc}"
+
+    def test_natural_errors_keep_their_text(self, capsys, tmp_path):
+        cases = [
+            (("check-eq", "--model", "pentagon", "x", "x"), "error: unknown model"),
+            (("translate", "--to", "w", "p -> q"), "error: '->' is not part"),
+            (("eval", "--model", "square", "x"), "error: variable 'x' is not bound"),
+            (("classify", "--model", "square"), "error: classification sweeps require"),
+            (("check-proof", str(tmp_path / "absent.sqlp")), "error: no such proof script"),
+            (("check-proof", str(tmp_path)), "error: [Errno 21] Is a directory"),
+            (("deregularize", str(FIXTURES / "derived" / "05_refl.sqlp")),
+             "error: SourceProofInvalid: conclusion does not carry a reflexive prefix"),
+        ]
+        for argv, start in cases:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith(start), (argv, err)
+
+    def test_zero_denominator_in_let(self, capsys):
+        code, out, err = run(capsys, "eval", "--model", "square", "--let", "x=1/0,0", "--", "x")
+        assert (code, out, err) == (2, "", "error: cannot read element '1/0'\n")
+
+    def test_undecodable_script_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "binary.sqlp"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "check-proof", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot decode proof script {path}: 'utf-8' codec")
+
+    @pytest.mark.parametrize("verb", ["parse", "print"])
+    def test_deep_nesting_exits_two(self, capsys, verb):
+        code, out, err = run(capsys, verb, "(" * 198 + "x" + ")" * 198)
+        assert (code, out, err) == (2, "", "error: formula nests too deeply\n")
+
+    def test_long_left_nested_sum_exits_two(self, capsys):
+        # parses fine; printing it recurses once per (+)
+        code, out, err = run(capsys, "print", " (+) ".join(["x"] * 800))
+        assert (code, out, err) == (2, "", "error: formula nests too deeply\n")
+
+    def test_moderate_nesting_still_prints(self, capsys):
+        code, out, _ = run(capsys, "print", "(" * 150 + "x" + ")" * 150)
+        assert (code, out) == (0, "x\n")

@@ -85,6 +85,20 @@ class TestScriptFormat:
         with pytest.raises(ScriptError):
             parse_script("system: HA\n1. p ; HYP 1\n")
 
+    def test_bad_formula_names_its_line(self):
+        with pytest.raises(ScriptError, match=r"^line 2: expected a formula"):
+            parse_script("system: sqL*\n1. p -> ( ; AX Q10\n")
+
+    def test_programming_error_is_not_a_script_error(self, monkeypatch):
+        import sqmv.proofkit.script as script_mod
+
+        def broken(text, sig):
+            raise TypeError("broken parser")
+
+        monkeypatch.setattr(script_mod, "parse", broken)
+        with pytest.raises(TypeError, match="broken parser"):
+            parse_script("system: sqL*\n1. p -> 1 ; AX Q10\n")
+
     def test_comments_and_blanks_ignored(self):
         s = parse_script("system: L*\n\n# a remark\n1. p -> 1 ; AX P4\n")
         assert len(s.lines) == 1
