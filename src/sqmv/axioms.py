@@ -11,6 +11,7 @@ the star battery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .syntax import Sig, Term, expand_abbreviations, parse
 
@@ -23,7 +24,11 @@ class Equation:
     rhs: Term
 
 
-def _eqs(sig: Sig, pairs: list[tuple[str, str, str]], expand: bool = False) -> list[Equation]:
+@cache
+def _eqs(sig: Sig, pairs: tuple[tuple[str, str, str], ...],
+         expand: bool = False) -> tuple[Equation, ...]:
+    """The battery ``pairs`` parsed, once per signature; the public functions
+    hand out fresh lists of these shared, frozen equations."""
     out = []
     for name, lhs, rhs in pairs:
         left, right = parse(lhs, sig), parse(rhs, sig)
@@ -31,10 +36,10 @@ def _eqs(sig: Sig, pairs: list[tuple[str, str, str]], expand: bool = False) -> l
             left = expand_abbreviations(left, sig)
             right = expand_abbreviations(right, sig)
         out.append(Equation(name, sig, left, right))
-    return out
+    return tuple(out)
 
 
-_MV_QUASI = [
+_MV_QUASI = (
     ("QMV*1", "x (+) y", "y (+) x"),
     ("QMV*2", "(1 (+) x) (+) (y (+) (1 (+) z))", "((1 (+) x) (+) y) (+) (1 (+) z)"),
     ("QMV*3", "(x (+) 1) (+) 1", "1"),
@@ -52,14 +57,14 @@ _MV_QUASI = [
     ("QMV*12", "x \\/ y", "y \\/ x"),
     ("QMV*13", "x \\/ (y \\/ z)", "(x \\/ y) \\/ z"),
     ("QMV*14", "x (+) (y \\/ z)", "(x (+) y) \\/ (x (+) z)"),
-]
+)
 
-_MV_STRONG = [
+_MV_STRONG = (
     ("strong+", "x^+", "x^+ (+) 0"),
     ("strong-", "x^-", "x^- (+) 0"),
-]
+)
 
-_MV_STAR = [
+_MV_STAR = (
     ("MV*1", "x (+) y", "y (+) x"),
     ("MV*2", "(1 (+) x) (+) (y (+) (1 (+) z))", "((1 (+) x) (+) y) (+) (1 (+) z)"),
     ("MV*3", "x (+) -x", "0"),
@@ -72,9 +77,9 @@ _MV_STAR = [
     ("MV*10", "x \\/ y", "y \\/ x"),
     ("MV*11", "x \\/ (y \\/ z)", "(x \\/ y) \\/ z"),
     ("MV*12", "x (+) (y \\/ z)", "(x (+) y) \\/ (x (+) z)"),
-]
+)
 
-_W_QUASI = [
+_W_QUASI = (
     ("QW*1", "x -> y", "~y -> ~x"),
     ("QW*2", "(x -> 1) -> ((y -> 1) -> z)", "(y -> 1) -> ((x -> 1) -> z)"),
     ("QW*3", "(1 -> x) -> 1", "1"),
@@ -90,14 +95,14 @@ _W_QUASI = [
     ("QW*10", "x \\/ y", "y \\/ x"),
     ("QW*11", "x \\/ (y \\/ z)", "(x \\/ y) \\/ z"),
     ("QW*12", "x -> (y \\/ z)", "(x -> y) \\/ (x -> z)"),
-]
+)
 
-_W_STRONG = [
+_W_STRONG = (
     ("strongW+", "x^+", "(1 -> 1) -> x^+"),
     ("strongW-", "x^-", "(1 -> 1) -> x^-"),
-]
+)
 
-_W_STAR = [
+_W_STAR = (
     ("W*1", "x -> y", "~y -> ~x"),
     ("W*2", "(x -> 1) -> ((y -> 1) -> z)", "(y -> 1) -> ((x -> 1) -> z)"),
     ("W*3", "(1 -> x) -> 1", "1"),
@@ -109,34 +114,34 @@ _W_STAR = [
     ("W*9", "x \\/ y", "y \\/ x"),
     ("W*10", "x \\/ (y \\/ z)", "(x \\/ y) \\/ z"),
     ("W*11", "x -> (y \\/ z)", "(x -> y) \\/ (x -> z)"),
-]
+)
 
 
 def quasi_axioms(sig: Sig) -> list[Equation]:
     """The defining equations of the quasi variety for ``sig``."""
     if sig is Sig.MV:
-        return _eqs(Sig.MV, _MV_QUASI)
-    return _eqs(Sig.W, _W_QUASI)
+        return list(_eqs(Sig.MV, _MV_QUASI))
+    return list(_eqs(Sig.W, _W_QUASI))
 
 
 def strong_axioms(sig: Sig) -> list[Equation]:
     """The two equations singling out the strong subvariety."""
     if sig is Sig.MV:
-        return _eqs(Sig.MV, _MV_STRONG)
-    return _eqs(Sig.W, _W_STRONG)
+        return list(_eqs(Sig.MV, _MV_STRONG))
+    return list(_eqs(Sig.W, _W_STRONG))
 
 
 def flat_equation(sig: Sig) -> Equation:
     if sig is Sig.MV:
-        return _eqs(Sig.MV, [("flat", "0", "1")])[0]
-    return _eqs(Sig.W, [("flatW", "1 -> 1", "1")])[0]
+        return _eqs(Sig.MV, (("flat", "0", "1"),))[0]
+    return _eqs(Sig.W, (("flatW", "1 -> 1", "1"),))[0]
 
 
 def star_axioms(sig: Sig) -> list[Equation]:
     """The plain-variety laws, with parts and join expanded to defined terms."""
     if sig is Sig.MV:
-        return _eqs(Sig.MV, _MV_STAR, expand=True)
-    return _eqs(Sig.W, _W_STAR, expand=True)
+        return list(_eqs(Sig.MV, _MV_STAR, expand=True))
+    return list(_eqs(Sig.W, _W_STAR, expand=True))
 
 
 def audit_battery(sig: Sig) -> list[Equation]:

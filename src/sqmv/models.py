@@ -232,6 +232,11 @@ class StandardModel(Model):
 
 
 class FiniteModel(Model):
+    """``tables[op]`` holds carrier indices in a read-only C-contiguous array
+    (2-D for binary, 1-D for unary operations) of ``index_dtype``, so the flat
+    lookup ``tbl.take(l * n + r)`` cannot overflow; the constructor copies
+    nested lists or arrays into that form."""
+
     finite = True
 
     def __init__(self, name: str, signature: Sig, elements: tuple,
@@ -242,19 +247,16 @@ class FiniteModel(Model):
         self.index = {el: i for i, el in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
             raise SpecError("duplicate elements in finite carrier")
-        self.tables = tables          # op name -> nested list of indices
+        self.index_dtype = index_dtype(len(self.elements))
+        self.tables = {}
+        for op, tbl in tables.items():
+            arr = np.array(tbl, dtype=self.index_dtype, order="C")
+            arr.flags.writeable = False
+            self.tables[op] = arr
         self.consts = consts          # const name -> index
-        self._np_tables: dict[str, np.ndarray] | None = None
-        self._flags = None
+        # battery name -> (all hold, results, witnesses), filled by _battery
+        self._batteries: dict[str, tuple[bool, dict, dict]] = {}
         self.quotient_classes: dict | None = None
-
-    @property
-    def np_tables(self) -> dict[str, np.ndarray]:
-        if self._np_tables is None:
-            self._np_tables = {
-                op: np.asarray(tbl, dtype=np.int64) for op, tbl in self.tables.items()
-            }
-        return self._np_tables
 
     def contains(self, el) -> bool:
         return el in self.index
@@ -265,31 +267,33 @@ class FiniteModel(Model):
     def apply(self, op: str, *args):
         if op not in self.tables:
             raise DomainError(f"operation {op!r} is not available on {self.name}")
-        idx = []
         for x in args:
             self.check_member(x)
-            idx.append(self.index[x])
-        tbl = self.tables[op]
-        if len(idx) == 2:
-            return self.elements[tbl[idx[0]][idx[1]]]
-        return self.elements[tbl[idx[0]]]
+        return self.elements[self.tables[op][tuple(self.index[x] for x in args)]]
 
     def table_text(self) -> str:
         """Operation tables as text, one tuple per line."""
         lines = [f"model {self.name} signature {self.signature.value} size {len(self.elements)}"]
         for cname in sorted(self.consts):
             lines.append(f"{cname} -> {label_str(self.const(cname))}")
+        labels = [label_str(el) for el in self.elements]
         for op in sorted(self.tables):
-            arity = 2 if isinstance(self.tables[op][0], list) else 1
-            if arity == 2:
-                for x, y in itertools.product(self.elements, repeat=2):
-                    lines.append(
-                        f"{op} {label_str(x)} {label_str(y)} -> {label_str(self.apply(op, x, y))}"
-                    )
+            tbl = self.tables[op]
+            if tbl.ndim == 2:
+                for (i, x), (j, y) in itertools.product(enumerate(labels), repeat=2):
+                    lines.append(f"{op} {x} {y} -> {labels[tbl[i, j]]}")
             else:
-                for x in self.elements:
-                    lines.append(f"{op} {label_str(x)} -> {label_str(self.apply(op, x))}")
+                for i, x in enumerate(labels):
+                    lines.append(f"{op} {x} -> {labels[tbl[i]]}")
         return "\n".join(lines) + "\n"
+
+
+def index_dtype(n: int) -> np.dtype:
+    """The narrowest of int16/int32/int64 that holds n*n."""
+    for dt in (np.int16, np.int32):
+        if n * n <= np.iinfo(dt).max:
+            return np.dtype(dt)
+    return np.dtype(np.int64)
 
 
 def finite_model_from_ops(
@@ -304,31 +308,16 @@ def finite_model_from_ops(
     index = {el: i for i, el in enumerate(elements)}
     tables: dict = {}
     for op, arity in ops_for(signature).items():
-        fn = ops[op]
-        if arity == 2:
-            tbl = []
-            for x in elements:
-                row = []
-                for y in elements:
-                    z = fn(x, y)
-                    if z not in index:
-                        raise ClosureError(
-                            f"{name}: {op}({label_str(x)},{label_str(y)}) = "
-                            f"{label_str(z)} escapes the carrier"
-                        )
-                    row.append(index[z])
-                tbl.append(row)
-            tables[op] = tbl
-        else:
-            col = []
-            for x in elements:
-                z = fn(x)
-                if z not in index:
-                    raise ClosureError(
-                        f"{name}: {op}({label_str(x)}) = {label_str(z)} escapes the carrier"
-                    )
-                col.append(index[z])
-            tables[op] = col
+        cells = []
+        for args in itertools.product(elements, repeat=arity):
+            z = ops[op](*args)
+            if z not in index:
+                raise ClosureError(
+                    f"{name}: {op}({','.join(map(label_str, args))}) = "
+                    f"{label_str(z)} escapes the carrier"
+                )
+            cells.append(index[z])
+        tables[op] = np.reshape(cells, (len(elements),) * arity)
     cidx = {}
     for cname, el in consts.items():
         if el not in index:
@@ -338,17 +327,19 @@ def finite_model_from_ops(
 
 
 def finite_chain(n: int) -> FiniteModel:
-    """The (2n+1)-element subchain {k/n} of the interval model."""
+    """The (2n+1)-element subchain {k/n} of the interval model; index i
+    stands for (i - n)/n, so the tables are closed forms on indices."""
     if n < 1:
         raise SpecError("chain parameter must be >= 1")
     els = tuple(Fraction(k, n) for k in range(-n, n + 1))
-    ops = {
-        "oplus": lambda x, y: clamp(x + y),
-        "uminus": lambda x: -x,
-        "pos": lambda x: max(ZERO, x),
-        "npart": lambda x: min(ZERO, x),
+    i = np.arange(2 * n + 1, dtype=index_dtype(2 * n + 1))
+    tables = {
+        "oplus": np.clip(i[:, None] + i[None, :] - n, 0, 2 * n),
+        "uminus": 2 * n - i,
+        "pos": np.maximum(i, n),
+        "npart": np.minimum(i, n),
     }
-    return finite_model_from_ops(f"chain:{n}", Sig.MV, els, ops, {"zero": ZERO, "one": ONE})
+    return FiniteModel(f"chain:{n}", Sig.MV, els, tables, {"zero": n, "one": 2 * n})
 
 
 def ex32_grid() -> FiniteModel:
@@ -382,29 +373,30 @@ def flattening(base: FiniteModel, k=None) -> FiniteModel:
         raise SpecError("flattening expects an additive-signature base")
     regs = regular_elements(base, check_star=False)
     fixpoints = [x for x in regs if base.apply("uminus", x) == x]
+    # every operation is constantly k (index ki), but minus only on an adjoined k
+    minus = base.tables["uminus"]
     if k is None:
         if fixpoints:
             raise SpecError(
                 "minus has a fixpoint over the regular part; flatten onto it "
                 f"(e.g. {label_str(fixpoints[0])}) instead of adjoining a fresh element"
             )
-        k = ADJOINED
+        k, ki = ADJOINED, len(base.elements)
         elements = base.elements + (ADJOINED,)
+        minus = np.append(minus, ki)
     else:
         if k not in fixpoints:
             raise SpecError(
                 f"{label_str(k)} is not a minus-fixpoint in the regular part of {base.name}"
             )
+        ki = base.index[k]
         elements = base.elements
     kname = "new" if k is ADJOINED else label_str(k)
-    ops = {
-        "oplus": lambda x, y: k,
-        "uminus": lambda x: k if x is ADJOINED else base.apply("uminus", x),
-        "pos": lambda x: k,
-        "npart": lambda x: k,
-    }
-    return finite_model_from_ops(
-        f"flatten:{base.name}:{kname}", Sig.MV, elements, ops, {"zero": k, "one": k}
+    n = len(elements)
+    tables = {"oplus": np.full((n, n), ki), "uminus": minus,
+              "pos": np.full(n, ki), "npart": np.full(n, ki)}
+    return FiniteModel(
+        f"flatten:{base.name}:{kname}", Sig.MV, elements, tables, {"zero": ki, "one": ki}
     )
 
 
@@ -418,15 +410,15 @@ def product(m1: FiniteModel, m2: FiniteModel) -> FiniteModel:
     n2 = len(m2.elements)
     els = tuple(itertools.product(m1.elements, m2.elements))
     tables: dict = {}
+    # in intp: the product may need a wider index dtype than its factors
     for op, arity in ops_for(sig).items():
-        t1, t2 = m1.np_tables[op], m2.np_tables[op]
+        t1, t2 = m1.tables[op].astype(np.intp), m2.tables[op].astype(np.intp)
         if arity == 2:
-            big = (t1[:, None, :, None] * n2 + t2[None, :, None, :]).reshape(
+            tables[op] = (t1[:, None, :, None] * n2 + t2[None, :, None, :]).reshape(
                 len(els), len(els)
             )
         else:
-            big = (t1[:, None] * n2 + t2[None, :]).reshape(len(els))
-        tables[op] = big.tolist()
+            tables[op] = (t1[:, None] * n2 + t2[None, :]).reshape(len(els))
     consts = {}
     for cname in set(m1.consts) & set(m2.consts):
         consts[cname] = m1.consts[cname] * n2 + m2.consts[cname]
@@ -447,36 +439,26 @@ def finite_restriction(base: Model, points: Iterable, name: str) -> FiniteModel:
 # Signature views (tables only; verified wrappers live in transform)
 
 
+def _signature_view(m: FiniteModel, sig: Sig, name: str) -> FiniteModel:
+    """``m`` in the signature ``sig``: x -> y is -x (+) y, x (+) y is ~x -> y,
+    minus is negation, and 0 is 1 -> 1."""
+    t, one = m.tables, m.consts["one"]
+    if sig is Sig.W:
+        tables = {"impl": t["oplus"][t["uminus"]], "wneg": t["uminus"]}
+        zero = int(tables["impl"][one, one])
+    else:
+        tables = {"oplus": t["impl"][t["wneg"]], "uminus": t["wneg"]}
+        zero = int(t["impl"][one, one])
+    tables.update(pos=t["pos"], npart=t["npart"])
+    return FiniteModel(name, sig, m.elements, tables, {"one": one, "zero": zero})
+
+
 def finite_w_view(m: FiniteModel, name: str | None = None) -> FiniteModel:
-    t = m.np_tables
-    one = m.consts["one"]
-    tables = {
-        "impl": t["oplus"][t["uminus"], :].tolist(),
-        "wneg": t["uminus"].tolist(),
-        "pos": t["pos"].tolist(),
-        "npart": t["npart"].tolist(),
-    }
-    zero = int(t["oplus"][t["uminus"][one], one])
-    return FiniteModel(
-        name or m.name + "@w", Sig.W, m.elements, tables,
-        {"one": one, "zero": zero},
-    )
+    return _signature_view(m, Sig.W, name or m.name + "@w")
 
 
 def finite_mv_view(m: FiniteModel, name: str | None = None) -> FiniteModel:
-    t = m.np_tables
-    one = m.consts["one"]
-    tables = {
-        "oplus": t["impl"][t["wneg"], :].tolist(),
-        "uminus": t["wneg"].tolist(),
-        "pos": t["pos"].tolist(),
-        "npart": t["npart"].tolist(),
-    }
-    zero = int(t["impl"][one, one])
-    return FiniteModel(
-        name or m.name + "@mv", Sig.MV, m.elements, tables,
-        {"one": one, "zero": zero},
-    )
+    return _signature_view(m, Sig.MV, name or m.name + "@mv")
 
 
 # ---------------------------------------------------------------------------
@@ -502,17 +484,19 @@ def product_axes(values: np.ndarray, k: int) -> list[np.ndarray]:
 
 
 def eval_indices(t: Term, m: FiniteModel, env: dict[str, np.ndarray]) -> np.ndarray:
-    """Evaluate ``t`` over index arrays; all variables must be bound in env."""
+    """Evaluate ``t`` over index arrays; all variables must be bound in env.
+    Constants are ``m.index_dtype`` scalars, which promote no array."""
     if isinstance(t, Var):
         return env[t.name]
     if isinstance(t, Const0):
-        return np.int64(m.consts["zero"])
+        return m.index_dtype.type(m.consts["zero"])
     if isinstance(t, Const1):
-        return np.int64(m.consts["one"])
-    tbl = m.np_tables[NODE_OP[type(t)]]
+        return m.index_dtype.type(m.consts["one"])
+    tbl = m.tables[NODE_OP[type(t)]]
     if isinstance(t, (OPlus, Impl)):
-        return tbl[eval_indices(t.left, m, env), eval_indices(t.right, m, env)]
-    return tbl[eval_indices(t.arg, m, env)]
+        return tbl.take(eval_indices(t.left, m, env) * len(m.elements)
+                        + eval_indices(t.right, m, env))
+    return tbl.take(eval_indices(t.arg, m, env))
 
 
 # ---------------------------------------------------------------------------
@@ -541,35 +525,49 @@ class ClassFlags:
         return "\n".join(f"{k}: {'yes' if v else 'no'}" for k, v in rows)
 
 
-def classify(m: FiniteModel) -> ClassFlags:
-    """Decide the class flags of a finite model by exhaustive axiom checks."""
+_BATTERIES = {
+    "quasi": axioms.quasi_axioms,
+    "strong": axioms.strong_axioms,
+    "flat": lambda sig: [axioms.flat_equation(sig)],
+    "star": axioms.star_axioms,
+}
+
+
+def _battery(m: FiniteModel, name: str) -> tuple[bool, dict, dict]:
+    """Run the axiom battery ``name`` on ``m`` by exhaustive checks, once per
+    model: ``(all hold, results by equation, witnesses of the failures)``."""
     if not m.finite:
         raise ClassError("classification sweeps require a finite carrier")
-    if m._flags is not None:
-        return m._flags
-    # imported here because semantics imports this module
-    from .semantics import Exhaustive, check_equation
+    done = m._batteries.get(name)
+    if done is None:
+        # imported here because semantics imports this module
+        from .semantics import Exhaustive, check_equation
 
-    sig = m.signature
-    results: dict[str, bool] = {}
-    witnesses: dict[str, dict] = {}
-
-    def run(eqs) -> bool:
-        ok_all = True
-        for eq in eqs:
+        results: dict[str, bool] = {}
+        witnesses: dict[str, dict] = {}
+        for eq in _BATTERIES[name](m.signature):
             report = check_equation(eq.lhs, eq.rhs, m, Exhaustive())
             results[eq.name] = not report.found_countermodel
             if report.found_countermodel:
                 witnesses[eq.name] = report.witness.valuation
-                ok_all = False
-        return ok_all
+        done = m._batteries[name] = (all(results.values()), results, witnesses)
+    return done
 
-    is_quasi = run(axioms.quasi_axioms(sig))
-    is_strong = run(axioms.strong_axioms(sig)) and is_quasi
-    is_flat = run([axioms.flat_equation(sig)]) and is_quasi
-    is_star = run(axioms.star_axioms(sig))
-    m._flags = ClassFlags(sig, results, witnesses, is_quasi, is_strong, is_flat, is_star)
-    return m._flags
+
+def is_strong(m: FiniteModel) -> bool:
+    """Whether ``m`` is a strong quasi-algebra; runs only the quasi and strong
+    batteries."""
+    return _battery(m, "quasi")[0] and _battery(m, "strong")[0]
+
+
+def classify(m: FiniteModel) -> ClassFlags:
+    """Decide the class flags of a finite model by exhaustive axiom checks."""
+    runs = [_battery(m, name) for name in _BATTERIES]
+    results = {k: v for _, res, _ in runs for k, v in res.items()}
+    witnesses = {k: v for _, _, wit in runs for k, v in wit.items()}
+    quasi, strong, flat, star = (ok for ok, _, _ in runs)
+    return ClassFlags(m.signature, results, witnesses, quasi, strong and quasi,
+                      flat and quasi, star)
 
 
 def regular_elements(m: FiniteModel, check_star: bool = True) -> tuple:
@@ -612,9 +610,6 @@ class Congruence:
                 out[el] = cls
         return out
 
-    def related(self, x, y) -> bool:
-        return y in self.class_of[x]
-
     def is_identity(self) -> bool:
         return all(len(c) == 1 for c in self.classes)
 
@@ -645,7 +640,7 @@ def _check_compatible(m: FiniteModel, cong: Congruence) -> None:
     """Related inputs must give related outputs, for every operation."""
     cid = _class_ids(m, cong)
     for op, arity in ops_for(m.signature).items():
-        tbl = m.np_tables[op]
+        tbl = m.tables[op]
         if arity == 1:
             out = cid[tbl]
             for i in range(len(cong.classes)):
@@ -739,8 +734,7 @@ class EmbeddingReport:
 
 def embed_into_product(m: FiniteModel) -> EmbeddingReport:
     """Map x to (x mod mu, x mod tau) and verify the embedding properties."""
-    flags = classify(m)
-    if not flags.is_strong:
+    if not is_strong(m):
         raise ClassError(f"{m.name} is not strong; the embedding is not defined")
     mu = mu_congruence(m)
     tau = tau_congruence(m)
@@ -762,7 +756,7 @@ def embed_into_product(m: FiniteModel) -> EmbeddingReport:
         for cname in m.consts
     )
     for op, arity in ops_for(m.signature).items():
-        src, dst = m.np_tables[op], prod.np_tables[op]
+        src, dst = m.tables[op], prod.tables[op]
         if arity == 1:
             ok = (dst[map_idx] == map_idx[src]).all()
         else:

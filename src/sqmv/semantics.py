@@ -45,6 +45,7 @@ class StrategyError(SemanticsError):
     pass
 
 
+# Larger grids and random samples are refused before anything is allocated.
 _GRID_CAP = 2_000_000
 
 # Exhaustive sweeps of more valuations are refused before anything is allocated.
@@ -129,9 +130,9 @@ class RandomSampling:
     max_denominator: int = 120
 
     def __post_init__(self):
-        if self.count < 1:
+        if not 1 <= self.count <= _GRID_CAP:
             raise StrategyError(
-                f"strategy 'random:{self.count}' needs a sample count of at least 1"
+                f"strategy 'random:{self.count}' needs a sample count in 1..{_GRID_CAP}"
             )
         check_max_denominator(self, self.max_denominator)
 
@@ -313,7 +314,7 @@ def _valuations(m: Model, strategy: Strategy, names: Sequence[str],
                 f"exhaustive sweep of {total} valuations on {m.name} is too "
                 f"large; at most {_EXHAUSTIVE_CAP} are checked"
             )
-        env = dict(zip(names, md.product_axes(np.arange(n), len(names))))
+        env = dict(zip(names, md.product_axes(np.arange(n, dtype=m.index_dtype), len(names))))
         return env, 1, total, Verdict.VALID_EXHAUSTIVE
     if isinstance(strategy, Grid):
         if m.finite:

@@ -9,14 +9,16 @@ tables are materialised so round trips can be compared table-for-table.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .models import (
     ClassError,
     FiniteModel,
     Model,
     StandardModel,
-    classify,
     finite_mv_view,
     finite_w_view,
+    is_strong,
     ops_for,
 )
 from .syntax import Sig, mv_to_w_term, w_to_mv_term  # noqa: F401  re-exported
@@ -66,7 +68,7 @@ def _require_strong(m: Model, sig: Sig) -> None:
             f"{m.name} carries the wrong signature for this translation"
         )
     if isinstance(m, FiniteModel):
-        if not classify(m).is_strong:
+        if not is_strong(m):
             raise ClassError(f"{m.name} is not a strong model")
     elif not isinstance(m, (StandardModel, DerivedOpModel)):
         raise ClassError(f"cannot certify strongness of {m.name}")
@@ -95,7 +97,4 @@ def tables_equal(m1: FiniteModel, m2: FiniteModel) -> bool:
     for c in set(m1.consts) & set(m2.consts):
         if m1.const(c) != m2.const(c):
             return False
-    for op, arity in ops_for(m1.signature).items():
-        if m1.tables[op] != m2.tables[op]:
-            return False
-    return True
+    return all(np.array_equal(m1.tables[op], m2.tables[op]) for op in ops_for(m1.signature))

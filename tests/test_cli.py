@@ -141,6 +141,16 @@ class TestRejections:
         assert (code, out) == (2, "")
         assert "exhaustive sweep of 25856961601 valuations on chain:200" in err
 
+    def test_oversized_random_sampling_exits_two(self, capsys):
+        # 10**9 samples of two variables would take 7.45 GiB; refused before
+        # anything is drawn
+        code, out, err = run(
+            capsys, "check-eq", "--model", "square", "--strategy", "random:1000000000",
+            "--", "x (+) y", "y (+) x",
+        )
+        assert (code, out) == (2, "")
+        assert "error: strategy 'random:1000000000' needs a sample count in 1..2000000" in err
+
     @pytest.mark.parametrize("model", ["interval", "disk"])
     def test_largest_max_den_stays_exact(self, capsys, model):
         code, out, _ = run(

@@ -194,7 +194,8 @@ def _index_fn(t, m, names):
     if isinstance(t, (Const0, Const1)):
         c = m.consts["zero" if isinstance(t, Const0) else "one"]
         return lambda v: c
-    tbl = m.tables[NODE_OP[type(t)]]
+    # nested lists: scalar lookups in them are faster than in numpy arrays
+    tbl = m.tables[NODE_OP[type(t)]].tolist()
     args = [_index_fn(c, m, names) for c in children(t)]
     if len(args) == 2:
         f, g = args
@@ -680,6 +681,7 @@ class TestStrategyParsing:
         assert parse_strategy("grid:4") == Grid(4)
         assert parse_strategy("grid") == Grid()
         assert parse_strategy("random:100") == RandomSampling(100)
+        assert parse_strategy("random:2000000") == RandomSampling(2_000_000)
         with pytest.raises(StrategyError):
             parse_strategy("montecarlo")
 
@@ -692,9 +694,9 @@ class TestStrategyParsing:
 
     @pytest.mark.parametrize(
         "make",
-        [lambda: Grid(0), lambda: RandomSampling(0),
+        [lambda: Grid(0), lambda: RandomSampling(0), lambda: RandomSampling(2_000_001),
          lambda: RandomSampling(10, 0), lambda: RandomSampling(10, 2**31 + 1)],
-        ids=["grid-0", "random-0", "max-den-0", "max-den-2^31+1"],
+        ids=["grid-0", "random-0", "random-2000001", "max-den-0", "max-den-2^31+1"],
     )
     def test_constructors_reject_out_of_range(self, make):
         with pytest.raises(StrategyError):
