@@ -21,6 +21,7 @@ from .syntax import (
     SqmvError,
     Sig,
     Term,
+    Var,
     children,
     mv_to_w_term,
     parse,
@@ -103,7 +104,7 @@ def _split_top(text: str) -> list[str]:
 
 def _ast(t: Term) -> dict:
     node = type(t).__name__
-    if hasattr(t, "name"):
+    if isinstance(t, Var):
         return {"node": node, "name": t.name}
     kids = children(t)
     if not kids:
@@ -114,7 +115,7 @@ def _ast(t: Term) -> dict:
 def _ast_text(t: Term, indent: int = 0) -> str:
     pad = "  " * indent
     node = type(t).__name__
-    if hasattr(t, "name"):
+    if isinstance(t, Var):
         return f"{pad}{node} {t.name}"
     lines = [pad + node]
     for c in children(t):
@@ -369,10 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("find-countermodel", help="search a family of models")
     p.add_argument("--models", required=True, help="comma-separated catalog names")
-    p.add_argument("--strategy")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-den", type=int, default=None, dest="max_den")
-    p.add_argument("--json", action="store_true")
+    _add_common(p, model=False)
     p.add_argument("lhs")
     p.add_argument("rhs")
     p.set_defaults(fn=cmd_find_countermodel)

@@ -18,17 +18,13 @@ import numpy as np
 
 from . import axioms
 from .syntax import (
+    Binary,
     Const0,
-    Const1,
-    Impl,
-    Neg,
-    NegPart,
     OPlus,
-    PosPart,
     Sig,
     SqmvError,
     Term,
-    UMinus,
+    Unary,
     Var,
     join_term,
 )
@@ -247,7 +243,7 @@ class FiniteModel(Model):
         self.index = {el: i for i, el in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
             raise SpecError("duplicate elements in finite carrier")
-        self.index_dtype = index_dtype(len(self.elements))
+        self.index_dtype = index_dtype(len(self.elements), name)
         self.tables = {}
         for op, tbl in tables.items():
             arr = np.array(tbl, dtype=self.index_dtype, order="C")
@@ -288,12 +284,18 @@ class FiniteModel(Model):
         return "\n".join(lines) + "\n"
 
 
-def index_dtype(n: int) -> np.dtype:
-    """The narrowest of int16/int32/int64 that holds n*n."""
-    for dt in (np.int16, np.int32):
-        if n * n <= np.iinfo(dt).max:
-            return np.dtype(dt)
-    return np.dtype(np.int64)
+# Larger finite carriers are refused before their tables are built; this bounds
+# a binary table at 2^24 cells.
+_MAX_CARRIER = 4096
+
+
+def index_dtype(n: int, name: str) -> np.dtype:
+    """The narrowest of int16/int32 that holds n*n, for the n-element carrier
+    of the model ``name``; a carrier above ``_MAX_CARRIER`` is refused."""
+    if n > _MAX_CARRIER:
+        raise SpecError(f"{name} would have {n} elements; finite models "
+                        f"have at most {_MAX_CARRIER}")
+    return np.dtype(np.int16 if n * n <= np.iinfo(np.int16).max else np.int32)
 
 
 def finite_model_from_ops(
@@ -331,15 +333,17 @@ def finite_chain(n: int) -> FiniteModel:
     stands for (i - n)/n, so the tables are closed forms on indices."""
     if n < 1:
         raise SpecError("chain parameter must be >= 1")
+    name = f"chain:{n}"
+    dt = index_dtype(2 * n + 1, name)
     els = tuple(Fraction(k, n) for k in range(-n, n + 1))
-    i = np.arange(2 * n + 1, dtype=index_dtype(2 * n + 1))
+    i = np.arange(2 * n + 1, dtype=dt)
     tables = {
         "oplus": np.clip(i[:, None] + i[None, :] - n, 0, 2 * n),
         "uminus": 2 * n - i,
         "pos": np.maximum(i, n),
         "npart": np.minimum(i, n),
     }
-    return FiniteModel(f"chain:{n}", Sig.MV, els, tables, {"zero": n, "one": 2 * n})
+    return FiniteModel(name, Sig.MV, els, tables, {"zero": n, "one": 2 * n})
 
 
 def ex32_grid() -> FiniteModel:
@@ -407,7 +411,9 @@ def product(m1: FiniteModel, m2: FiniteModel) -> FiniteModel:
     if m1.signature is not m2.signature:
         raise SpecError("product factors must share a signature")
     sig = m1.signature
+    name = f"product:{_wrap(m1.name)},{_wrap(m2.name)}"
     n2 = len(m2.elements)
+    index_dtype(len(m1.elements) * n2, name)  # refuses an oversized carrier
     els = tuple(itertools.product(m1.elements, m2.elements))
     tables: dict = {}
     # in intp: the product may need a wider index dtype than its factors
@@ -422,7 +428,6 @@ def product(m1: FiniteModel, m2: FiniteModel) -> FiniteModel:
     consts = {}
     for cname in set(m1.consts) & set(m2.consts):
         consts[cname] = m1.consts[cname] * n2 + m2.consts[cname]
-    name = f"product:{_wrap(m1.name)},{_wrap(m2.name)}"
     return FiniteModel(name, sig, els, tables, consts)
 
 
@@ -465,16 +470,6 @@ def finite_mv_view(m: FiniteModel, name: str | None = None) -> FiniteModel:
 # Exhaustive term evaluation on finite models (index arrays)
 
 
-NODE_OP = {
-    OPlus: "oplus",
-    UMinus: "uminus",
-    Impl: "impl",
-    Neg: "wneg",
-    PosPart: "pos",
-    NegPart: "npart",
-}
-
-
 def product_axes(values: np.ndarray, k: int) -> list[np.ndarray]:
     """``values`` once for each variable of a ``k``-fold product, the i-th on
     its own broadcast axis (length ``len(values)`` on axis i, 1 elsewhere).
@@ -486,17 +481,14 @@ def product_axes(values: np.ndarray, k: int) -> list[np.ndarray]:
 def eval_indices(t: Term, m: FiniteModel, env: dict[str, np.ndarray]) -> np.ndarray:
     """Evaluate ``t`` over index arrays; all variables must be bound in env.
     Constants are ``m.index_dtype`` scalars, which promote no array."""
+    if isinstance(t, Binary):
+        return m.tables[t.op].take(eval_indices(t.left, m, env) * len(m.elements)
+                                   + eval_indices(t.right, m, env))
+    if isinstance(t, Unary):
+        return m.tables[t.op].take(eval_indices(t.arg, m, env))
     if isinstance(t, Var):
         return env[t.name]
-    if isinstance(t, Const0):
-        return m.index_dtype.type(m.consts["zero"])
-    if isinstance(t, Const1):
-        return m.index_dtype.type(m.consts["one"])
-    tbl = m.tables[NODE_OP[type(t)]]
-    if isinstance(t, (OPlus, Impl)):
-        return tbl.take(eval_indices(t.left, m, env) * len(m.elements)
-                        + eval_indices(t.right, m, env))
-    return tbl.take(eval_indices(t.arg, m, env))
+    return m.index_dtype.type(m.consts[t.op])
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,6 @@ import numpy as np
 from . import models as md
 from .models import FiniteModel, Model, StandardModel, label_str
 from .syntax import (
-    Const0,
-    Const1,
     Sig,
     SqmvError,
     Term,
@@ -81,12 +79,8 @@ def _evaluate(s: Term, m: Model, valuation: dict):
             raise UnboundVariable(f"variable {s.name!r} is not bound") from None
         m.check_member(el)
         return el
-    if isinstance(s, Const0):
-        return m.const("zero")
-    if isinstance(s, Const1):
-        return m.const("one")
     args = [_evaluate(c, m, valuation) for c in children(s)]
-    return m.apply(md.NODE_OP[type(s)], *args)
+    return m.apply(s.op, *args) if args else m.const(s.op)
 
 
 def zero_second_coordinates(valuation: dict) -> dict:
@@ -341,12 +335,8 @@ def _vec_eval(t: Term, m: Model, env: dict, D: int):
         return md.eval_indices(t, m, env)
     if isinstance(t, Var):
         return env[t.name]
-    if isinstance(t, Const0):
-        return m.vec_const("zero", D)
-    if isinstance(t, Const1):
-        return m.vec_const("one", D)
     args = [_vec_eval(c, m, env, D) for c in children(t)]
-    return m.vec_apply(md.NODE_OP[type(t)], args, D)
+    return m.vec_apply(t.op, args, D) if args else m.vec_const(t.op, D)
 
 
 def _vec_neq(m: Model, v1, v2) -> np.ndarray:

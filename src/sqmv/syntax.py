@@ -51,10 +51,25 @@ class ModeError(FormulaError):
 # ---------------------------------------------------------------------------
 # Term nodes
 
+# Print levels, loosest first; an operand below its slot's level is parenthesised.
+_LEVEL_INFIX = 1
+_LEVEL_PREFIX = 2
+_LEVEL_POSTFIX = 3
+_LEVEL_ATOM = 4
+
 
 @dataclass(frozen=True)
 class Term:
+    """A formula node.  Each node class states its facts once: ``op`` names the
+    model operation or constant it denotes, ``sig`` the one signature it
+    belongs to (None: both), and ``level``/``symbol`` its print form.  The
+    connective classes add only these attributes to ``Term``, ``Binary`` or
+    ``Unary`` and inherit their dataclass methods; ``__eq__`` compares the
+    exact class."""
+
     __slots__ = ()
+    sig = None
+    level = _LEVEL_ATOM
 
     def __str__(self) -> str:
         return print_term(self)
@@ -63,84 +78,76 @@ class Term:
 @dataclass(frozen=True)
 class Var(Term):
     name: str
+    op = "var"
 
 
-@dataclass(frozen=True)
 class Const0(Term):
-    pass
+    op, sig, symbol = "zero", Sig.MV, "0"
 
 
-@dataclass(frozen=True)
 class Const1(Term):
-    pass
+    op, symbol = "one", "1"
 
 
 @dataclass(frozen=True)
-class OPlus(Term):
+class Binary(Term):
     left: Term
     right: Term
+    level = _LEVEL_INFIX
+    # least levels of the left and right operand: (+) groups to the left
+    operand_levels = (_LEVEL_INFIX, _LEVEL_INFIX + 1)
 
 
 @dataclass(frozen=True)
-class UMinus(Term):
+class Unary(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
-class Impl(Term):
-    left: Term
-    right: Term
+class OPlus(Binary):
+    op, sig, symbol = "oplus", Sig.MV, "(+)"
 
 
-@dataclass(frozen=True)
-class Neg(Term):
-    arg: Term
+class Impl(Binary):
+    op, sig, symbol = "impl", Sig.W, "->"
+    operand_levels = (_LEVEL_INFIX + 1, _LEVEL_INFIX)
 
 
-@dataclass(frozen=True)
-class PosPart(Term):
-    arg: Term
+class UMinus(Unary):
+    op, sig, level, symbol = "uminus", Sig.MV, _LEVEL_PREFIX, "-"
 
 
-@dataclass(frozen=True)
-class NegPart(Term):
-    arg: Term
+class Neg(Unary):
+    op, sig, level, symbol = "wneg", Sig.W, _LEVEL_PREFIX, "~"
+
+
+class PosPart(Unary):
+    op, level, symbol = "pos", _LEVEL_POSTFIX, "^+"
+
+
+class NegPart(Unary):
+    op, level, symbol = "npart", _LEVEL_POSTFIX, "^-"
 
 
 ZERO = Const0()
 ONE = Const1()
 
-# Constructor tags accepted by count_connective and friends.
+# Constructor tags accepted by count_connective: each class's op, and "neg".
 CONNECTIVES = {
-    "oplus": OPlus,
-    "uminus": UMinus,
-    "impl": Impl,
-    "neg": Neg,
-    "pos": PosPart,
-    "npart": NegPart,
-    "zero": Const0,
-    "one": Const1,
-    "var": Var,
+    c.op: c for c in (Var, Const0, Const1, OPlus, UMinus, Impl, Neg, PosPart, NegPart)
 }
-
-_MV_ONLY = (Const0, OPlus, UMinus)
-_W_ONLY = (Impl, Neg)
+CONNECTIVES["neg"] = Neg
 
 
 def children(t: Term) -> tuple[Term, ...]:
-    if isinstance(t, (OPlus, Impl)):
+    if isinstance(t, Binary):
         return (t.left, t.right)
-    if isinstance(t, (UMinus, Neg, PosPart, NegPart)):
+    if isinstance(t, Unary):
         return (t.arg,)
     return ()
 
 
 def rebuild(t: Term, new_children: tuple[Term, ...]) -> Term:
-    if isinstance(t, (OPlus, Impl)):
-        return type(t)(new_children[0], new_children[1])
-    if isinstance(t, (UMinus, Neg, PosPart, NegPart)):
-        return type(t)(new_children[0])
-    return t
+    return type(t)(*new_children) if new_children else t
 
 
 def subterms(t: Term) -> Iterator[Term]:
@@ -186,9 +193,8 @@ def count_connective(t: Term, tag: str | type) -> int:
 
 
 def check_signature(t: Term, sig: Sig) -> None:
-    bad = _W_ONLY if sig is Sig.MV else _MV_ONLY
     for s in subterms(t):
-        if isinstance(s, bad):
+        if s.sig is not None and s.sig is not sig:
             raise SignatureError(
                 f"connective {type(s).__name__} is not part of the "
                 f"{sig.value.upper()}-STAR language"
@@ -454,48 +460,24 @@ def parse_iff(text: str, sig: Sig = Sig.W) -> tuple[Term, ...]:
 # ---------------------------------------------------------------------------
 # Printer
 
-_LEVEL_INFIX = 1
-_LEVEL_PREFIX = 2
-_LEVEL_POSTFIX = 3
-_LEVEL_ATOM = 4
-
-
-def _level(t: Term) -> int:
-    if isinstance(t, (OPlus, Impl)):
-        return _LEVEL_INFIX
-    if isinstance(t, (UMinus, Neg)):
-        return _LEVEL_PREFIX
-    if isinstance(t, (PosPart, NegPart)):
-        return _LEVEL_POSTFIX
-    return _LEVEL_ATOM
-
-
 def _paren(s: Term, minimum: int) -> str:
     text = print_term(s)
-    if _level(s) < minimum:
+    if s.level < minimum:
         return f"({text})"
     return text
 
 
 def print_term(s: Term) -> str:
     """Render ``s`` with minimal parentheses; ``parse(print_term(s))`` is ``s``."""
+    if isinstance(s, Binary):
+        left, right = s.operand_levels
+        return f"{_paren(s.left, left)} {s.symbol} {_paren(s.right, right)}"
+    if isinstance(s, Unary):
+        arg = _paren(s.arg, s.level)
+        return s.symbol + arg if s.level == _LEVEL_PREFIX else arg + s.symbol
     if isinstance(s, Var):
         return s.name
-    if isinstance(s, Const0):
-        return "0"
-    if isinstance(s, Const1):
-        return "1"
-    if isinstance(s, OPlus):
-        return f"{_paren(s.left, _LEVEL_INFIX)} (+) {_paren(s.right, _LEVEL_INFIX + 1)}"
-    if isinstance(s, Impl):
-        return f"{_paren(s.left, _LEVEL_INFIX + 1)} -> {_paren(s.right, _LEVEL_INFIX)}"
-    if isinstance(s, UMinus):
-        return f"-{_paren(s.arg, _LEVEL_PREFIX)}"
-    if isinstance(s, Neg):
-        return f"~{_paren(s.arg, _LEVEL_PREFIX)}"
-    if isinstance(s, PosPart):
-        return f"{_paren(s.arg, _LEVEL_POSTFIX)}^+"
-    return f"{_paren(s.arg, _LEVEL_POSTFIX)}^-"
+    return s.symbol
 
 
 # ---------------------------------------------------------------------------

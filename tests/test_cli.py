@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 
 import sqmv.cli
 from sqmv.cli import CliError, main
-from sqmv.models import ModelError
+from sqmv.models import ModelError, finite_chain, product
 from sqmv.proofkit import (
     CertificationFailed,
     NotRegular,
@@ -150,6 +151,33 @@ class TestRejections:
         )
         assert (code, out) == (2, "")
         assert "error: strategy 'random:1000000000' needs a sample count in 1..2000000" in err
+
+    @pytest.mark.parametrize(
+        "model, size", [("chain:20000", 40001), ("product:chain:100,chain:100", 40401)]
+    )
+    def test_oversized_finite_carrier_exits_two(self, model, size):
+        # their tables would take 5.96 and 12.2 GiB; under this address-space
+        # limit an allocation attempt ends in a MemoryError and exit 3
+        def limit():
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, hard))
+
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sqmv.cli", "check-eq", "--model", model,
+             "--strategy", "exhaustive", "x", "x"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+            preexec_fn=limit, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            f"error: {model} would have {size} elements; finite models have at most 4096\n"
+        )
+
+    def test_largest_finite_carriers_still_build(self):
+        assert len(finite_chain(2047).elements) == 4095
+        chain = finite_chain(31)
+        assert len(product(chain, chain).elements) == 3969
 
     @pytest.mark.parametrize("model", ["interval", "disk"])
     def test_largest_max_den_stays_exact(self, capsys, model):

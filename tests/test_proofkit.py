@@ -1,5 +1,6 @@
 import pathlib
 import random
+import sys
 
 import pytest
 
@@ -36,6 +37,18 @@ def w(text):
 
 def load(relpath: str) -> ProofScript:
     return parse_script((FIXTURES / relpath).read_text())
+
+
+def test_packaged_fixtures_match_the_generator():
+    """``tools/gen_fixtures.py`` rebuilds every packaged script byte for byte."""
+    sys.path.insert(0, str(FIXTURES.parents[2] / "tools"))
+    import gen_fixtures
+
+    for sub, texts, count in (("derived", gen_fixtures.derived_texts(), 16),
+                              ("lstar", gen_fixtures.lstar_texts(), 26)):
+        packaged = {f.name: f.read_text(encoding="utf-8") for f in (FIXTURES / sub).iterdir()}
+        assert len(packaged) == count
+        assert packaged == texts, sub
 
 
 class TestInstantiation:

@@ -20,7 +20,6 @@ from conftest import (
 from sqmv import corpus, semantics
 from sqmv.models import (
     FINITE_CATALOG,
-    NODE_OP,
     STANDARD_CATALOG,
     StandardModel,
     finite_w_view,
@@ -195,7 +194,7 @@ def _index_fn(t, m, names):
         c = m.consts["zero" if isinstance(t, Const0) else "one"]
         return lambda v: c
     # nested lists: scalar lookups in them are faster than in numpy arrays
-    tbl = m.tables[NODE_OP[type(t)]].tolist()
+    tbl = m.tables[t.op].tolist()
     args = [_index_fn(c, m, names) for c in children(t)]
     if len(args) == 2:
         f, g = args

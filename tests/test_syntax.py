@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_term
+from sqmv.models import ops_for, resolve
 from sqmv.transform import mv_to_w_term, w_to_mv_term
 from sqmv.syntax import (
+    CONNECTIVES,
     Const0,
     Const1,
     Impl,
@@ -23,6 +25,7 @@ from sqmv.syntax import (
     SignatureError,
     UMinus,
     Var,
+    check_signature,
     count_connective,
     expand_abbreviations,
     is_regular,
@@ -186,6 +189,43 @@ class TestCount:
         assert count_connective(UMinus(UMinus(p)), UMinus) == 2
         assert count_connective(Const1(), OPlus) == 0
         assert count_connective(parse("p^+ -> p^+", Sig.W), "pos") == 2
+
+
+# the connectives each language lacks
+NOT_IN = {Sig.MV: {Impl, Neg}, Sig.W: {Const0, OPlus, UMinus}}
+
+
+class TestConnectiveFacts:
+    @pytest.mark.parametrize(
+        "node",
+        [p, Const0(), Const1(), OPlus(p, q), UMinus(p), Impl(p, q), Neg(p), PosPart(p), NegPart(p)],
+        ids=lambda t: type(t).__name__,
+    )
+    def test_node_class(self, node):
+        cls = type(node)
+        for sig in Sig:
+            if cls in NOT_IN[sig]:
+                text = f"connective {cls.__name__} is not part of the {sig.value.upper()}-STAR language"
+                with pytest.raises(SignatureError, match=f"^{text}$"):
+                    check_signature(node, sig)
+                continue
+            check_signature(node, sig)
+            assert parse(print_term(node), sig) == node
+            if cls is not Var:
+                consts = resolve("chain:1" if sig is Sig.MV else "chain:1@w").consts
+                assert node.op in ops_for(sig) or node.op in consts
+
+    def test_count_under_every_tag(self):
+        mv = parse("-(p (+) 0)^+ (+) (1 (+) -q^-)", Sig.MV)
+        w = parse("~(p -> 1)^+ -> (~~q^- -> p)", Sig.W)
+        expected = {  # tag: (count in mv, count in w)
+            "var": (2, 3), "zero": (1, 0), "one": (1, 1), "oplus": (3, 0),
+            "uminus": (2, 0), "impl": (0, 3), "wneg": (0, 3), "neg": (0, 3),
+            "pos": (1, 1), "npart": (1, 1),
+        }
+        assert set(expected) == set(CONNECTIVES)
+        for tag, counts in expected.items():
+            assert (count_connective(mv, tag), count_connective(w, tag)) == counts, tag
 
 
 class TestSchema:

@@ -217,11 +217,17 @@ GENERATED = {
 }
 
 
-def write_derived() -> None:
-    DERIVED.mkdir(parents=True, exist_ok=True)
-    texts: dict[str, str] = dict(HAND_WRITTEN)
+def derived_texts() -> dict[str, str]:
+    """The derived-rule certificates as ``{file name: text}``."""
+    texts = dict(HAND_WRITTEN)
     for name, builder in GENERATED.items():
         texts[name] = format_script(builder())
+    return texts
+
+
+def write_derived() -> None:
+    DERIVED.mkdir(parents=True, exist_ok=True)
+    texts = derived_texts()
     registry = Registry()
     for name in sorted(texts):
         rule_id = name.split("_", 1)[1].removesuffix(".sqlp")
@@ -285,18 +291,25 @@ hyp: ~~~1
 }
 
 
-def write_lstar() -> None:
-    LSTAR_DIR.mkdir(parents=True, exist_ok=True)
+def lstar_texts() -> dict[str, str]:
+    """The L* corpus, one script per axiom form plus LSTAR_EXTRA, as
+    ``{file name: text}``."""
+    texts = {}
     for name, forms in AXIOMS[LSTAR].items():
-        tag = name.lower().rjust(3, "0") if False else name.lower()
+        tag = name.lower()
         if len(forms) == 2:
             files = {f"ax_{tag}_fwd.sqlp": forms[0], f"ax_{tag}_bwd.sqlp": forms[1]}
         else:
             files = {f"ax_{tag}.sqlp": forms[0]}
         for fname, formula in files.items():
-            text = f"system: L*\n1. {print_term(formula)} ; AX {name}\n"
-            (LSTAR_DIR / fname).write_text(text, encoding="utf-8")
-    for fname, text in LSTAR_EXTRA.items():
+            texts[fname] = f"system: L*\n1. {print_term(formula)} ; AX {name}\n"
+    texts.update(LSTAR_EXTRA)
+    return texts
+
+
+def write_lstar() -> None:
+    LSTAR_DIR.mkdir(parents=True, exist_ok=True)
+    for fname, text in lstar_texts().items():
         parse_script(text)
         (LSTAR_DIR / fname).write_text(text, encoding="utf-8")
     print(f"  {len(list(LSTAR_DIR.iterdir()))} scripts in the L* corpus")
