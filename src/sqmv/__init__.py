@@ -14,7 +14,7 @@ _EXPORTS = {
     name: home
     for home, names in {
         "syntax": "Sig Term Var Const0 Const1 OPlus UMinus Impl Neg PosPart NegPart"
-        " Schema parse parse_iff print_term expand_abbreviations is_regular"
+        " parse parse_iff print_term expand_abbreviations is_regular"
         " count_connective match_schema substitute mv_to_w_term w_to_mv_term",
         "models": "classify resolve",
         "semantics": "CheckReport Exhaustive Grid RandomSampling Verdict"

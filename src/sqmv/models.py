@@ -621,34 +621,31 @@ def _sort_classes(classes) -> tuple[frozenset, ...]:
 
 
 def _class_ids(m: FiniteModel, cong: Congruence) -> np.ndarray:
-    cid = np.empty(len(m.elements), dtype=np.int64)
+    """Each element's class number; the classes must partition the carrier."""
+    cid = np.full(len(m.elements), -1, dtype=np.int64)
     for i, cls in enumerate(cong.classes):
-        for el in cls:
-            cid[m.index[el]] = i
+        idx = [m.index.get(el) for el in cls]
+        if not idx or None in idx or (cid[idx] >= 0).any():
+            raise NotCompatible("the classes do not partition the carrier")
+        cid[idx] = i
+    if (cid < 0).any():
+        raise NotCompatible("the classes do not partition the carrier")
     return cid
 
 
 def _check_compatible(m: FiniteModel, cong: Congruence) -> None:
-    """Related inputs must give related outputs, for every operation."""
+    """Related inputs must give related outputs, for every operation: each
+    row (and column) of an operation's class-id table equals the one at its
+    class representative."""
     cid = _class_ids(m, cong)
+    rep = np.unique(cid, return_index=True)[1][cid]
     for op, arity in ops_for(m.signature).items():
-        tbl = m.tables[op]
-        if arity == 1:
-            out = cid[tbl]
-            for i in range(len(cong.classes)):
-                if np.unique(out[cid == i]).size > 1:
-                    raise NotCompatible(f"{op} is not compatible with the partition")
-        else:
-            out = cid[tbl]
-            for i in range(len(cong.classes)):
-                members = np.nonzero(cid == i)[0]
-                if members.size < 2:
-                    continue
-                ref = members[0]
-                if not (out[members] == out[ref]).all():
-                    raise NotCompatible(f"{op} is not compatible on the left")
-                if not (out[:, members] == out[:, ref][:, None]).all():
-                    raise NotCompatible(f"{op} is not compatible on the right")
+        out = cid[m.tables[op]]
+        if not (out == out[rep]).all():
+            side = "with the partition" if arity == 1 else "on the left"
+            raise NotCompatible(f"{op} is not compatible {side}")
+        if arity == 2 and not (out == out[:, rep]).all():
+            raise NotCompatible(f"{op} is not compatible on the right")
 
 
 def _partition_from_relation(m: FiniteModel, related: Callable) -> Congruence:
@@ -692,6 +689,7 @@ def quotient(m: FiniteModel, cong: Congruence) -> FiniteModel:
     """Quotient model; class labels are canonical representatives."""
     if cong.model is not m:
         raise NotCompatible("congruence belongs to a different model")
+    _check_compatible(m, cong)
     class_of = cong.class_of
     rep = {cls: min(cls, key=label_str) for cls in cong.classes}
     reps = tuple(rep[cls] for cls in cong.classes)

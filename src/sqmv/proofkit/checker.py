@@ -87,43 +87,32 @@ def check_proof(script: ProofScript, registry=None) -> ProofReport:
             checks.append(LineCheck(n, True, f"hypothesis {just.index}"))
             continue
 
-        # rule and lemma lines share premise-index validation
+        # rule and lemma lines share one application check
         for p in just.premises:
             if not 1 <= p < n:
                 return reject(n, f"BadPremiseIndex: {p}")
         cited = [script.lines[p - 1].formula for p in just.premises]
 
         if isinstance(just, RuleRef):
-            rule = rules.get(just.name)
-            if rule is None:
-                return reject(n, f"UnknownRule: {just.name}")
-            if len(cited) != len(rule.premises):
-                return reject(
-                    n, f"ArityMismatch: {just.name} takes {len(rule.premises)} premises"
-                )
-            sigma = _match_application(rule.premises, rule.conclusion, cited, line.formula)
-            if sigma is None:
-                return reject(n, f"NoMatchingRuleInstance: {just.name}")
-            checks.append(LineCheck(n, True, f"rule {just.name}"))
-            continue
-
-        if isinstance(just, LemmaRef):
+            kind, name = "Rule", just.name
+            rule = rules.get(name)
+            schemas = None if rule is None else (rule.premises, rule.conclusion)
+        elif isinstance(just, LemmaRef):
             if script.system != SQL:
                 return reject(n, "LemmasRequireRegistry: derived rules live in sqL*")
-            entry = registry.get(just.rule_id) if registry is not None else None
-            if entry is None:
-                return reject(n, f"UnknownLemma: {just.rule_id}")
-            if len(cited) != len(entry.hypotheses):
-                return reject(
-                    n,
-                    f"ArityMismatch: {just.rule_id} takes {len(entry.hypotheses)} premises",
-                )
-            sigma = _match_application(entry.hypotheses, entry.conclusion, cited, line.formula)
-            if sigma is None:
-                return reject(n, f"NoMatchingLemmaInstance: {just.rule_id}")
-            checks.append(LineCheck(n, True, f"lemma {just.rule_id}"))
-            continue
+            kind, name = "Lemma", just.rule_id
+            entry = registry.get(name) if registry is not None else None
+            schemas = None if entry is None else (entry.hypotheses, entry.conclusion)
+        else:
+            return reject(n, f"UnknownJustification: {just!r}")
 
-        return reject(n, f"UnknownJustification: {just!r}")
+        if schemas is None:
+            return reject(n, f"Unknown{kind}: {name}")
+        premises, conclusion = schemas
+        if len(cited) != len(premises):
+            return reject(n, f"ArityMismatch: {name} takes {len(premises)} premises")
+        if _match_application(premises, conclusion, cited, line.formula) is None:
+            return reject(n, f"NoMatching{kind}Instance: {name}")
+        checks.append(LineCheck(n, True, f"{kind.lower()} {name}"))
 
     return ProofReport(True, checks)

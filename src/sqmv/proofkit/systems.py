@@ -47,28 +47,15 @@ _SQ_AXIOM_TEXT = {
 }
 
 # The older system shares the schema pool under different labels.
-_L_AXIOM_TEXT = {
-    "P1": _SQ_AXIOM_TEXT["Q1"],
-    "P2": _SQ_AXIOM_TEXT["Q3"],
-    "P3": _SQ_AXIOM_TEXT["Q5"],
-    "P4": _SQ_AXIOM_TEXT["Q10"],
-    "P5": _SQ_AXIOM_TEXT["Q2"],
-    "P6": _SQ_AXIOM_TEXT["Q9"],
-    "P7": _SQ_AXIOM_TEXT["Q4"],
-    "P8": _SQ_AXIOM_TEXT["Q6"],
-    "P9": _SQ_AXIOM_TEXT["Q7"],
-    "P10": _SQ_AXIOM_TEXT["Q8"],
-}
-
 L_TO_SQ_AXIOM = {
     "P1": "Q1", "P2": "Q3", "P3": "Q5", "P4": "Q10", "P5": "Q2",
     "P6": "Q9", "P7": "Q4", "P8": "Q6", "P9": "Q7", "P10": "Q8",
 }
 
 AXIOMS: dict[str, dict[str, tuple[Term, ...]]] = {
-    SQL: {name: _forms(text) for name, text in _SQ_AXIOM_TEXT.items()},
-    LSTAR: {name: _forms(text) for name, text in _L_AXIOM_TEXT.items()},
+    SQL: {name: _forms(text) for name, text in _SQ_AXIOM_TEXT.items()}
 }
+AXIOMS[LSTAR] = {p: AXIOMS[SQL][q] for p, q in L_TO_SQ_AXIOM.items()}
 
 
 @dataclass(frozen=True)

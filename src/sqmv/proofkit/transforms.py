@@ -127,34 +127,22 @@ class EquivBuilder(ProofBuilder):
         bwd = self.add(Impl(Neg(p.rhs), Neg(p.lhs)), LemmaRef("contra", (p.fwd,)))
         return EquivPair(Neg(p.lhs), Neg(p.rhs), fwd, bwd)
 
-    def impl_left(self, p: EquivPair, t: Term) -> EquivPair:
-        """(lhs -> t) <-> (rhs -> t)."""
+    def refl_pair(self, t: Term) -> EquivPair:
+        """t <-> t, both directions on one refl line."""
         r = self.refl(t)
-        fwd = self.add(
-            Impl(Impl(p.lhs, t), Impl(p.rhs, t)), LemmaRef("imp-cong", (p.bwd, r))
-        )
-        bwd = self.add(
-            Impl(Impl(p.rhs, t), Impl(p.lhs, t)), LemmaRef("imp-cong", (p.fwd, r))
-        )
-        return EquivPair(Impl(p.lhs, t), Impl(p.rhs, t), fwd, bwd)
+        return EquivPair(t, t, r, r)
 
-    def impl_right(self, t: Term, p: EquivPair) -> EquivPair:
-        """(t -> lhs) <-> (t -> rhs)."""
-        r = self.refl(t)
-        fwd = self.add(
-            Impl(Impl(t, p.lhs), Impl(t, p.rhs)), LemmaRef("imp-cong", (r, p.fwd))
-        )
-        bwd = self.add(
-            Impl(Impl(t, p.rhs), Impl(t, p.lhs)), LemmaRef("imp-cong", (r, p.bwd))
-        )
-        return EquivPair(Impl(t, p.lhs), Impl(t, p.rhs), fwd, bwd)
+    def imp_cong(self, pl: EquivPair, pr: EquivPair) -> EquivPair:
+        """(pl.lhs -> pr.lhs) <-> (pl.rhs -> pr.rhs)."""
+        lhs, rhs = Impl(pl.lhs, pr.lhs), Impl(pl.rhs, pr.rhs)
+        fwd = self.add(Impl(lhs, rhs), LemmaRef("imp-cong", (pl.bwd, pr.fwd)))
+        bwd = self.add(Impl(rhs, lhs), LemmaRef("imp-cong", (pl.fwd, pr.bwd)))
+        return EquivPair(lhs, rhs, fwd, bwd)
 
     def chain(self, p1: EquivPair, p2: EquivPair) -> EquivPair:
-        if p1.rhs != p2.lhs:
-            raise ScriptError("equivalence chain does not compose")
-        fwd = self.add(Impl(p1.lhs, p2.rhs), LemmaRef("chain", (p1.fwd, p2.fwd)))
-        bwd = self.add(Impl(p2.rhs, p1.lhs), LemmaRef("chain", (p2.bwd, p1.bwd)))
-        return EquivPair(p1.lhs, p2.rhs, fwd, bwd)
+        return EquivPair(
+            p1.lhs, p2.rhs, self.chain_forward(p1, p2), self.chain_backward(p1, p2)
+        )
 
     def chain_forward(self, p1: EquivPair, p2: EquivPair) -> int:
         """Only the forward composite line; used to pin a script's conclusion."""
@@ -180,9 +168,9 @@ class EquivBuilder(ProofBuilder):
             if isinstance(node, Neg):
                 pair = self.contra(pair)
             elif isinstance(node, Impl) and step == 0:
-                pair = self.impl_left(pair, node.right)
+                pair = self.imp_cong(pair, self.refl_pair(node.right))
             elif isinstance(node, Impl) and step == 1:
-                pair = self.impl_right(node.left, pair)
+                pair = self.imp_cong(self.refl_pair(node.left), pair)
             else:
                 raise PathMismatch(f"cannot rewrite under {type(node).__name__}")
         return pair

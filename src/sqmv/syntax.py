@@ -44,10 +44,6 @@ class MissingBinding(FormulaError):
     pass
 
 
-class ModeError(FormulaError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Term nodes
 
@@ -170,14 +166,6 @@ def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
     return t
 
 
-def replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
-    if not path:
-        return new
-    cs = list(children(t))
-    cs[path[0]] = replace_at(cs[path[0]], path[1:], new)
-    return rebuild(t, tuple(cs))
-
-
 def variables(t: Term) -> tuple[str, ...]:
     """Variable names in order of first occurrence."""
     seen: dict[str, None] = {}
@@ -229,21 +217,9 @@ def join_term(x: Term, y: Term, sig: Sig) -> Term:
     )
 
 
-def expand_abbreviations(
-    t: Term, sig: Sig, mode: str = "strong", target_strong: bool = True
-) -> Term:
-    """Rewrite ``^+`` / ``^-`` into their defining terms.
-
-    ``mode="strong"`` uses the forms that are valid in strong algebras
-    ((x->1)->1 resp. 1(+)(-1(+)x) and duals); ``mode="primitive"`` keeps the
-    parts as primitive constructors and returns the term unchanged.
-    """
-    if mode == "primitive":
-        return t
-    if mode != "strong":
-        raise ModeError(f"unknown expansion mode {mode!r}")
-    if not target_strong:
-        raise ModeError("strong expansion requested for a non-strong target")
+def expand_abbreviations(t: Term, sig: Sig) -> Term:
+    """Rewrite ``^+`` / ``^-`` into the defining terms that are valid in strong
+    algebras: (x->1)->1 resp. 1(+)(-1(+)x) and duals."""
     check_signature(t, sig)
     return _expand(t, sig)
 
@@ -343,6 +319,12 @@ class _Parser:
         self.allow_iff = allow_iff
         self.i = 0
 
+    def allow(self, cls: type[Term]) -> None:
+        if cls.sig is not None and cls.sig is not self.sig:
+            raise SignatureError(
+                f"'{cls.symbol}' is not part of the {self.sig.value.upper()}-STAR language"
+            )
+
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
 
@@ -373,15 +355,12 @@ class _Parser:
 
     def parse_infix(self) -> Term:
         lhs = self.parse_join()
-        kind, _, pos = self.peek()
-        if kind == "arrow":
-            if self.sig is not Sig.MV:
-                self.next()
-                return Impl(lhs, self.parse_infix())
-            raise SignatureError("'->' is not part of the MV-STAR language")
+        if self.peek()[0] == "arrow":
+            self.allow(Impl)
+            self.next()
+            return Impl(lhs, self.parse_infix())
         while self.peek()[0] == "oplus":
-            if self.sig is not Sig.MV:
-                raise SignatureError("'(+)' is not part of the W-STAR language")
+            self.allow(OPlus)
             self.next()
             lhs = OPlus(lhs, self.parse_join())
         return lhs
@@ -394,15 +373,13 @@ class _Parser:
         return t
 
     def parse_prefix(self) -> Term:
-        kind, _, pos = self.peek()
+        kind = self.peek()[0]
         if kind == "minus":
-            if self.sig is not Sig.MV:
-                raise SignatureError("unary '-' is not part of the W-STAR language")
+            self.allow(UMinus)
             self.next()
             return UMinus(self.parse_prefix())
         if kind == "tilde":
-            if self.sig is not Sig.W:
-                raise SignatureError("'~' is not part of the MV-STAR language")
+            self.allow(Neg)
             self.next()
             return Neg(self.parse_prefix())
         return self.parse_postfix()
@@ -425,8 +402,7 @@ class _Parser:
         if kind == "ident":
             return Var(text)
         if kind == "zero":
-            if self.sig is not Sig.MV:
-                raise SignatureError("constant '0' is not part of the W-STAR language")
+            self.allow(Const0)
             return ZERO
         if kind == "one":
             return ONE
@@ -482,28 +458,6 @@ def print_term(s: Term) -> str:
 
 # ---------------------------------------------------------------------------
 # One-sided schema matching
-
-
-@dataclass(frozen=True)
-class Schema:
-    """A term pattern whose variables act as metavariables."""
-
-    pattern: Term
-    sig: Sig = Sig.W
-
-    @property
-    def metavars(self) -> tuple[str, ...]:
-        return variables(self.pattern)
-
-    @property
-    def arity(self) -> int:
-        return len(self.metavars)
-
-    def match(self, ground: Term) -> dict[str, Term] | None:
-        return match_schema(self.pattern, ground)
-
-    def substitute(self, assignment: dict[str, Term]) -> Term:
-        return substitute(self.pattern, assignment, self.sig)
 
 
 def match_schema(

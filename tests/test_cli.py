@@ -190,6 +190,24 @@ class TestRejections:
 
 
 class TestVerbs:
+    def test_check_proof_verbose(self, capsys, tmp_path):
+        path = tmp_path / "mixed.sqlp"
+        path.write_text(
+            "system: sqL*\n"
+            "hyp: p -> q\n"
+            "1. p -> q ; HYP 1\n"
+            "2. (r -> r) -> (p -> q) ; RULE Reg 1\n"
+            "3. ~q -> ~p ; LEM contra 1\n"
+            "4. ((q -> q) -> p) -> p ; AX Q3\n"
+        )
+        assert run(capsys, "check-proof", "--verbose", str(path)) == (0, (
+            "ACCEPT (4 lines)\n"
+            "  line 1: ok hypothesis 1\n"
+            "  line 2: ok rule Reg\n"
+            "  line 3: ok lemma contra\n"
+            "  line 4: ok Q3 RL\n"
+        ), "")
+
     def test_parse_tree(self, capsys):
         code, out, _ = run(capsys, "parse", "--sig", "mv", "-(p (+) q)")
         assert code == 0
@@ -268,10 +286,11 @@ def fresh(code: str) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-# sqmv.__all__ at the commit that made the package attributes lazy
+# sqmv.__all__ at the commit that made the package attributes lazy, less the
+# since deleted Schema
 PUBLIC_NAMES = [
     "CheckReport", "Const0", "Const1", "Exhaustive", "Grid", "Impl", "Neg",
-    "NegPart", "OPlus", "PosPart", "RandomSampling", "Schema", "Sig", "Term",
+    "NegPart", "OPlus", "PosPart", "RandomSampling", "Sig", "Term",
     "UMinus", "Var", "Verdict", "axioms", "check_entailment", "check_equation",
     "classify", "count_connective", "designated_set", "evaluate",
     "expand_abbreviations", "is_regular", "match_schema", "models",

@@ -9,7 +9,9 @@ from sqmv.models import (
     DomainError,
     CatalogError,
     FINITE_CATALOG,
+    Congruence,
     FiniteModel,
+    NotCompatible,
     STANDARD_CATALOG,
     SpecError,
     classify,
@@ -300,6 +302,19 @@ class TestQuotients:
         assert mu.is_identity()
         q = quotient(m, mu)
         assert find_isomorphism(q, m) is not None
+
+    @pytest.mark.parametrize("classes, message", [
+        # a partition, but x (+) y does not respect it: its quotient would
+        # fail the quasi-MV* axioms
+        (({F(-1), F(0)}, {F(1)}), "oplus is not compatible on the left"),
+        (({F(-1), F(0)},), "the classes do not partition the carrier"),
+        (({F(-1), F(0)}, {F(0), F(1)}), "the classes do not partition the carrier"),
+    ], ids=["not-compatible", "not-covering", "overlapping"])
+    def test_refuses_what_is_not_a_congruence(self, classes, message):
+        m = resolve("chain:1")
+        cong = Congruence(m, tuple(frozenset(c) for c in classes))
+        with pytest.raises(NotCompatible, match=f"^{message}$"):
+            quotient(m, cong)
 
 
 class TestEmbedding:

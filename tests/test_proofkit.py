@@ -25,7 +25,7 @@ from sqmv.proofkit import (
 )
 from sqmv.proofkit.registry import packaged_certificates
 from sqmv.proofkit.script import AxiomRef, HypRef, LemmaRef, ProofLine, ProofScript, RuleRef
-from sqmv.proofkit.systems import AXIOMS, RULES
+from sqmv.proofkit.systems import AXIOMS, L_TO_SQ_AXIOM, LSTAR, RULES, SQL
 from sqmv.syntax import Impl, Neg, Sig, Var, is_regular, parse, substitute, variables
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "src" / "sqmv" / "fixtures"
@@ -181,6 +181,35 @@ class TestChecker:
         s = parse_script("system: L*\n1. p -> p ; LEM refl\n")
         report = check_proof(s, standard_registry())
         assert not report.accepted
+
+    @pytest.mark.parametrize("text, registry, line, reason", [
+        ("1. p -> 1 ; AX Q10\n2. p -> 1 ; RULE MP 1\n", True, 2, "UnknownRule: MP"),
+        ("1. p -> p ; LEM nosuch\n", True, 1, "UnknownLemma: nosuch"),
+        ("1. p -> p ; LEM refl\n", False, 1, "UnknownLemma: refl"),
+        ("1. p -> 1 ; AX Q10\n2. (r -> r) -> (p -> 1) ; RULE Reg 1,1\n", True, 2,
+         "ArityMismatch: Reg takes 1 premises"),
+        ("1. p -> 1 ; AX Q10\n2. p -> p ; LEM refl 1\n", True, 2,
+         "ArityMismatch: refl takes 0 premises"),
+        ("1. p -> 1 ; AX Q10\n2. p -> 1 ; RULE Reg 1\n", True, 2,
+         "NoMatchingRuleInstance: Reg"),
+        ("1. p -> q ; LEM refl\n", True, 1, "NoMatchingLemmaInstance: refl"),
+        ("system: L*\n1. p -> 1 ; AX P4\n2. p -> p ; LEM refl\n", True, 2,
+         "LemmasRequireRegistry: derived rules live in sqL*"),
+        ("1. (r -> r) -> (p -> p) ; RULE Reg 2\n2. p -> p ; LEM refl\n", True, 1,
+         "BadPremiseIndex: 2"),
+        ("1. p -> 1 ; AX Q10\n2. ~q -> ~p ; LEM contra 2\n", True, 2,
+         "BadPremiseIndex: 2"),
+    ])
+    def test_application_rejection_reasons(self, text, registry, line, reason):
+        if not text.startswith("system:"):
+            text = "system: sqL*\n" + text
+        report = check_proof(parse_script(text), standard_registry() if registry else None)
+        assert (report.failure_line, report.failure_reason) == (line, reason)
+
+    def test_lstar_axioms_are_the_sqlstar_schemas(self):
+        assert list(AXIOMS[LSTAR]) == [f"P{i}" for i in range(1, 11)]
+        for p, q in L_TO_SQ_AXIOM.items():
+            assert AXIOMS[LSTAR][p] is AXIOMS[SQL][q]
 
 
 class TestRegistry:

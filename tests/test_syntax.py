@@ -14,13 +14,11 @@ from sqmv.syntax import (
     Const1,
     Impl,
     MissingBinding,
-    ModeError,
     Neg,
     NegPart,
     OPlus,
     ParseError,
     PosPart,
-    Schema,
     Sig,
     SignatureError,
     UMinus,
@@ -36,7 +34,6 @@ from sqmv.syntax import (
     print_term,
     substitute,
     subterm_at,
-    replace_at,
     variables,
 )
 
@@ -132,6 +129,20 @@ def test_round_trip_hypothesis(t):
     assert parse(print_term(t), Sig.W) == t
 
 
+@pytest.mark.parametrize("sig, text, message", [
+    (Sig.MV, "p -> q", "'->' is not part of the MV-STAR language"),
+    (Sig.W, "p (+) q", "'(+)' is not part of the W-STAR language"),
+    (Sig.W, "-p", "'-' is not part of the W-STAR language"),
+    (Sig.MV, "~p", "'~' is not part of the MV-STAR language"),
+    (Sig.W, "0", "'0' is not part of the W-STAR language"),
+    (Sig.MV, "p <-> q", "'<->' belongs to the W-STAR language"),
+])
+def test_parser_signature_errors(sig, text, message):
+    with pytest.raises(SignatureError) as exc:
+        parse_iff(text, sig)
+    assert str(exc.value) == message
+
+
 class TestExpand:
     def test_pospart_w(self):
         assert expand_abbreviations(PosPart(p), Sig.W) == parse("(p -> 1) -> 1", Sig.W)
@@ -145,10 +156,6 @@ class TestExpand:
     def test_negpart_mv(self):
         assert expand_abbreviations(NegPart(p), Sig.MV) == parse("-1 (+) (1 (+) p)", Sig.MV)
 
-    def test_primitive_mode_keeps_parts(self):
-        t = PosPart(NegPart(p))
-        assert expand_abbreviations(t, Sig.W, mode="primitive") == t
-
     def test_strong_mode_removes_all_parts(self):
         rng = random.Random(3)
         for _ in range(200):
@@ -157,10 +164,6 @@ class TestExpand:
             out = expand_abbreviations(t, sig)
             assert count_connective(out, PosPart) == 0
             assert count_connective(out, NegPart) == 0
-
-    def test_non_strong_target_rejected(self):
-        with pytest.raises(ModeError):
-            expand_abbreviations(PosPart(p), Sig.W, target_strong=False)
 
 
 class TestRegularity:
@@ -274,18 +277,11 @@ class TestSchema:
             hits += 1
         assert hits == 3000
 
-    def test_schema_wrapper(self):
-        s = Schema(parse("p -> (q -> p)", Sig.W))
-        assert s.arity == 2
-        assert s.metavars == ("p", "q")
-        assert s.match(parse("a -> (b -> a)", Sig.W)) == {"p": Var("a"), "q": Var("b")}
-
 
 class TestPaths:
     def test_round_trip(self):
         t = parse("~(p -> q) -> 1", Sig.W)
         assert subterm_at(t, (0, 0, 1)) == q
-        assert replace_at(t, (0, 0, 1), r) == parse("~(p -> r) -> 1", Sig.W)
         assert variables(t) == ("p", "q")
 
 
