@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -110,9 +111,8 @@ class Model:
     finite: bool
     # batch values are pairs of numerator arrays (the square and the disk)
     pair = False
-    # (verify_samples, seed) -> DesignatedSet, filled on demand by
-    # semantics.designated_set
-    _designated: dict | None = None
+    # the DesignatedSet, filled on demand by semantics.designated_set
+    _designated = None
 
     def const(self, name: str):
         raise NotImplementedError
@@ -252,7 +252,6 @@ class FiniteModel(Model):
         self.consts = consts          # const name -> index
         # battery name -> (all hold, results, witnesses), filled by _battery
         self._batteries: dict[str, tuple[bool, dict, dict]] = {}
-        self.quotient_classes: dict | None = None
 
     def contains(self, el) -> bool:
         return el in self.index
@@ -594,50 +593,52 @@ class Congruence:
     model: FiniteModel
     classes: tuple[frozenset, ...]
 
-    @property
-    def class_of(self) -> dict:
-        out = {}
-        for cls in self.classes:
-            for el in cls:
-                out[el] = cls
-        return out
+    @cached_property
+    def ids(self) -> np.ndarray:
+        """Each carrier element's class number, read-only; the classes must
+        partition the carrier."""
+        m = self.model
+        ids = np.full(len(m.elements), -1, dtype=np.intp)
+        for i, cls in enumerate(self.classes):
+            idx = [m.index.get(el) for el in cls]
+            if not idx or None in idx or (ids[idx] >= 0).any():
+                raise NotCompatible("the classes do not partition the carrier")
+            ids[idx] = i
+        if (ids < 0).any():
+            raise NotCompatible("the classes do not partition the carrier")
+        ids.flags.writeable = False
+        return ids
 
     def is_identity(self) -> bool:
         return all(len(c) == 1 for c in self.classes)
 
     def meet(self, other: "Congruence") -> "Congruence":
-        pieces = []
-        for c1 in self.classes:
-            for c2 in other.classes:
-                inter = c1 & c2
-                if inter:
-                    pieces.append(frozenset(inter))
-        return Congruence(self.model, _sort_classes(pieces))
+        a, b = self.ids, other.ids
+        return _from_relation(self.model, (a[:, None] == a) & (b[:, None] == b))
 
 
-def _sort_classes(classes) -> tuple[frozenset, ...]:
-    return tuple(sorted((frozenset(c) for c in classes),
-                        key=lambda c: sorted(label_str(e) for e in c)))
+def _from_relation(m: FiniteModel, rel: np.ndarray) -> Congruence:
+    """The classes of the equivalence relation ``rel``, an n x n boolean
+    matrix on carrier indices: one class per element not yet covered, taken
+    in label order, so the classes come sorted by their least labels."""
+    covered = np.zeros(len(m.elements), dtype=bool)
+    classes = []
+    for i in sorted(range(len(m.elements)), key=lambda i: label_str(m.elements[i])):
+        if covered[i]:
+            continue
+        if not rel[i, i]:
+            raise NotCompatible("relation is not reflexive")
+        members = np.flatnonzero(rel[i])
+        covered[members] = True
+        classes.append(frozenset(m.elements[j] for j in members))
+    return Congruence(m, tuple(classes))
 
 
-def _class_ids(m: FiniteModel, cong: Congruence) -> np.ndarray:
-    """Each element's class number; the classes must partition the carrier."""
-    cid = np.full(len(m.elements), -1, dtype=np.int64)
-    for i, cls in enumerate(cong.classes):
-        idx = [m.index.get(el) for el in cls]
-        if not idx or None in idx or (cid[idx] >= 0).any():
-            raise NotCompatible("the classes do not partition the carrier")
-        cid[idx] = i
-    if (cid < 0).any():
-        raise NotCompatible("the classes do not partition the carrier")
-    return cid
-
-
-def _check_compatible(m: FiniteModel, cong: Congruence) -> None:
+def _check_compatible(cong: Congruence) -> Congruence:
     """Related inputs must give related outputs, for every operation: each
     row (and column) of an operation's class-id table equals the one at its
-    class representative."""
-    cid = _class_ids(m, cong)
+    class representative.  Returns ``cong``."""
+    m, cid = cong.model, cong.ids
     rep = np.unique(cid, return_index=True)[1][cid]
     for op, arity in ops_for(m.signature).items():
         out = cid[m.tables[op]]
@@ -646,20 +647,6 @@ def _check_compatible(m: FiniteModel, cong: Congruence) -> None:
             raise NotCompatible(f"{op} is not compatible {side}")
         if arity == 2 and not (out == out[:, rep]).all():
             raise NotCompatible(f"{op} is not compatible on the right")
-
-
-def _partition_from_relation(m: FiniteModel, related: Callable) -> Congruence:
-    remaining = list(m.elements)
-    classes = []
-    while remaining:
-        x = remaining[0]
-        cls = frozenset(y for y in m.elements if related(x, y))
-        if x not in cls:
-            raise NotCompatible("relation is not reflexive")
-        classes.append(cls)
-        remaining = [y for y in remaining if y not in cls]
-    cong = Congruence(m, _sort_classes(classes))
-    _check_compatible(m, cong)
     return cong
 
 
@@ -671,39 +658,30 @@ def mu_congruence(m: FiniteModel) -> Congruence:
     env = dict(zip("xy", product_axes(np.arange(n), 2)))
     join = eval_indices(join_term(Var("x"), Var("y"), Sig.MV), mv, env)
     below = join == eval_indices(OPlus(Var("y"), Const0()), mv, env)
-    rel = below & below.T
-    return _partition_from_relation(
-        m, lambda x, y: bool(rel[m.index[x], m.index[y]])
-    )
+    return _check_compatible(_from_relation(m, below & below.T))
 
 
 def tau_congruence(m: FiniteModel) -> Congruence:
     """Identity off the regular part; the whole regular part is one class."""
     regs = set(regular_elements(m, check_star=False))
-    return _partition_from_relation(
-        m, lambda x, y: x == y or (x in regs and y in regs)
-    )
+    reg = np.array([x in regs for x in m.elements])
+    rel = np.eye(len(m.elements), dtype=bool) | np.outer(reg, reg)
+    return _check_compatible(_from_relation(m, rel))
 
 
 def quotient(m: FiniteModel, cong: Congruence) -> FiniteModel:
-    """Quotient model; class labels are canonical representatives."""
+    """Quotient model; each class is labelled by its least-label element."""
     if cong.model is not m:
         raise NotCompatible("congruence belongs to a different model")
-    _check_compatible(m, cong)
-    class_of = cong.class_of
-    rep = {cls: min(cls, key=label_str) for cls in cong.classes}
-    reps = tuple(rep[cls] for cls in cong.classes)
-
-    def lift(op, arity):
-        if arity == 2:
-            return lambda x, y: rep[class_of[m.apply(op, x, y)]]
-        return lambda x: rep[class_of[m.apply(op, x)]]
-
-    ops = {op: lift(op, arity) for op, arity in ops_for(m.signature).items()}
-    consts = {c: rep[class_of[m.const(c)]] for c in m.consts}
-    q = finite_model_from_ops(f"{m.name}/~", m.signature, reps, ops, consts)
-    q.quotient_classes = {rep[cls]: cls for cls in cong.classes}
-    return q
+    ids = _check_compatible(cong).ids
+    reps = [m.index[min(cls, key=label_str)] for cls in cong.classes]
+    tables = {}
+    for op, arity in ops_for(m.signature).items():
+        t = m.tables[op]
+        tables[op] = ids[t[np.ix_(reps, reps)]] if arity == 2 else ids[t[reps]]
+    consts = {c: int(ids[i]) for c, i in m.consts.items()}
+    return FiniteModel(f"{m.name}/~", m.signature,
+                       tuple(m.elements[r] for r in reps), tables, consts)
 
 
 @dataclass
@@ -733,14 +711,8 @@ def embed_into_product(m: FiniteModel) -> EmbeddingReport:
     qmu = quotient(m, mu)
     qtau = quotient(m, tau)
     prod = product(qmu, qtau)
-    mu_rep = {el: r for r, cls in qmu.quotient_classes.items() for el in cls}
-    tau_rep = {el: r for r, cls in qtau.quotient_classes.items() for el in cls}
-    mapping = {x: (mu_rep[x], tau_rep[x]) for x in m.elements}
-
-    ntau = len(qtau.elements)
-    map_idx = np.asarray(
-        [qmu.index[mu_rep[x]] * ntau + qtau.index[tau_rep[x]] for x in m.elements]
-    )
+    map_idx = mu.ids * len(qtau.elements) + tau.ids
+    mapping = {x: prod.elements[i] for x, i in zip(m.elements, map_idx)}
     hom = all(
         cname not in prod.consts or map_idx[m.consts[cname]] == prod.consts[cname]
         for cname in m.consts

@@ -87,6 +87,8 @@ def check_proof(script: ProofScript, registry=None) -> ProofReport:
             checks.append(LineCheck(n, True, f"hypothesis {just.index}"))
             continue
 
+        if not isinstance(just, (RuleRef, LemmaRef)):
+            return reject(n, f"UnknownJustification: {just!r}")
         # rule and lemma lines share one application check
         for p in just.premises:
             if not 1 <= p < n:
@@ -97,14 +99,12 @@ def check_proof(script: ProofScript, registry=None) -> ProofReport:
             kind, name = "Rule", just.name
             rule = rules.get(name)
             schemas = None if rule is None else (rule.premises, rule.conclusion)
-        elif isinstance(just, LemmaRef):
-            if script.system != SQL:
-                return reject(n, "LemmasRequireRegistry: derived rules live in sqL*")
+        elif script.system != SQL:
+            return reject(n, "LemmasRequireRegistry: derived rules live in sqL*")
+        else:
             kind, name = "Lemma", just.rule_id
             entry = registry.get(name) if registry is not None else None
             schemas = None if entry is None else (entry.hypotheses, entry.conclusion)
-        else:
-            return reject(n, f"UnknownJustification: {just!r}")
 
         if schemas is None:
             return reject(n, f"Unknown{kind}: {name}")

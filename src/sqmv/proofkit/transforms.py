@@ -13,11 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..syntax import (
+    IDENT,
     Const1,
     Impl,
     Neg,
     SqmvError,
     Term,
+    Var,
     is_regular,
     subterm_at,
 )
@@ -229,13 +231,14 @@ def replacement_proof(
 
 def lift_lstar_proof(source: ProofScript, prefix: str = "p") -> ProofScript:
     """Re-play an L* derivation in sqL*, concluding (prefix->prefix) -> q."""
+    if not IDENT.fullmatch(prefix):
+        raise ScriptError(
+            f"lift prefix {prefix!r} is not a variable name ({IDENT.pattern})")
     if source.system != LSTAR:
         raise SourceProofInvalid("the source script is not an L* proof")
     report = check_proof(source)
     if not report.accepted:
         raise SourceProofInvalid(f"source does not check: {report.summary()}")
-    from ..syntax import Var
-
     pp = Impl(Var(prefix), Var(prefix))
     b = ProofBuilder(SQL, source.hypotheses)
     lifted: dict[int, int] = {}

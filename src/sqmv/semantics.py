@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import models as md
-from .models import FiniteModel, Model, StandardModel, label_str
+from .models import FiniteModel, Model, label_str
 from .syntax import (
     Sig,
     SqmvError,
@@ -296,8 +296,6 @@ def _valuations(m: Model, strategy: Strategy, names: Sequence[str],
     finite models, numerators over ``D`` otherwise), and ``terms`` set the
     default grid denominator.  Product strategies (exhaustive, grid) put each
     name on its own broadcast axis; random sampling gives flat arrays."""
-    if not isinstance(m, (FiniteModel, StandardModel)):
-        raise SemanticsError(f"no batch evaluation for {m.name}")
     if isinstance(strategy, Exhaustive):
         if not m.finite:
             raise StrategyError("exhaustive checking needs a finite carrier")
@@ -317,6 +315,10 @@ def _valuations(m: Model, strategy: Strategy, names: Sequence[str],
         d = strategy.denominator or sum(count_connective(t, tag) for t in terms) + 2
         env, D, total = _env_from_grid(m, names, d)
     elif isinstance(strategy, RandomSampling):
+        if seed < 0:
+            raise StrategyError(
+                f"strategy {strategy.describe()!r} needs a non-negative seed, got {seed}"
+            )
         env, D, total = _env_from_random(m, names, strategy.count, seed,
                                          strategy.max_denominator)
     else:
@@ -476,28 +478,30 @@ class DesignatedSet:
         return np.asarray(rep) >= 0
 
 
-def designated_set(m: Model, verify_samples: int = 1000, seed: int = 17) -> DesignatedSet:
+# How many seeded brute-force samples of c verify a standard model's closed
+# form, and their seed.
+_VERIFY_SAMPLES = 1000
+_VERIFY_SEED = 17
+
+
+def designated_set(m: Model) -> DesignatedSet:
     """Elements of the shape (c -> 1) -> 1.
 
     Finite models get the computed set; standard models get a closed-form
-    membership test that is verified against brute-force samples of c (both
-    inclusions), aborting on any mismatch.  The set is built, and the check
-    run, once per model object and ``(verify_samples, seed)`` pair, on the
+    membership test that is verified against ``_VERIFY_SAMPLES`` seeded
+    brute-force samples of c (both inclusions), aborting on any mismatch.
+    The set is built, and the check run, once per model object, on the
     first call; the result is cached on the model.  A failed check caches
     nothing, so the next call checks again.
     """
     if m.signature is not Sig.W:
         raise SemanticsError("designated elements live in the implicational signature")
-    key = (verify_samples, seed)
     if m._designated is None:
-        m._designated = {}
-    ds = m._designated.get(key)
-    if ds is None:
-        ds = m._designated[key] = _build_designated_set(m, verify_samples, seed)
-    return ds
+        m._designated = _build_designated_set(m)
+    return m._designated
 
 
-def _build_designated_set(m: Model, verify_samples: int, seed: int) -> DesignatedSet:
+def _build_designated_set(m: Model) -> DesignatedSet:
     one = m.const("one")
 
     def desig_of(c):
@@ -510,12 +514,10 @@ def _build_designated_set(m: Model, verify_samples: int, seed: int) -> Designate
         table.flags.writeable = False
         return DesignatedSet("finite", els, table)
 
-    if not isinstance(m, StandardModel):
-        raise SemanticsError(f"no designated set for {m.name}")
     ds = DesignatedSet("pair" if m.pair else "flat" if m.flat else "interval")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_VERIFY_SEED)
     D = 120
-    for _ in range(verify_samples):
+    for _ in range(_VERIFY_SAMPLES):
         if m.pair:
             while True:
                 a, b = Fraction(int(rng.integers(-D, D + 1)), D), Fraction(

@@ -277,8 +277,11 @@ def _w_to_mv(s: Term) -> Term:
 # ---------------------------------------------------------------------------
 # Parser
 
+# variable names
+IDENT = re.compile(r"[a-z][a-z0-9_]*")
+
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
+    rf"""(?P<ws>\s+)
       | (?P<oplus>\(\+\))
       | (?P<iff><->)
       | (?P<arrow>->)
@@ -291,7 +294,7 @@ _TOKEN_RE = re.compile(
       | (?P<rpar>\))
       | (?P<zero>0)
       | (?P<one>1)
-      | (?P<ident>[a-z][a-z0-9_]*)
+      | (?P<ident>{IDENT.pattern})
     """,
     re.VERBOSE,
 )

@@ -3,8 +3,10 @@
 Term level: purely syntactic rewrites (x (+) y becomes ~x -> y and back, the
 constant 0 becomes 1 -> 1); no simplification is performed.  They live in
 ``syntax``, so that they load without numpy, and are re-exported here.
-Model level: the same carrier with derived operations; for finite models the
-tables are materialised so round trips can be compared table-for-table.
+Model level: a standard model's view in the other signature is its catalog
+view (``square`` and ``square@w``); a finite model keeps its carrier and gets
+the translated operations as tables, so round trips can be compared
+table-for-table.
 """
 
 from __future__ import annotations
@@ -24,70 +26,31 @@ from .models import (
 from .syntax import Sig, mv_to_w_term, w_to_mv_term  # noqa: F401  re-exported
 
 
-class DerivedOpModel(Model):
-    """Same carrier as ``base``, operations computed through the translation."""
-
-    finite = False
-
-    def __init__(self, base: Model, signature: Sig):
-        self.base = base
-        self.signature = signature
-        self.name = base.name + ("@derived-w" if signature is Sig.W else "@derived-mv")
-
-    def contains(self, el) -> bool:
-        return self.base.contains(el)
-
-    def const(self, name: str):
-        if self.signature is Sig.W:
-            return self.base.const(name)
-        if name == "zero":
-            one = self.base.const("one")
-            return self.base.apply("impl", one, one)
-        return self.base.const("one")
-
-    def apply(self, op: str, *args):
-        b = self.base
-        if self.signature is Sig.W:
-            if op == "impl":
-                return b.apply("oplus", b.apply("uminus", args[0]), args[1])
-            if op == "wneg":
-                return b.apply("uminus", args[0])
-        else:
-            if op == "oplus":
-                return b.apply("impl", b.apply("wneg", args[0]), args[1])
-            if op == "uminus":
-                return b.apply("wneg", args[0])
-        if op in ("pos", "npart"):
-            return b.apply(op, args[0])
-        raise ClassError(f"operation {op!r} is not available on {self.name}")
-
-
-def _require_strong(m: Model, sig: Sig) -> None:
-    if m.signature is not sig:
+def _view(m: Model, sig: Sig) -> Model:
+    """The strong model ``m`` in the signature ``sig``, the one it lacks."""
+    if m.signature is sig:
         raise ClassError(
             f"{m.name} carries the wrong signature for this translation"
         )
-    if isinstance(m, FiniteModel):
-        if not is_strong(m):
-            raise ClassError(f"{m.name} is not a strong model")
-    elif not isinstance(m, (StandardModel, DerivedOpModel)):
+    if isinstance(m, StandardModel):
+        return StandardModel(m.kind, sig)
+    if not isinstance(m, FiniteModel):
         raise ClassError(f"cannot certify strongness of {m.name}")
+    if not is_strong(m):
+        raise ClassError(f"{m.name} is not a strong model")
+    if sig is Sig.W:
+        return finite_w_view(m, m.name + "@derived-w")
+    return finite_mv_view(m, m.name + "@derived-mv")
 
 
 def mv_to_w_model(m: Model) -> Model:
     """The implicational view of a strong additive-signature model."""
-    _require_strong(m, Sig.MV)
-    if isinstance(m, FiniteModel):
-        return finite_w_view(m, m.name + "@derived-w")
-    return DerivedOpModel(m, Sig.W)
+    return _view(m, Sig.W)
 
 
 def w_to_mv_model(m: Model) -> Model:
     """The additive view of a strong implicational-signature model."""
-    _require_strong(m, Sig.W)
-    if isinstance(m, FiniteModel):
-        return finite_mv_view(m, m.name + "@derived-mv")
-    return DerivedOpModel(m, Sig.MV)
+    return _view(m, Sig.MV)
 
 
 def tables_equal(m1: FiniteModel, m2: FiniteModel) -> bool:

@@ -22,7 +22,7 @@ from sqmv.proofkit import (
     standard_registry,
 )
 from sqmv.semantics import SemanticsError
-from sqmv.syntax import FormulaError, SqmvError
+from sqmv.syntax import FormulaError, SqmvError, Var
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 FIXTURES = SRC / "sqmv" / "fixtures"
@@ -152,6 +152,43 @@ class TestRejections:
         assert (code, out) == (2, "")
         assert "error: strategy 'random:1000000000' needs a sample count in 1..2000000" in err
 
+    @pytest.mark.parametrize("argv, strategy", [
+        (("check-eq", "--model", "square", "--strategy", "random:10", "x", "x"),
+         "random:10"),
+        (("check-eq", "--model", "chain:2", "--strategy", "random:10", "x", "x"),
+         "random:10"),
+        (("check-eq", "--model", "square", "x", "x"), "random:10000"),
+        (("check-entail", "--model", "square@w", "--strategy", "random:10", "p"),
+         "random:10"),
+        (("audit-axioms", "--model", "interval"), "random:10000"),
+    ], ids=["random", "random-finite", "default", "check-entail", "audit-axioms"])
+    def test_negative_seed_for_random_sampling_exits_two(self, capsys, argv, strategy):
+        # numpy refused the seed with a ValueError traceback and exit 3
+        code, out, err = run(capsys, *argv[:3], "--seed", "-1", *argv[3:])
+        assert (code, out) == (2, "")
+        assert err == f"error: strategy '{strategy}' needs a non-negative seed, got -1\n"
+
+    @pytest.mark.parametrize("model, strategy, verdict", [
+        ("chain:2", "exhaustive", "VALID_EXHAUSTIVE"),
+        ("square", "grid:2", "NO_COUNTEREXAMPLE_FOUND"),
+    ])
+    def test_strategies_without_sampling_ignore_a_negative_seed(
+            self, capsys, model, strategy, verdict):
+        code, out, _ = run(capsys, "check-eq", "--model", model, "--strategy", strategy,
+                           "--seed", "-1", "x (+) y", "y (+) x")
+        assert code == 0
+        assert f"verdict: {verdict}" in out and "seed: -1" in out
+
+    @pytest.mark.parametrize("prefix", ["P", "x y", "", "p->q", "1"])
+    def test_lift_prefix_must_be_a_variable_name(self, capsys, prefix):
+        # these lifted to scripts that check-proof could not parse or rejected,
+        # and "1" to a proof under the constant prefix 1 -> 1
+        code, out, err = run(capsys, "lift-proof", "--prefix", prefix,
+                             str(FIXTURES / "lstar" / "ax_p4.sqlp"))
+        assert (code, out) == (2, "")
+        assert err == (f"error: ScriptError: lift prefix {prefix!r} is not a "
+                       "variable name ([a-z][a-z0-9_]*)\n")
+
     @pytest.mark.parametrize(
         "model, size", [("chain:20000", 40001), ("product:chain:100,chain:100", 40401)]
     )
@@ -263,6 +300,15 @@ class TestVerbs:
         code, out, _ = run(capsys, "lift-proof", str(FIXTURES / "lstar" / "rule_r1.sqlp"))
         assert code == 0
         lifted = parse_script(out)
+        assert check_proof(lifted, standard_registry()).accepted
+
+    @pytest.mark.parametrize("prefix", ["p", "x1", "r_2"])
+    def test_lift_prefix_variables_check(self, capsys, prefix):
+        code, out, _ = run(capsys, "lift-proof", "--prefix", prefix,
+                           str(FIXTURES / "lstar" / "rule_r1.sqlp"))
+        assert code == 0
+        lifted = parse_script(out)
+        assert lifted.conclusion.left.left == Var(prefix)
         assert check_proof(lifted, standard_registry()).accepted
 
     def test_deregularize_pipeline(self, capsys, tmp_path):

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from sqmv.models import (
@@ -18,6 +19,7 @@ from sqmv.models import (
     embed_into_product,
     finite_chain,
     finite_model_from_ops,
+    finite_mv_view,
     finite_restriction,
     flattening,
     label_str,
@@ -29,7 +31,7 @@ from sqmv.models import (
     tau_congruence,
 )
 from sqmv.semantics import evaluate
-from sqmv.syntax import Sig, Var, join_term
+from sqmv.syntax import Const0, OPlus, Sig, Var, join_term
 
 
 # Used only here: quotients are compared with catalog models up to isomorphism.
@@ -315,6 +317,64 @@ class TestQuotients:
         cong = Congruence(m, tuple(frozenset(c) for c in classes))
         with pytest.raises(NotCompatible, match=f"^{message}$"):
             quotient(m, cong)
+
+
+CATALOG_VIEWS = [n + v for n in FINITE_CATALOG for v in ("", "@w")]
+
+
+def by_labels(c: frozenset) -> list:
+    return sorted(map(label_str, c))
+
+
+def reference_partition(m: FiniteModel, related) -> tuple:
+    """The classes of ``related`` by pairwise calls, sorted by their labels."""
+    remaining, classes = list(m.elements), []
+    while remaining:
+        cls = frozenset(y for y in m.elements if related(remaining[0], y))
+        classes.append(cls)
+        remaining = [y for y in remaining if y not in cls]
+    return tuple(sorted(classes, key=by_labels))
+
+
+@pytest.mark.parametrize("name", CATALOG_VIEWS)
+def test_congruence_classes_match_the_pairwise_reference(name):
+    m = resolve(name)
+    mu, tau = mu_congruence(m), tau_congruence(m)
+    mv = m if m.signature is Sig.MV else finite_mv_view(m)
+    join, y0 = join_term(Var("x"), Var("y"), Sig.MV), OPlus(Var("y"), Const0())
+
+    def below(x, y):
+        return evaluate(join, mv, {"x": x, "y": y}) == evaluate(y0, mv, {"y": y})
+
+    assert mu.classes == reference_partition(m, lambda x, y: below(x, y) and below(y, x))
+    regs = set(regular_elements(m, check_star=False))
+    assert tau.classes == reference_partition(
+        m, lambda x, y: x == y or (x in regs and y in regs))
+    pieces = (c1 & c2 for c1 in mu.classes for c2 in tau.classes if c1 & c2)
+    assert mu.meet(tau).classes == tuple(sorted(pieces, key=by_labels))
+
+
+def reference_quotient(m: FiniteModel, cong: Congruence) -> FiniteModel:
+    """The quotient built cell by cell through ``m.apply``, each class
+    labelled by its least-label element."""
+    reps = tuple(min(cls, key=label_str) for cls in cong.classes)
+    rep = {el: r for r, cls in zip(reps, cong.classes) for el in cls}
+    ops = {op: (lambda *args, op=op: rep[m.apply(op, *args)]) for op in ops_for(m.signature)}
+    consts = {c: rep[m.const(c)] for c in m.consts}
+    return finite_model_from_ops(f"{m.name}/~", m.signature, reps, ops, consts)
+
+
+@pytest.mark.parametrize("name", CATALOG_VIEWS)
+@pytest.mark.parametrize("congruence", [mu_congruence, tau_congruence])
+def test_quotient_tables_match_the_cell_by_cell_reference(name, congruence):
+    m = resolve(name)
+    cong = congruence(m)
+    q, ref = quotient(m, cong), reference_quotient(m, cong)
+    assert (q.name, q.signature, q.elements) == (ref.name, ref.signature, ref.elements)
+    assert q.consts == ref.consts
+    assert q.tables.keys() == ref.tables.keys()
+    for op, tbl in ref.tables.items():
+        assert np.array_equal(q.tables[op], tbl), (name, op)
 
 
 class TestEmbedding:

@@ -206,6 +206,16 @@ class TestChecker:
         report = check_proof(parse_script(text), standard_registry() if registry else None)
         assert (report.failure_line, report.failure_reason) == (line, reason)
 
+    def test_unknown_justification_rejects_at_its_line(self):
+        # a justification without premises that is no AX, HYP, RULE or LEM
+        # object is a verdict, not an AttributeError
+        f = w("p -> 1")
+        s = ProofScript(SQL, (), (ProofLine(f, AxiomRef("Q10")), ProofLine(f, "AX Q10")))
+        report = check_proof(s, standard_registry())
+        assert not report.accepted
+        assert (report.failure_line, report.failure_reason) == (
+            2, "UnknownJustification: 'AX Q10'")
+
     def test_lstar_axioms_are_the_sqlstar_schemas(self):
         assert list(AXIOMS[LSTAR]) == [f"P{i}" for i in range(1, 11)]
         for p, q in L_TO_SQ_AXIOM.items():

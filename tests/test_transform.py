@@ -2,10 +2,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_square_valuation, random_term
+from conftest import (
+    random_disk_valuation,
+    random_interval_valuation,
+    random_square_valuation,
+    random_term,
+)
 from sqmv.models import (
     ClassError,
     FINITE_CATALOG,
+    STANDARD_CATALOG,
     finite_model_from_ops,
     finite_restriction,
     resolve,
@@ -19,6 +25,13 @@ from sqmv.transform import (
     w_to_mv_model,
     w_to_mv_term,
 )
+
+
+VIEW_TERMS = {
+    Sig.MV: {"oplus": "x (+) y", "uminus": "-x", "pos": "x^+", "npart": "x^-",
+             "zero": "0", "one": "1"},
+    Sig.W: {"impl": "x -> y", "wneg": "~x", "pos": "x^+", "npart": "x^-", "one": "1"},
+}
 
 
 def mv(text):
@@ -101,15 +114,24 @@ class TestModelRoundTrips:
             m_w = resolve(name + "@w")
             assert tables_equal(mv_to_w_model(w_to_mv_model(m_w)), m_w), name
 
-    def test_derived_square_matches_catalog_view(self, rng):
-        derived = mv_to_w_model(resolve("square"))
-        sw = resolve("square@w")
-        for _ in range(500):
-            x = (F(rng.randint(-120, 120), 120), F(rng.randint(-120, 120), 120))
-            y = (F(rng.randint(-120, 120), 120), F(rng.randint(-120, 120), 120))
-            assert derived.apply("impl", x, y) == sw.apply("impl", x, y)
-            assert derived.apply("wneg", x) == sw.apply("wneg", x)
-            assert derived.apply("pos", x) == sw.apply("pos", x)
+    @pytest.mark.parametrize("name", [k + v for k in STANDARD_CATALOG for v in ("", "@w")])
+    def test_standard_view_computes_the_term_translation(self, rng, name):
+        # each operation and constant of the view is its term translation,
+        # evaluated in the base model
+        base = resolve(name)
+        if base.signature is Sig.MV:
+            view, to_base = mv_to_w_model(base), w_to_mv_term
+        else:
+            view, to_base = w_to_mv_model(base), mv_to_w_term
+        sample = {"square": random_square_valuation, "disk": random_disk_valuation}.get(
+            base.kind, random_interval_valuation)
+        for op, text in VIEW_TERMS[view.signature].items():
+            t = parse(text, view.signature)
+            names = sorted(variables(t))
+            for _ in range(200 if names else 1):
+                v = sample(rng, ("x", "y"))
+                got = view.apply(op, *(v[n] for n in names)) if names else view.const(op)
+                assert got == evaluate(to_base(t), base, v), (name, op, v)
 
     def test_restricted_wajsberg_grid_round_trips(self):
         sw = resolve("square@w")
