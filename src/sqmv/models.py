@@ -13,20 +13,20 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import axioms
 from .syntax import (
-    Binary,
     Const0,
     OPlus,
     Sig,
     SqmvError,
     Term,
-    Unary,
     Var,
+    check_signature,
+    children,
     join_term,
 )
 
@@ -204,23 +204,21 @@ class StandardModel(Model):
         return (v, 0) if self.pair else v
 
     def vec_apply(self, op: str, args, D: int):
-        if op not in ops_for(self.signature):
-            raise DomainError(f"operation {op!r} is not available on {self.name}")
         if op in ("uminus", "wneg"):
             x = args[0]
             return (-x[0], -x[1]) if self.pair else -x
         a = [x[0] for x in args] if self.pair else args
         if self.flat:
-            v = np.zeros_like(a[0])
+            v = 0
         elif op == "oplus":
-            v = np.clip(a[0] + a[1], -D, D)
+            v = np.minimum(np.maximum(a[0] + a[1], -D), D)
         elif op == "impl":
-            v = np.clip(a[1] - a[0], -D, D)
+            v = np.minimum(np.maximum(a[1] - a[0], -D), D)
         elif op == "pos":
             v = np.maximum(a[0], 0)
         else:
             v = np.minimum(a[0], 0)
-        return (v, np.zeros_like(a[0])) if self.pair else v
+        return (v, 0) if self.pair else v
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +263,13 @@ class FiniteModel(Model):
         for x in args:
             self.check_member(x)
         return self.elements[self.tables[op][tuple(self.index[x] for x in args)]]
+
+    def vec_const(self, name: str, D: int):
+        return self.index_dtype.type(self.consts[name])
+
+    def vec_apply(self, op: str, args, D: int):
+        i = args[0] * len(self.elements) + args[1] if len(args) == 2 else args[0]
+        return self.tables[op].take(i)
 
     def table_text(self) -> str:
         """Operation tables as text, one tuple per line."""
@@ -466,7 +471,7 @@ def finite_mv_view(m: FiniteModel, name: str | None = None) -> FiniteModel:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive term evaluation on finite models (index arrays)
+# Batch evaluation: valuation axes and the shared-subterm tape
 
 
 def product_axes(values: np.ndarray, k: int) -> list[np.ndarray]:
@@ -477,17 +482,62 @@ def product_axes(values: np.ndarray, k: int) -> list[np.ndarray]:
     return [values.reshape((1,) * i + (-1,) + (1,) * (k - 1 - i)) for i in range(k)]
 
 
-def eval_indices(t: Term, m: FiniteModel, env: dict[str, np.ndarray]) -> np.ndarray:
-    """Evaluate ``t`` over index arrays; all variables must be bound in env.
-    Constants are ``m.index_dtype`` scalars, which promote no array."""
-    if isinstance(t, Binary):
-        return m.tables[t.op].take(eval_indices(t.left, m, env) * len(m.elements)
-                                   + eval_indices(t.right, m, env))
-    if isinstance(t, Unary):
-        return m.tables[t.op].take(eval_indices(t.arg, m, env))
-    if isinstance(t, Var):
-        return env[t.name]
-    return m.index_dtype.type(m.consts[t.op])
+@dataclass(frozen=True)
+class Tape:
+    """Formulas as a post-order program, one step ``("var", name)`` or ``(op,
+    argument steps)`` per distinct subterm.  ``last_use[i]`` is the last step
+    reading step i, past the end for the formulas' ``outputs``."""
+
+    steps: tuple[tuple, ...]
+    names: tuple[str, ...]
+    outputs: tuple[int, ...]
+    last_use: tuple[int, ...]
+
+
+def compile(terms: Sequence[Term], sig: Sig) -> Tape:
+    """One preorder walk over ``terms``; a node object met again is skipped."""
+    number: dict[tuple, int] = {}
+    seen: dict[int, int] = {}  # id of a walked node -> its step
+    for t in terms:
+        stack = [t]
+        while stack:
+            s = stack.pop()
+            if type(s) is tuple:  # (node, arguments) once the arguments have steps
+                s, kids = s
+                key = (s.op, tuple(map(seen.__getitem__, map(id, kids))))
+            elif id(s) in seen:
+                continue
+            else:
+                if s.sig is not None and s.sig is not sig:
+                    check_signature(t, sig)  # raises at s, the first foreign node
+                kids = children(s)
+                if kids:
+                    stack.append((s, kids))
+                    stack.extend(reversed(kids))
+                    continue
+                key = ("var", s.name) if isinstance(s, Var) else (s.op, ())
+            seen[id(s)] = number.setdefault(key, len(number))
+    steps, outputs = tuple(number), tuple(seen[id(t)] for t in terms)
+    last = {j: i for i, (op, args) in enumerate(steps) if op != "var" for j in args}
+    last.update(dict.fromkeys(outputs, len(steps)))
+    names = tuple(sorted(arg for op, arg in steps if op == "var"))
+    return Tape(steps, names, outputs, tuple(last[j] for j in range(len(steps))))
+
+
+def run(tape: Tape, m: Model, env: dict, D: int) -> list:
+    """The formulas' batch values: each step once, freed after its last use."""
+    vals: list = [None] * len(tape.steps)
+    for i, (op, args) in enumerate(tape.steps):
+        if op == "var":
+            vals[i] = env[args]
+        elif not args:
+            vals[i] = m.vec_const(op, D)
+        else:
+            vals[i] = m.vec_apply(op, [vals[j] for j in args], D)
+            for j in args:
+                if tape.last_use[j] == i:
+                    vals[j] = None
+    return [vals[j] for j in tape.outputs]
 
 
 # ---------------------------------------------------------------------------
@@ -654,10 +704,10 @@ def mu_congruence(m: FiniteModel) -> Congruence:
     """Mutual order-relatedness: x and y below each other in the quasi-order,
     where x is below y when x \\/ y = y (+) 0 (evaluated in the additive view)."""
     mv = m if m.signature is Sig.MV else finite_mv_view(m)
-    n = len(m.elements)
-    env = dict(zip("xy", product_axes(np.arange(n), 2)))
-    join = eval_indices(join_term(Var("x"), Var("y"), Sig.MV), mv, env)
-    below = join == eval_indices(OPlus(Var("y"), Const0()), mv, env)
+    env = dict(zip("xy", product_axes(np.arange(len(m.elements)), 2)))
+    x, y = Var("x"), Var("y")
+    tape = compile((join_term(x, y, Sig.MV), OPlus(y, Const0())), Sig.MV)
+    below = np.equal(*run(tape, mv, env, 1))
     return _check_compatible(_from_relation(m, below & below.T))
 
 

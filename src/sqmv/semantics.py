@@ -27,7 +27,6 @@ from .syntax import (
     check_signature,
     children,
     count_connective,
-    variables,
 )
 
 
@@ -330,23 +329,10 @@ def _valuations(m: Model, strategy: Strategy, names: Sequence[str],
 # Batch evaluation
 
 
-# Plain recursion for the same reason as ``_evaluate``: the valuation arrays
-# in ``env`` are freed when the check returns, not at the next cyclic collection.
-def _vec_eval(t: Term, m: Model, env: dict, D: int):
-    if isinstance(m, FiniteModel):
-        return md.eval_indices(t, m, env)
-    if isinstance(t, Var):
-        return env[t.name]
-    args = [_vec_eval(c, m, env, D) for c in children(t)]
-    return m.vec_apply(t.op, args, D) if args else m.vec_const(t.op, D)
-
-
 def _vec_neq(m: Model, v1, v2) -> np.ndarray:
     if m.pair:
-        return (np.asarray(v1[0]) != np.asarray(v2[0])) | (
-            np.asarray(v1[1]) != np.asarray(v2[1])
-        )
-    return np.asarray(v1) != np.asarray(v2)
+        return np.not_equal(v1[0], v2[0]) | np.not_equal(v1[1], v2[1])
+    return np.not_equal(v1, v2)
 
 
 def _env_shape(env: dict) -> tuple:
@@ -424,12 +410,9 @@ def check_equation(
     lhs: Term, rhs: Term, m: Model, strategy: Strategy, seed: int = 0
 ) -> CheckReport:
     """Decide / sample the equation lhs = rhs over ``m``."""
-    check_signature(lhs, m.signature)
-    check_signature(rhs, m.signature)
-    names = sorted(set(variables(lhs)) | set(variables(rhs)))
-    env, D, total, valid_verdict = _valuations(m, strategy, names, (lhs, rhs), seed)
-    i = _first_witness(env, lambda part: _vec_neq(
-        m, _vec_eval(lhs, m, part, D), _vec_eval(rhs, m, part, D)))
+    tape = md.compile((lhs, rhs), m.signature)
+    env, D, total, valid_verdict = _valuations(m, strategy, tape.names, (lhs, rhs), seed)
+    i = _first_witness(env, lambda part: _vec_neq(m, *md.run(tape, m, part, D)))
     if i is None:
         return CheckReport(valid_verdict, total, strategy.describe(), seed)
     valuation = _valuation_at(m, env, D, i)
@@ -546,18 +529,16 @@ def check_entailment(
     """Designated-value entailment: premises designated force the conclusion."""
     if m.signature is not Sig.W:
         raise SemanticsError("entailment is defined over the implicational signature")
-    for t in premises:
-        check_signature(t, Sig.W)
-    check_signature(conclusion, Sig.W)
     terms = (*premises, conclusion)
-    names = sorted(set().union(*[variables(t) for t in terms]))
-    env, D, total, valid_verdict = _valuations(m, strategy, names, terms, seed)
+    tape = md.compile(terms, Sig.W)
+    env, D, total, valid_verdict = _valuations(m, strategy, tape.names, terms, seed)
     ds = designated_set(m)
 
     def bad_in(part):
-        bad = ~ds.vec_contains(_vec_eval(conclusion, m, part, D))
-        for t in premises:
-            bad = bad & ds.vec_contains(_vec_eval(t, m, part, D))
+        *values, concl_vals = md.run(tape, m, part, D)
+        bad = ~ds.vec_contains(concl_vals)
+        for v in values:
+            bad = bad & ds.vec_contains(v)
         return bad
 
     i = _first_witness(env, bad_in)

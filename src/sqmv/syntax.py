@@ -147,9 +147,11 @@ def rebuild(t: Term, new_children: tuple[Term, ...]) -> Term:
 
 
 def subterms(t: Term) -> Iterator[Term]:
-    yield t
-    for c in children(t):
-        yield from subterms(c)
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        yield s
+        stack.extend(reversed(children(s)))
 
 
 def positions(t: Term) -> Iterator[tuple[int, ...]]:
@@ -168,11 +170,7 @@ def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
 
 def variables(t: Term) -> tuple[str, ...]:
     """Variable names in order of first occurrence."""
-    seen: dict[str, None] = {}
-    for s in subterms(t):
-        if isinstance(s, Var):
-            seen.setdefault(s.name, None)
-    return tuple(seen)
+    return tuple(dict.fromkeys(s.name for s in subterms(t) if isinstance(s, Var)))
 
 
 def count_connective(t: Term, tag: str | type) -> int:

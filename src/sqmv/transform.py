@@ -22,6 +22,7 @@ from .models import (
     finite_w_view,
     is_strong,
     ops_for,
+    resolve,
 )
 from .syntax import Sig, mv_to_w_term, w_to_mv_term  # noqa: F401  re-exported
 
@@ -33,7 +34,7 @@ def _view(m: Model, sig: Sig) -> Model:
             f"{m.name} carries the wrong signature for this translation"
         )
     if isinstance(m, StandardModel):
-        return StandardModel(m.kind, sig)
+        return resolve(m.kind + ("@w" if sig is Sig.W else ""))
     if not isinstance(m, FiniteModel):
         raise ClassError(f"cannot certify strongness of {m.name}")
     if not is_strong(m):

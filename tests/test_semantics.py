@@ -22,8 +22,10 @@ from sqmv.models import (
     FINITE_CATALOG,
     STANDARD_CATALOG,
     StandardModel,
+    compile,
     finite_w_view,
     resolve,
+    run,
 )
 from sqmv.semantics import (
     Exhaustive,
@@ -36,7 +38,6 @@ from sqmv.semantics import (
     Witness,
     _valuation_at,
     _valuations,
-    _vec_eval,
     check_entailment,
     check_equation,
     designated_set,
@@ -131,7 +132,7 @@ class TestBatchAgreesWithScalar:
             env, D, total, _ = _valuations(
                 m, RandomSampling(50), sorted(variables(t)), (t,), seed
             )
-            got = _vec_eval(t, m, env, D)
+            got = run(compile((t,), m.signature), m, env, D)[0]
             pair = isinstance(got, tuple)
             cols = [np.broadcast_to(c, (total,)) for c in (got if pair else (got,))]
             for i in range(total):
@@ -142,7 +143,7 @@ class TestBatchAgreesWithScalar:
     @staticmethod
     def assert_batch_matches_scalar(m, strategy, t):
         env, D, total, _ = _valuations(m, strategy, sorted(variables(t)), (t,), 0)
-        got = _vec_eval(t, m, env, D)
+        got = run(compile((t,), m.signature), m, env, D)[0]
         arrays = [a for rep in env.values() for a in (rep if isinstance(rep, tuple) else (rep,))]
         shape = np.broadcast_shapes(*(np.shape(a) for a in arrays))
         assert int(np.prod(shape)) == total

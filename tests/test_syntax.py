@@ -24,6 +24,7 @@ from sqmv.syntax import (
     UMinus,
     Var,
     check_signature,
+    children,
     count_connective,
     expand_abbreviations,
     is_regular,
@@ -34,6 +35,7 @@ from sqmv.syntax import (
     print_term,
     substitute,
     subterm_at,
+    subterms,
     variables,
 )
 
@@ -303,3 +305,35 @@ def test_term_walks_leave_no_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _preorder(t):
+    """Reference preorder: the recursive walk."""
+    yield t
+    for c in children(t):
+        yield from _preorder(c)
+
+
+class TestWalks:
+    def test_subterms_is_the_recursive_preorder(self, rng):
+        for sig in Sig:
+            for _ in range(300):
+                t = random_term(rng, sig, 6)
+                assert [id(s) for s in subterms(t)] == [id(s) for s in _preorder(t)]
+
+    def test_walks_handle_deep_terms(self):
+        # 3000 nested negations, three times the default recursion limit
+        t = p
+        for _ in range(3000):
+            t = Neg(t)
+        assert variables(t) == ("p",)
+        assert count_connective(t, "neg") == 3000
+        check_signature(t, Sig.W)
+        with pytest.raises(SignatureError, match="^connective Neg is not part of the MV-STAR"):
+            check_signature(t, Sig.MV)
+        # the foreign connective at the bottom of the chain is found
+        t = UMinus(q)
+        for _ in range(3000):
+            t = PosPart(t)
+        with pytest.raises(SignatureError, match="^connective UMinus is not part of the W-STAR"):
+            check_signature(t, Sig.W)

@@ -22,7 +22,7 @@ from sqmv.models import (
     _split_product_args,
     _strip_parens,
     classify,
-    eval_indices,
+    compile,
     finite_chain,
     finite_model_from_ops,
     flattening,
@@ -30,6 +30,7 @@ from sqmv.models import (
     ops_for,
     product_axes,
     resolve,
+    run,
 )
 from sqmv.semantics import Exhaustive, check_equation, evaluate
 from sqmv.syntax import Sig, parse
@@ -169,7 +170,7 @@ class TestDtypeBoundaries:
         env = dict(zip("xy", product_axes(np.arange(size, dtype=m.index_dtype), 2)))
         for _ in range(4):
             t = random_term(rng, Sig.MV, 4, var_names=("x", "y"), force_oplus=True)
-            vals = np.broadcast_to(eval_indices(t, m, env), (size, size))
+            vals = np.broadcast_to(run(compile((t,), Sig.MV), m, env, 1)[0], (size, size))
             assert vals.dtype == dtype
             for i in rng.sample(range(size * size), 40):
                 a, b = divmod(i, size)

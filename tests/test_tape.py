@@ -1,0 +1,223 @@
+"""The shared-subterm tape: one step per distinct subterm, batch values equal
+to the exact evaluator at every valuation, the signature error of the
+preorder walk, and the memory of a large sampled entailment."""
+
+import tracemalloc
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+
+from sqmv import models, proofkit
+from sqmv.models import (
+    FINITE_CATALOG,
+    STANDARD_CATALOG,
+    FiniteModel,
+    StandardModel,
+    compile,
+    resolve,
+    run,
+)
+from sqmv.semantics import (
+    Exhaustive,
+    Grid,
+    RandomSampling,
+    Verdict,
+    _valuation_at,
+    _valuations,
+    check_entailment,
+    check_equation,
+    designated_set,
+    evaluate,
+)
+from sqmv.syntax import (
+    Neg,
+    Sig,
+    SignatureError,
+    UMinus,
+    Var,
+    join_term,
+    parse,
+    substitute,
+    subterms,
+)
+
+STANDARD_VIEWS = [name + view for name in STANDARD_CATALOG for view in ("", "@w")]
+FINITE_VIEWS = [name + view for name in FINITE_CATALOG for view in ("", "@w")]
+
+x, y, z = Var("x"), Var("y"), Var("z")
+
+
+def nested_joins(sig, k):
+    """Joins of joins over ``k`` of the variables x, y, z, the terms with the
+    most shared subterms; the inner join is also its own formula."""
+    neg = UMinus if sig is Sig.MV else Neg
+    a, b, c = (x, y, z) if k == 3 else (x, y, x) if k == 2 else (x, neg(x), x)
+    inner = join_term(a, b, sig)
+    return (join_term(inner, join_term(b, c, sig), sig), inner, join_term(inner, a, sig))
+
+
+def q8_instance():
+    """An instance of the sqL* axiom Q8 (join associativity): 533 nodes, 76
+    distinct subterms."""
+    form = proofkit.AXIOMS["sqL*"]["Q8"][0]
+    sigma = {v: parse(text, Sig.W)
+             for v, text in (("p", "a -> b"), ("q", "~(b -> c)"), ("r", "c -> ~a"))}
+    return substitute(form, sigma, Sig.W)
+
+
+def assert_tape_matches_evaluate(m, strategy, terms):
+    tape = compile(terms, m.signature)
+    env, D, total, _ = _valuations(m, strategy, tape.names, terms, 0)
+    values = run(tape, m, env, D)
+    shape = np.broadcast_shapes(*(np.shape(a) for rep in env.values()
+                                  for a in (rep if isinstance(rep, tuple) else (rep,))))
+    assert int(np.prod(shape)) == total
+    for t, got in zip(terms, values):
+        cols = [np.broadcast_to(c, shape).ravel()
+                for c in (got if isinstance(got, tuple) else (got,))]
+        for i in range(total):
+            exact = evaluate(t, m, _valuation_at(m, env, D, i))
+            if m.finite:
+                batch = m.elements[int(cols[0][i])]
+            elif m.pair:
+                batch = (F(int(cols[0][i]), D), F(int(cols[1][i]), D))
+            else:
+                batch = F(int(cols[0][i]), D)
+            assert batch == exact, (m.name, t, i)
+
+
+class TestValues:
+    @pytest.mark.parametrize("strategy", [RandomSampling(50), Grid(2)], ids=str)
+    @pytest.mark.parametrize("name", STANDARD_VIEWS)
+    def test_standard_views(self, name, strategy):
+        m = resolve(name)
+        k = 2 if m.pair and isinstance(strategy, Grid) else 3
+        assert_tape_matches_evaluate(m, strategy, nested_joins(m.signature, k))
+
+    @pytest.mark.parametrize("name", FINITE_VIEWS)
+    def test_finite_views_exhaustive(self, name):
+        # every valuation of the product layout, valid sweeps included; three
+        # variables where the sweep stays small, fewer on the larger carriers
+        m = resolve(name)
+        k = max(j for j in (1, 2, 3) if j == 1 or len(m.elements) ** j <= 400)
+        assert_tape_matches_evaluate(m, Exhaustive(), nested_joins(m.signature, k))
+
+
+class TestSharing:
+    def test_compile_numbers_each_distinct_subterm_once(self):
+        t = q8_instance()
+        tape = compile((t,), Sig.W)
+        assert len(list(subterms(t))) == 533
+        assert len(tape.steps) == 76 == len(set(subterms(t)))
+        assert tape.names == ("a", "b", "c")
+        # the last use of every step but the output comes after it
+        assert all(j < tape.last_use[j] < len(tape.steps) for j in range(len(tape.steps) - 1))
+        assert tape.last_use[tape.outputs[0]] == len(tape.steps)
+
+    def test_formulas_share_steps(self):
+        lhs, rhs = parse("(x -> y) -> x", Sig.W), parse("x -> y", Sig.W)
+        tape = compile((lhs, rhs), Sig.W)
+        assert tape.steps == (("var", "x"), ("var", "y"), ("impl", (0, 1)), ("impl", (2, 0)))
+        assert tape.outputs == (3, 2)
+
+    @staticmethod
+    def count_calls(monkeypatch, cls):
+        calls = {"vec_apply": 0, "run": 0}
+
+        def counted_apply(self, op, args, D, _apply=cls.vec_apply):
+            calls["vec_apply"] += 1
+            return _apply(self, op, args, D)
+
+        def counted_run(*args, _run=models.run):
+            calls["run"] += 1
+            return _run(*args)
+
+        monkeypatch.setattr(cls, "vec_apply", counted_apply)
+        monkeypatch.setattr(models, "run", counted_run)
+        return calls
+
+    def test_one_operation_per_distinct_subterm(self, monkeypatch):
+        t = q8_instance()
+        compound = {s for s in subterms(t) if s.op not in ("var", "one")}
+        m = resolve("square@w")
+        calls = self.count_calls(monkeypatch, StandardModel)
+        report = check_entailment([], t, m, RandomSampling(1000), seed=3)
+        assert report.verdict is Verdict.NO_COUNTEREXAMPLE_FOUND
+        assert calls["run"] == 1
+        assert calls["vec_apply"] == len(compound) == 72
+        assert sum(1 for s in subterms(t) if s.op not in ("var", "one")) == 321
+
+    def test_once_per_block(self, monkeypatch):
+        # chain:40 has 81 elements; the witness of this 4-variable equation
+        # sits in the second block of the sweep
+        m = resolve("chain:40")
+        lhs = parse("w (+) w (+) z (+) x^-^+", Sig.MV)
+        rhs = parse("w (+) z (+) y^-^+", Sig.MV)
+        calls = self.count_calls(monkeypatch, FiniteModel)
+        report = check_equation(lhs, rhs, m, Exhaustive())
+        assert report.verdict is Verdict.COUNTERMODEL
+        assert calls["run"] == 2
+        compound = {s for s in subterms(lhs)} | {s for s in subterms(rhs)}
+        compound = {s for s in compound if s.op != "var"}
+        assert calls["vec_apply"] == 2 * len(compound) == 2 * 9
+
+
+def test_deep_terms_compile_and_run():
+    # 3000 nested negations, three times the default recursion limit
+    t = x
+    for _ in range(3000):
+        t = Neg(t)
+    tape = compile((t, x), Sig.W)
+    assert len(tape.steps) == 3001 and tape.outputs == (3000, 0)
+    m = resolve("chain:2@w")
+    report = check_equation(t, Neg(Neg(x)), m, Exhaustive())
+    assert (report.verdict, report.samples_tried) == (Verdict.VALID_EXHAUSTIVE, 5)
+
+
+class TestSignature:
+    MESSAGE = "connective {} is not part of the W-STAR language"
+
+    @pytest.mark.parametrize("name", ["square@w", "chain:2@w"])
+    @pytest.mark.parametrize("text, first", [("-(x (+) y)", "UMinus"),
+                                             ("(-x) (+) y", "OPlus")])
+    def test_equation_names_the_preorder_first(self, name, text, first):
+        m = resolve(name)
+        bad = parse(text, Sig.MV)
+        for lhs, rhs in [(bad, parse("x", Sig.W)), (parse("x -> y", Sig.W), bad)]:
+            with pytest.raises(SignatureError) as err:
+                check_equation(lhs, rhs, m, Exhaustive() if m.finite else Grid(2))
+            assert str(err.value) == self.MESSAGE.format(first)
+
+    @pytest.mark.parametrize("name", ["square@w", "chain:2@w"])
+    @pytest.mark.parametrize("text, first", [("-(x (+) y)", "UMinus"),
+                                             ("(-x) (+) y", "OPlus")])
+    def test_entailment_names_the_preorder_first(self, name, text, first):
+        m = resolve(name)
+        bad = parse(text, Sig.MV)
+        later = parse("x (+) 0", Sig.MV)
+        strategy = Exhaustive() if m.finite else RandomSampling(10)
+        for premises, conclusion in [([parse("x", Sig.W), bad], later), ([], bad)]:
+            with pytest.raises(SignatureError) as err:
+                check_entailment(premises, conclusion, m, strategy)
+            assert str(err.value) == self.MESSAGE.format(first)
+
+
+# tracemalloc peak of the check below before the tape (the tree-walking
+# evaluator): 16,012,126 bytes; with the tape it measured 13,619,824 bytes.
+_TREE_WALK_PEAK = 16_012_126
+
+
+def test_large_sample_peak_memory():
+    t = q8_instance()
+    m = resolve("square@w")
+    designated_set(m)
+    tracemalloc.start()
+    try:
+        report = check_entailment([], t, m, RandomSampling(100000), seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict is Verdict.NO_COUNTEREXAMPLE_FOUND
+    assert report.samples_tried == 100000
+    assert peak <= _TREE_WALK_PEAK
