@@ -36,9 +36,6 @@ class Registry:
     def get(self, rule_id: str) -> DerivedRule | None:
         return self._rules.get(rule_id)
 
-    def __contains__(self, rule_id: str) -> bool:
-        return rule_id in self._rules
-
     def ids(self) -> tuple[str, ...]:
         return tuple(self._rules)
 

@@ -20,8 +20,8 @@ from ..syntax import (
     SqmvError,
     Term,
     Var,
+    children,
     is_regular,
-    subterm_at,
 )
 from .checker import check_proof
 from .script import (
@@ -34,7 +34,7 @@ from .script import (
     RuleRef,
     ScriptError,
 )
-from .systems import L_TO_SQ_AXIOM, LSTAR, SQL, instantiate_axiom
+from .systems import L_TO_SQ_AXIOM, LSTAR, SQL
 
 
 class PathMismatch(SqmvError):
@@ -52,13 +52,28 @@ class SourceProofInvalid(SqmvError):
 ONE = Const1()
 
 
+@dataclass(frozen=True)
+class EquivPair:
+    """Two proof lines witnessing lhs -> rhs and rhs -> lhs."""
+
+    lhs: Term
+    rhs: Term
+    fwd: int
+    bwd: int
+
+
 class ProofBuilder:
-    """Accumulates proof lines; indices are 1-based, matching the file format."""
+    """Accumulates proof lines; indices are 1-based, matching the file format.
+
+    The lemma ids the equivalence steps cite (refl, contra, imp-cong) must
+    already be registered when the produced script is checked.
+    """
 
     def __init__(self, system: str = SQL, hypotheses: tuple[Term, ...] = ()):
         self.system = system
         self.hypotheses = tuple(hypotheses)
         self._lines: list[ProofLine] = []
+        self._refl_cache: dict[Term, int] = {}
 
     @classmethod
     def extending(cls, script: ProofScript) -> "ProofBuilder":
@@ -70,69 +85,23 @@ class ProofBuilder:
         self._lines.append(ProofLine(formula, just))
         return len(self._lines)
 
-    def formula(self, index: int) -> Term:
-        return self._lines[index - 1].formula
-
     def script(self) -> ProofScript:
         return ProofScript(self.system, self.hypotheses, tuple(self._lines))
-
-
-@dataclass(frozen=True)
-class EquivPair:
-    """Two proof lines witnessing lhs -> rhs and rhs -> lhs."""
-
-    lhs: Term
-    rhs: Term
-    fwd: int
-    bwd: int
-
-
-class EquivBuilder(ProofBuilder):
-    """Proof builder with combinators for biconditional bookkeeping.
-
-    The lemma ids used here (refl, contra, imp-cong, chain, dne-i, dne-e)
-    must already be registered when the produced script is checked.
-    """
-
-    def __init__(self, system: str = SQL, hypotheses: tuple[Term, ...] = ()):
-        super().__init__(system, hypotheses)
-        self._refl_cache: dict[Term, int] = {}
 
     def refl(self, t: Term) -> int:
         if t not in self._refl_cache:
             self._refl_cache[t] = self.add(Impl(t, t), LemmaRef("refl"))
         return self._refl_cache[t]
 
-    def axiom_pair(self, name: str, sigma: dict[str, Term]) -> EquivPair:
-        forms = instantiate_axiom(self.system, name, sigma)
-        if len(forms) != 2:
-            raise ScriptError(f"axiom {name} is not a biconditional")
-        fwd = self.add(forms[0], AxiomRef(name))
-        bwd = self.add(forms[1], AxiomRef(name))
-        return EquivPair(forms[0].left, forms[0].right, fwd, bwd)
-
-    def lemma_pair(self, fwd_id: str, bwd_id: str, lhs: Term, rhs: Term) -> EquivPair:
-        fwd = self.add(Impl(lhs, rhs), LemmaRef(fwd_id))
-        bwd = self.add(Impl(rhs, lhs), LemmaRef(bwd_id))
-        return EquivPair(lhs, rhs, fwd, bwd)
-
-    def dne_pair(self, t: Term) -> EquivPair:
-        """t <-> ~~t."""
-        return self.lemma_pair("dne-i", "dne-e", t, Neg(Neg(t)))
-
-    @staticmethod
-    def flip(p: EquivPair) -> EquivPair:
-        return EquivPair(p.rhs, p.lhs, p.bwd, p.fwd)
+    def refl_pair(self, t: Term) -> EquivPair:
+        """t <-> t, both directions on one refl line."""
+        r = self.refl(t)
+        return EquivPair(t, t, r, r)
 
     def contra(self, p: EquivPair) -> EquivPair:
         fwd = self.add(Impl(Neg(p.lhs), Neg(p.rhs)), LemmaRef("contra", (p.bwd,)))
         bwd = self.add(Impl(Neg(p.rhs), Neg(p.lhs)), LemmaRef("contra", (p.fwd,)))
         return EquivPair(Neg(p.lhs), Neg(p.rhs), fwd, bwd)
-
-    def refl_pair(self, t: Term) -> EquivPair:
-        """t <-> t, both directions on one refl line."""
-        r = self.refl(t)
-        return EquivPair(t, t, r, r)
 
     def imp_cong(self, pl: EquivPair, pr: EquivPair) -> EquivPair:
         """(pl.lhs -> pr.lhs) <-> (pl.rhs -> pr.rhs)."""
@@ -141,32 +110,18 @@ class EquivBuilder(ProofBuilder):
         bwd = self.add(Impl(rhs, lhs), LemmaRef("imp-cong", (pl.fwd, pr.bwd)))
         return EquivPair(lhs, rhs, fwd, bwd)
 
-    def chain(self, p1: EquivPair, p2: EquivPair) -> EquivPair:
-        return EquivPair(
-            p1.lhs, p2.rhs, self.chain_forward(p1, p2), self.chain_backward(p1, p2)
-        )
-
-    def chain_forward(self, p1: EquivPair, p2: EquivPair) -> int:
-        """Only the forward composite line; used to pin a script's conclusion."""
-        if p1.rhs != p2.lhs:
-            raise ScriptError("equivalence chain does not compose")
-        return self.add(Impl(p1.lhs, p2.rhs), LemmaRef("chain", (p1.fwd, p2.fwd)))
-
-    def chain_backward(self, p1: EquivPair, p2: EquivPair) -> int:
-        if p1.rhs != p2.lhs:
-            raise ScriptError("equivalence chain does not compose")
-        return self.add(Impl(p2.rhs, p1.lhs), LemmaRef("chain", (p2.bwd, p1.bwd)))
-
     def replace_at(self, root: Term, path: tuple[int, ...], p: EquivPair) -> EquivPair:
         """root <-> root[path := p.rhs], built by walking the path outwards."""
-        if subterm_at(root, path) != p.lhs:
-            raise PathMismatch(
-                f"subterm at {path} is {subterm_at(root, path)}, not {p.lhs}"
-            )
+        nodes = [root]
+        for step in path:
+            kids = children(nodes[-1])
+            if not 0 <= step < len(kids):
+                raise PathMismatch(f"path {path} has no step {step} under {nodes[-1]}")
+            nodes.append(kids[step])
+        if nodes[-1] != p.lhs:
+            raise PathMismatch(f"subterm at {path} is {nodes[-1]}, not {p.lhs}")
         pair = p
-        for depth in reversed(range(len(path))):
-            node = subterm_at(root, path[:depth])
-            step = path[depth]
+        for node, step in zip(reversed(nodes[:-1]), reversed(path)):
             if isinstance(node, Neg):
                 pair = self.contra(pair)
             elif isinstance(node, Impl) and step == 0:
@@ -176,25 +131,6 @@ class EquivBuilder(ProofBuilder):
             else:
                 raise PathMismatch(f"cannot rewrite under {type(node).__name__}")
         return pair
-
-    def replace_everywhere(self, root: Term, p: EquivPair) -> EquivPair:
-        """Replace every occurrence of p.lhs in root, one path at a time."""
-        from ..syntax import positions
-
-        pair_total: EquivPair | None = None
-        cur = root
-        while True:
-            path = next(
-                (pos for pos in positions(cur) if subterm_at(cur, pos) == p.lhs), None
-            )
-            if path is None:
-                break
-            step_pair = self.replace_at(cur, path, p)
-            pair_total = step_pair if pair_total is None else self.chain(pair_total, step_pair)
-            cur = step_pair.rhs
-        if pair_total is None:
-            raise PathMismatch(f"{p.lhs} does not occur in the target")
-        return pair_total
 
 
 def replacement_proof(
@@ -218,13 +154,8 @@ def replacement_proof(
         raise PathMismatch("equivalence script must end with the two implications")
     if not path:
         return equiv
-    sub, sub_new = f_fwd.left, f_fwd.right
-    if subterm_at(target, path) != sub:
-        raise PathMismatch(
-            f"subterm at {path} does not match the proved equivalence"
-        )
-    b = EquivBuilder.extending(equiv)
-    pair = EquivPair(sub, sub_new, len(equiv.lines) - 1, len(equiv.lines))
+    b = ProofBuilder.extending(equiv)
+    pair = EquivPair(f_fwd.left, f_fwd.right, len(equiv.lines) - 1, len(equiv.lines))
     b.replace_at(target, path, pair)
     return b.script()
 
@@ -315,8 +246,9 @@ def deregularize_proof(source: ProofScript, registry=None) -> ProofScript:
 
     while cur >= 2:
         tgt = nstack(cur - 2)
-        lem = b.add(Impl(Neg(Neg(tgt)), tgt), LemmaRef("dne-e"))
-        reg = b.add(Impl(pp, b.formula(lem)), RuleRef("Reg", (lem,)))
+        dne = Impl(Neg(Neg(tgt)), tgt)
+        lem = b.add(dne, LemmaRef("dne-e"))
+        reg = b.add(Impl(pp, dne), RuleRef("Reg", (lem,)))
         cur_line = b.add(Impl(pp, tgt), RuleRef("qMP", (cur_line, reg)))
         cur -= 2
 

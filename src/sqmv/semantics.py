@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, prod
+from math import isqrt, lcm, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -80,17 +80,6 @@ def _evaluate(s: Term, m: Model, valuation: dict):
         return el
     args = [_evaluate(c, m, valuation) for c in children(s)]
     return m.apply(s.op, *args) if args else m.const(s.op)
-
-
-def zero_second_coordinates(valuation: dict) -> dict:
-    """Project every pair binding onto the first-coordinate slice."""
-    out = {}
-    for k, v in valuation.items():
-        if isinstance(v, tuple) and len(v) == 2:
-            out[k] = (v[0], Fraction(0))
-        else:
-            out[k] = v
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -249,14 +238,25 @@ def _grid_points(m: Model, d: int) -> tuple[list, int]:
     return firsts, D
 
 
+def _grid_count(m: Model, d: int) -> int:
+    """``len(_grid_points(m, d)[0])``, without building the points: the
+    disk keeps the pairs with b = +-1/2 only where |a| <= sqrt(3)/2."""
+    firsts = 2 * d + 1
+    if m.kind == "disk":
+        return firsts + 2 * (2 * (isqrt(3 * d * d) // 2) + 1)
+    return 3 * firsts if m.pair else firsts
+
+
 def _env_from_grid(m: Model, names: Sequence[str], d: int):
-    pts, D = _grid_points(m, d)
     k = len(names)
-    total = len(pts) ** k
+    total = _grid_count(m, d) ** k
     if total > _GRID_CAP:
         raise StrategyError(
             f"grid of {total} valuations is too large; lower the denominator"
         )
+    if not k:
+        return {}, lcm(2, d), total
+    pts, D = _grid_points(m, d)
     if m.pair:
         a = md.product_axes(np.asarray([p[0] for p in pts], dtype=np.int64), k)
         b = md.product_axes(np.asarray([p[1] for p in pts], dtype=np.int64), k)

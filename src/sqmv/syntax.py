@@ -154,14 +154,6 @@ def subterms(t: Term) -> Iterator[Term]:
         stack.extend(reversed(children(s)))
 
 
-def positions(t: Term) -> Iterator[tuple[int, ...]]:
-    """All subterm positions of ``t`` in preorder, as child-index paths."""
-    yield ()
-    for i, c in enumerate(children(t)):
-        for p in positions(c):
-            yield (i,) + p
-
-
 def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
     for i in path:
         t = children(t)[i]

@@ -1,5 +1,6 @@
-"""Shared helpers: seeded random terms/valuations and an independent
-reference evaluator written straight from the model definitions."""
+"""Shared helpers: seeded random terms/valuations, an independent
+reference evaluator written straight from the model definitions, and the
+carrier restriction and valuation projection that only tests use."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from sqmv.models import FiniteModel, Model, finite_model_from_ops, ops_for
 from sqmv.syntax import (
     Const0,
     Const1,
@@ -154,6 +156,25 @@ def oracle_interval(t: Term, v: dict, flat: bool = False) -> Fraction:
         return F(0) if flat else min(F(0), ev(s.arg))
 
     return ev(t)
+
+
+# ---------------------------------------------------------------------------
+# Model and valuation helpers
+
+
+def finite_restriction(base: Model, points, name: str) -> FiniteModel:
+    """Restrict ``base`` to a finite subset of its carrier, checking closure."""
+    ops = {
+        op: (lambda *args, op=op: base.apply(op, *args)) for op in ops_for(base.signature)
+    }
+    consts = {c: base.const(c) for c in ("zero", "one")}
+    return finite_model_from_ops(name, base.signature, tuple(points), ops, consts)
+
+
+def zero_second_coordinates(valuation: dict) -> dict:
+    """Project every pair binding onto the first-coordinate slice."""
+    return {k: (v[0], F(0)) if isinstance(v, tuple) and len(v) == 2 else v
+            for k, v in valuation.items()}
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ import pathlib
 import random
 import time
 
-from conftest import random_square_valuation, random_term
+from conftest import random_square_valuation, random_term, zero_second_coordinates
 from sqmv import corpus
 from sqmv.axioms import audit_battery
 from sqmv.models import (
@@ -37,7 +37,6 @@ from sqmv.semantics import (
     check_equation,
     designated_set,
     evaluate,
-    zero_second_coordinates,
 )
 from sqmv.syntax import (
     Impl,

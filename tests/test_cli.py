@@ -189,12 +189,27 @@ class TestRejections:
         assert err == (f"error: ScriptError: lift prefix {prefix!r} is not a "
                        "variable name ([a-z][a-z0-9_]*)\n")
 
-    @pytest.mark.parametrize(
-        "model, size", [("chain:20000", 40001), ("product:chain:100,chain:100", 40401)]
-    )
-    def test_oversized_finite_carrier_exits_two(self, model, size):
-        # their tables would take 5.96 and 12.2 GiB; under this address-space
-        # limit an allocation attempt ends in a MemoryError and exit 3
+    @pytest.mark.parametrize("model, strategy, eq, code, out, err", [
+        ("chain:20000", "exhaustive", "x", 2, "",
+         "chain:20000 would have 40001 elements; finite models have at most 4096"),
+        ("product:chain:100,chain:100", "exhaustive", "x", 2, "",
+         "product:chain:100,chain:100 would have 40401 elements; "
+         "finite models have at most 4096"),
+        ("interval", "grid:1000000000", "x", 2, "",
+         "grid of 2000000001 valuations is too large; lower the denominator"),
+        ("square", "grid:1000000000", "x", 2, "",
+         "grid of 6000000003 valuations is too large; lower the denominator"),
+        ("disk", "grid:1000000000", "x", 2, "",
+         "grid of 5464101615 valuations is too large; lower the denominator"),
+        ("interval", "grid:1000000000", "0", 0,
+         "verdict: NO_COUNTEREXAMPLE_FOUND\nsamples: 1\nstrategy: grid:1000000000\n"
+         "seed: 0\n", None),
+    ], ids=["chain:20000-40001", "product:chain:100,chain:100-40401", "grid-interval",
+            "grid-square", "grid-disk", "grid-no-variables"])
+    def test_oversized_finite_carrier_exits_two(self, model, strategy, eq, code, out, err):
+        # the finite tables would take 5.96 and 12.2 GiB and the grids 2-6e9
+        # points (an equation without variables needs none); under this
+        # address-space limit building them ends in a MemoryError traceback
         def limit():
             hard = resource.getrlimit(resource.RLIMIT_AS)[1]
             resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, hard))
@@ -202,14 +217,17 @@ class TestRejections:
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "sqmv.cli", "check-eq", "--model", model,
-             "--strategy", "exhaustive", "x", "x"],
+             "--strategy", strategy, eq, eq],
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
             preexec_fn=limit, timeout=120,
         )
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == (
-            f"error: {model} would have {size} elements; finite models have at most 4096\n"
-        )
+        assert (proc.returncode, proc.stdout) == (code, out)
+        assert proc.stderr == ("" if err is None else f"error: {err}\n")
+
+    def test_flattening_onto_a_zero_denominator_exits_two(self, capsys):
+        # Fraction("1/0") raised ZeroDivisionError: a traceback and exit 3
+        code, out, err = run(capsys, "classify", "--model", "flatten:chain:1:1/0")
+        assert (code, out, err) == (2, "", "error: bad flattening element '1/0'\n")
 
     def test_largest_finite_carriers_still_build(self):
         assert len(finite_chain(2047).elements) == 4095

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from conftest import finite_restriction
 from sqmv.models import (
     ADJOINED,
     ClosureError,
@@ -20,7 +21,6 @@ from sqmv.models import (
     finite_chain,
     finite_model_from_ops,
     finite_mv_view,
-    finite_restriction,
     flattening,
     label_str,
     mu_congruence,
@@ -245,17 +245,24 @@ class TestClassification:
 
 
 class TestRegulars:
+    # the regular part of each of these is a plain MV*-algebra
     def test_chain_all_regular(self):
         c2 = resolve("chain:2")
-        assert regular_elements(c2) == c2.elements
+        regs = regular_elements(c2)
+        assert regs == c2.elements
+        assert classify(finite_restriction(c2, regs, "chain:2|R")).is_star
 
     def test_flat_single_regular(self):
-        assert regular_elements(resolve("flatten:chain:1:0")) == (F(0),)
+        fl = resolve("flatten:chain:1:0")
+        regs = regular_elements(fl)
+        assert regs == (F(0),)
+        assert classify(finite_restriction(fl, regs, "flat|R")).is_star
 
     def test_product_regulars(self):
         pr = resolve("product:chain:1,flatten:chain:1:0")
         regs = regular_elements(pr)
         assert sorted(regs) == [(F(-1), F(0)), (F(0), F(0)), (F(1), F(0))]
+        assert classify(finite_restriction(pr, regs, "product|R")).is_star
 
 
 class TestCongruences:
@@ -347,7 +354,7 @@ def test_congruence_classes_match_the_pairwise_reference(name):
         return evaluate(join, mv, {"x": x, "y": y}) == evaluate(y0, mv, {"y": y})
 
     assert mu.classes == reference_partition(m, lambda x, y: below(x, y) and below(y, x))
-    regs = set(regular_elements(m, check_star=False))
+    regs = set(regular_elements(m))
     assert tau.classes == reference_partition(
         m, lambda x, y: x == y or (x in regs and y in regs))
     pieces = (c1 & c2 for c1 in mu.classes for c2 in tau.classes if c1 & c2)

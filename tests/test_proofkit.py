@@ -475,8 +475,15 @@ class TestReplacement:
 
     def test_path_mismatch(self):
         equiv = _hyp_equiv(Var("a"), Var("b"))
-        with pytest.raises(PathMismatch):
+        with pytest.raises(PathMismatch, match=r"subterm at \(0,\) is c, not a"):
             replacement_proof(w("c -> 1"), (0,), equiv)
+
+    @pytest.mark.parametrize("path", [(0, 0), (5,), (-1,)])
+    def test_path_off_the_target_is_a_mismatch(self, path):
+        # (0, 0) and (5,) raised IndexError from the path walk
+        equiv = _hyp_equiv(Var("a"), Var("b"))
+        with pytest.raises(PathMismatch, match="has no step"):
+            replacement_proof(w("a -> c"), path, equiv)
 
 
 class TestSoundnessBridge:

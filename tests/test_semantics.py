@@ -16,6 +16,7 @@ from conftest import (
     random_interval_valuation,
     random_square_valuation,
     random_term,
+    zero_second_coordinates,
 )
 from sqmv import corpus, semantics
 from sqmv.models import (
@@ -44,7 +45,6 @@ from sqmv.semantics import (
     evaluate,
     parse_strategy,
     search_countermodel,
-    zero_second_coordinates,
 )
 from sqmv.syntax import Const0, Const1, Sig, SignatureError, Var, children, parse, variables
 from sqmv.transform import mv_to_w_model
@@ -702,3 +702,10 @@ class TestStrategyParsing:
         report = check_equation(lhs, rhs, resolve("square"), Grid())
         assert report.strategy == "grid"
         assert not report.found_countermodel
+
+    @pytest.mark.parametrize("kind", STANDARD_CATALOG)
+    def test_grid_count_is_the_number_of_points(self, kind):
+        # an oversized grid is refused on this count, before any point is built
+        m = resolve(kind)
+        for d in range(1, 200):
+            assert semantics._grid_count(m, d) == len(semantics._grid_points(m, d)[0]), d

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import (
+    finite_restriction,
     random_disk_valuation,
     random_interval_valuation,
     random_square_valuation,
@@ -13,11 +14,10 @@ from sqmv.models import (
     FINITE_CATALOG,
     STANDARD_CATALOG,
     finite_model_from_ops,
-    finite_restriction,
     resolve,
 )
-from sqmv import semantics
-from sqmv.semantics import RandomSampling, check_entailment, evaluate
+from sqmv import corpus, semantics
+from sqmv.semantics import Exhaustive, RandomSampling, check_entailment, check_equation, evaluate
 from sqmv.syntax import Sig, SignatureError, parse, print_term, variables
 from sqmv.transform import (
     mv_to_w_model,
@@ -105,6 +105,25 @@ class TestTermModelCoherence:
                 t = random_term(rng, Sig.MV, 4)
                 v = {n: rng.choice(m.elements) for n in variables(t)}
                 assert evaluate(t, m, v) == evaluate(mv_to_w_term(t), m_w, v)
+
+
+@pytest.mark.parametrize("name", FINITE_CATALOG)
+def test_term_equivalence_on_the_batch_path(name):
+    # an equation and its translation, swept on a model and on its view in
+    # the other signature, give the same verdict, count and first witness
+    def outcome(lhs, rhs, m):
+        r = check_equation(lhs, rhs, m, Exhaustive())
+        return r.verdict, r.samples_tried, r.witness and r.witness.valuation
+
+    for eq in corpus.corpus():
+        if eq.sig is Sig.MV:
+            m = resolve(name)
+            view, tr = mv_to_w_model(m), mv_to_w_term
+        else:
+            m = resolve(name + "@w")
+            view, tr = w_to_mv_model(m), w_to_mv_term
+        assert outcome(eq.lhs, eq.rhs, m) == outcome(tr(eq.lhs), tr(eq.rhs), view), (
+            name, eq.name)
 
 
 class TestModelRoundTrips:

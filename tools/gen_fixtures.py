@@ -3,8 +3,10 @@
 
 The short certificates are literal transcriptions; the long ones (double
 negation, the part/negation dualities, join commutativity) are produced with
-the equivalence builder and then checked like any other script.  Output goes
-to src/sqmv/fixtures/; run from the repository root after changing the proof
+the equivalence builder ``EquivBuilder``, which lives here: it extends the
+package's ``ProofBuilder`` with the combinators only these certificates use.
+Each output is then checked like any other script.  Output goes to
+src/sqmv/fixtures/; run from the repository root after changing the proof
 machinery and commit the results.
 """
 
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import pathlib
 import sys
+from typing import Iterator
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -21,24 +24,106 @@ from sqmv.syntax import (  # noqa: E402
     Impl,
     Neg,
     Sig,
+    Term,
     Var,
+    children,
     expand_abbreviations,
     join_term,
     print_term,
+    subterm_at,
 )
 from sqmv.proofkit.registry import Registry  # noqa: E402
 from sqmv.proofkit.script import (  # noqa: E402
+    AxiomRef,
     HypRef,
+    LemmaRef,
     ProofLine,
     ProofScript,
+    ScriptError,
     format_script,
     parse_script,
 )
-from sqmv.proofkit.systems import AXIOMS, LSTAR, SQL  # noqa: E402
-from sqmv.proofkit.transforms import EquivBuilder, replacement_proof  # noqa: E402
+from sqmv.proofkit.systems import AXIOMS, LSTAR, SQL, instantiate_axiom  # noqa: E402
+from sqmv.proofkit.transforms import (  # noqa: E402
+    EquivPair,
+    PathMismatch,
+    ProofBuilder,
+    replacement_proof,
+)
 
 DERIVED = ROOT / "src" / "sqmv" / "fixtures" / "derived"
 LSTAR_DIR = ROOT / "src" / "sqmv" / "fixtures" / "lstar"
+
+
+def positions(t: Term) -> Iterator[tuple[int, ...]]:
+    """All subterm positions of ``t`` in preorder, as child-index paths."""
+    yield ()
+    for i, c in enumerate(children(t)):
+        for p in positions(c):
+            yield (i,) + p
+
+
+class EquivBuilder(ProofBuilder):
+    """``ProofBuilder`` plus the biconditional combinators of the long
+    certificates; the lemma ids they cite (chain, dne-i, dne-e and those given
+    to ``lemma_pair``) must be registered when the script is checked."""
+
+    def axiom_pair(self, name: str, sigma: dict[str, Term]) -> EquivPair:
+        forms = instantiate_axiom(self.system, name, sigma)
+        if len(forms) != 2:
+            raise ScriptError(f"axiom {name} is not a biconditional")
+        fwd = self.add(forms[0], AxiomRef(name))
+        bwd = self.add(forms[1], AxiomRef(name))
+        return EquivPair(forms[0].left, forms[0].right, fwd, bwd)
+
+    def lemma_pair(self, fwd_id: str, bwd_id: str, lhs: Term, rhs: Term) -> EquivPair:
+        fwd = self.add(Impl(lhs, rhs), LemmaRef(fwd_id))
+        bwd = self.add(Impl(rhs, lhs), LemmaRef(bwd_id))
+        return EquivPair(lhs, rhs, fwd, bwd)
+
+    def dne_pair(self, t: Term) -> EquivPair:
+        """t <-> ~~t."""
+        return self.lemma_pair("dne-i", "dne-e", t, Neg(Neg(t)))
+
+    @staticmethod
+    def flip(p: EquivPair) -> EquivPair:
+        return EquivPair(p.rhs, p.lhs, p.bwd, p.fwd)
+
+    def chain(self, p1: EquivPair, p2: EquivPair) -> EquivPair:
+        fwd = self.chain_forward(p1, p2)
+        bwd = self.chain_forward(self.flip(p2), self.flip(p1))
+        return EquivPair(p1.lhs, p2.rhs, fwd, bwd)
+
+    def chain_forward(self, p1: EquivPair, p2: EquivPair) -> int:
+        """Only the forward composite line p1.lhs -> p2.rhs."""
+        if p1.rhs != p2.lhs:
+            raise ScriptError("equivalence chain does not compose")
+        return self.add(Impl(p1.lhs, p2.rhs), LemmaRef("chain", (p1.fwd, p2.fwd)))
+
+    def conclude(self, p1: EquivPair, p2: EquivPair, direction: str) -> ProofScript:
+        """The script, ending on the forward ("fwd") or backward composite of p1, p2."""
+        if direction != "fwd":
+            p1, p2 = self.flip(p2), self.flip(p1)
+        self.chain_forward(p1, p2)
+        return self.script()
+
+    def replace_everywhere(self, root: Term, p: EquivPair) -> EquivPair:
+        """Replace every occurrence of p.lhs in root, one path at a time."""
+        pair_total: EquivPair | None = None
+        cur = root
+        while True:
+            path = next(
+                (pos for pos in positions(cur) if subterm_at(cur, pos) == p.lhs), None
+            )
+            if path is None:
+                break
+            step_pair = self.replace_at(cur, path, p)
+            pair_total = step_pair if pair_total is None else self.chain(pair_total, step_pair)
+            cur = step_pair.rhs
+        if pair_total is None:
+            raise PathMismatch(f"{p.lhs} does not occur in the target")
+        return pair_total
+
 
 P, Q, R = Var("p"), Var("q"), Var("r")
 ONE = Const1()
@@ -140,11 +225,7 @@ def build_dne(direction: str) -> ProofScript:
     p9i = b.replace_at(Impl(Neg(Neg(QQ)), Neg(Neg(P))), (0,), p3)
     p9 = b.chain(p8, p9i)
     p10 = b.flip(b.axiom_pair("Q3", {"p": Neg(Neg(P)), "q": Q}))
-    if direction == "fwd":
-        b.chain_forward(p9, p10)
-    else:
-        b.chain_backward(p9, p10)
-    return b.script()
+    return b.conclude(p9, p10, direction)
 
 
 def build_posneg(direction: str) -> ProofScript:
@@ -160,11 +241,7 @@ def build_posneg(direction: str) -> ProofScript:
     total = b.chain(total, b.replace_at(total.rhs, (0, 0), pr2))
     pr7 = b.axiom_pair("Q1", {"p": Impl(P, np1), "q": np1})
     pr8 = b.contra(pr7)
-    if direction == "fwd":
-        b.chain_forward(total, b.flip(pr8))
-    else:
-        b.chain_backward(total, b.flip(pr8))
-    return b.script()
+    return b.conclude(total, b.flip(pr8), direction)
 
 
 def build_negpos(direction: str) -> ProofScript:
@@ -178,11 +255,7 @@ def build_negpos(direction: str) -> ProofScript:
     pr4 = b.chain(b.flip(pr3), pr1)
     pr5 = b.contra(pr4)
     pr6 = b.dne_pair(big_a)
-    if direction == "fwd":
-        b.chain_forward(pr6, b.flip(pr5))
-    else:
-        b.chain_backward(pr6, b.flip(pr5))
-    return b.script()
+    return b.conclude(pr6, b.flip(pr5), direction)
 
 
 def build_join_comm() -> ProofScript:
@@ -201,8 +274,7 @@ def build_join_comm() -> ProofScript:
     pr6 = b.chain(pr3, pr5)
     pr7 = b.flip(b.axiom_pair("Q3", {"p": P, "q": R}))
     pr8 = b.replace_everywhere(pr6.rhs, pr7)
-    b.chain_forward(pr6, pr8)
-    return b.script()
+    return b.conclude(pr6, pr8, "fwd")
 
 
 GENERATED = {
