@@ -10,6 +10,8 @@ through the scalar Fraction path before it is returned.
 from __future__ import annotations
 
 import enum
+import itertools
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt, lcm, prod
@@ -50,7 +52,11 @@ _EXHAUSTIVE_CAP = 10**9
 
 # Batch checks build their mask in blocks of at most this many valuations and
 # stop at the first block that holds a witness.
-_SLICE = 2**20
+_SLICE = 2**18
+
+# A sweep of more than one block evaluates up to this many consecutive blocks
+# at once, one per thread, so at most _WORKERS * _SLICE valuations are in flight.
+_WORKERS = 4
 
 # Largest max denominator of random sampling: numerators stay in [-D, D], so
 # D*D in the disk test and the sum of two numerators fit in int64.
@@ -369,16 +375,64 @@ def _cut(rep, cut: tuple):
     return rep[tuple(c if d > 1 else slice(None) for c, d in zip(cut, rep.shape))]
 
 
+def _workers() -> int:
+    """How many blocks a multi-block sweep evaluates at once: ``_WORKERS``, or
+    the number of CPUs this process may run on if that is smaller."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(_WORKERS, cpus or 1))
+
+
+# (threads, executor) of the block threads, made on the first window of more
+# than one block
+_pool = None
+
+
+def _executor(threads: int):
+    # Exactly ``threads`` threads: a larger pool may start a fresh thread while
+    # an idle one has not yet said so, and each thread keeps its own malloc
+    # arena of freed block memory.
+    global _pool
+    if _pool is None or _pool[0] != threads:
+        from concurrent.futures import ThreadPoolExecutor
+        if _pool is not None:
+            _pool[1].shutdown()
+        _pool = (threads, ThreadPoolExecutor(threads))
+    return _pool[1]
+
+
 def _first_witness(env: dict, bad_in) -> int | None:
     """Row-major index of the first valuation where the mask ``bad_in(part)``
     holds, or None.  The mask is built for one block ``part`` of ``env`` at a
-    time, and the sweep stops at the first block with a witness."""
-    for offset, cut, block in _blocks(_env_shape(env)):
+    time.  Up to ``_workers()`` consecutive blocks (a window) are built at
+    once, the first on the calling thread and the rest on the block threads;
+    each window is read in block order and the sweep stops at the first
+    block with a witness (or error), so the result does not depend on the
+    thread count."""
+
+    def first_hit(offset, cut, block):
         part = {nm: _cut(rep, cut) for nm, rep in env.items()} if cut else env
         mask = bad_in(part)
         hits = np.flatnonzero(mask if mask.shape == block else np.broadcast_to(mask, block))
-        if hits.size:
-            return offset + int(hits[0])
+        return offset + int(hits[0]) if hits.size else None
+
+    blocks = _blocks(_env_shape(env))
+    first = next(blocks)
+    if not first[1]:  # one block: no threads
+        return first_hit(*first)
+    w = _workers()
+    pool = _executor(w - 1) if w > 1 else None
+    window = [first, *itertools.islice(blocks, w - 1)]
+    while window:
+        futures = [pool.submit(first_hit, *b) for b in window[1:]]
+        try:
+            i = first_hit(*window[0])
+        finally:
+            for f in futures:  # no block outlives its window, error or not
+                f.exception()
+        for i in itertools.chain([i], (f.result() for f in futures)):
+            if i is not None:
+                return i
+        window = list(itertools.islice(blocks, w))
     return None
 
 

@@ -154,12 +154,6 @@ def subterms(t: Term) -> Iterator[Term]:
         stack.extend(reversed(children(s)))
 
 
-def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
-    for i in path:
-        t = children(t)[i]
-    return t
-
-
 def variables(t: Term) -> tuple[str, ...]:
     """Variable names in order of first occurrence."""
     return tuple(dict.fromkeys(s.name for s in subterms(t) if isinstance(s, Var)))

@@ -411,6 +411,25 @@ class TestImportSplit:
         )
         assert probe == {"code": 0, "numpy": True}
 
+    def test_thread_pool_loads_only_for_multi_block_sweeps(self):
+        # two blocks at once, whatever the host's CPU count
+        probe = fresh(
+            "import io, json, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "import sqmv.semantics\n"
+            "from sqmv.cli import main\n"
+            "sqmv.semantics._workers = lambda: 2\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            "    small = main(['check-eq', '--model', 'square', '--strategy', 'random:2000',"
+            " 'x (+) y', 'y (+) x'])\n"
+            "    before = 'concurrent.futures' in sys.modules\n"
+            "    large = main(['check-eq', '--model', 'chain:70', '--strategy', 'exhaustive',"
+            " 'x (+) (y (+) z)', '(z (+) y) (+) x'])\n"
+            "print(json.dumps({'codes': [small, large], 'before': before,"
+            " 'after': 'concurrent.futures' in sys.modules}))\n"
+        )
+        assert probe == {"codes": [0, 0], "before": False, "after": True}
+
     @pytest.mark.parametrize("module", ["sqmv", "sqmv.syntax", "sqmv.proofkit"])
     def test_import_loads_no_numpy(self, module):
         probe = fresh(

@@ -216,22 +216,30 @@ def _brute_force_first(m, names, failing):
     return None
 
 
+# an equation and an entailment on chain:40 (81 elements) whose first witness
+# lies 793881 valuations into their 4-variable sweep
+BLOCKED_EQUATION = (mv("w (+) w (+) x (+) z^-^+"), mv("w (+) x (+) y^-^+"))
+BLOCKED_ENTAILMENT = ([w("x"), w("z -> z"), w("y -> y")], w("w -> (~w -> w)"))
+
+
 class TestBlockedSweeps:
-    # chain:40 has 81 elements: a 4-variable sweep is 81 leading-axis slices of
-    # 81**3 valuations each, and the first witness sits in the second one
+    # chain:40 has 81 elements: each of the 81 leading-axis slices of a
+    # 4-variable sweep is cut into blocks of 39, 39 and 3 rows of 81**2
+    # valuations, and the first witness sits in the fifth block, past the
+    # widest window of blocks that are built at once
     NAMES = ["w", "x", "y", "z"]
 
-    def assert_beyond_first_block(self, m, i):
-        rest = len(m.elements) ** (len(self.NAMES) - 1)
-        assert len(m.elements) ** len(self.NAMES) > 2 * semantics._SLICE
-        assert (semantics._SLICE // rest) * rest <= i
+    def assert_beyond_first_window(self, m, i):
+        shape = (len(m.elements),) * len(self.NAMES)
+        starts = [offset for offset, _, _ in semantics._blocks(shape)]
+        assert 0 < starts[1] < starts[semantics._WORKERS] <= i
 
     def test_equation_witness_in_later_slice(self):
         m = resolve("chain:40")
-        lhs, rhs = mv("w (+) w (+) z (+) x^-^+"), mv("w (+) z (+) y^-^+")
+        lhs, rhs = BLOCKED_EQUATION
         fl, fr = _index_fn(lhs, m, self.NAMES), _index_fn(rhs, m, self.NAMES)
         i, valuation = _brute_force_first(m, self.NAMES, lambda v: fl(v) != fr(v))
-        self.assert_beyond_first_block(m, i)
+        self.assert_beyond_first_window(m, i)
         report = check_equation(lhs, rhs, m, Exhaustive())
         assert report.verdict is Verdict.COUNTERMODEL
         assert report.samples_tried == i + 1
@@ -239,21 +247,21 @@ class TestBlockedSweeps:
 
     def test_entailment_witness_in_later_slice(self):
         m = resolve("chain:40@w")
-        premises = [w("z"), w("x -> x"), w("y -> y")]
-        conclusion = w("w -> (~w -> w)")
+        premises, conclusion = BLOCKED_ENTAILMENT
         ds = {m.index[el] for el in designated_set(m).elements}
         fps = [_index_fn(t, m, self.NAMES) for t in premises]
         fc = _index_fn(conclusion, m, self.NAMES)
         i, valuation = _brute_force_first(
             m, self.NAMES,
             lambda v: fc(v) not in ds and all(f(v) in ds for f in fps))
-        self.assert_beyond_first_block(m, i)
+        self.assert_beyond_first_window(m, i)
         report = check_entailment(premises, conclusion, m, Exhaustive())
         assert report.verdict is Verdict.COUNTERMODEL
         assert report.samples_tried == i + 1
         assert report.witness.valuation == valuation
 
-    @pytest.mark.parametrize("shape", [(), (7,), (81,) * 4, (3, 2**10, 2**11), (2, 3, 2**21)])
+    @pytest.mark.parametrize("shape", [(), (7,), (2_000_000,), (81,) * 4, (3, 2**10, 2**11),
+                                       (2, 3, 2**21)])
     def test_blocks_tile_the_row_major_order(self, shape):
         # rows longer than a block are cut on the first axis below which a block fits
         nxt = 0
@@ -267,8 +275,10 @@ class TestBlockedSweeps:
             nxt = offset + int(np.prod(block))
         assert nxt == int(np.prod(shape))
 
-    def test_large_sweeps_stay_small_in_memory(self):
-        # 401**3 valuations: at most one block of them is held at a time
+    def test_large_sweeps_stay_small_in_memory(self, monkeypatch):
+        # 401**3 valuations: at most one window of _WORKERS blocks of them is
+        # held at a time
+        monkeypatch.setattr(semantics, "_workers", lambda: semantics._WORKERS)
         m = resolve("chain:200")
         tracemalloc.start()
         try:
@@ -282,6 +292,64 @@ class TestBlockedSweeps:
         assert (failing.verdict, failing.samples_tried) == (Verdict.COUNTERMODEL, 202)
         assert (valid.verdict, valid.samples_tried) == (Verdict.VALID_EXHAUSTIVE, 401**3)
         assert peak < 100 * 2**20
+
+
+# chain:70 has 141 elements: its 3-variable sweeps are 11 blocks of 13 rows
+# of 141**2 valuations (the last of 11 rows).  TWO_WITNESS_BLOCKS fails from
+# x = -17/35 on, that is in block 2 and in every later block.
+VALID_CHAIN70 = (mv("x (+) (y (+) z)"), mv("(z (+) y) (+) x"))
+TWO_WITNESS_BLOCKS = (mv("(x (+) x (+) 1)^- (+) (y (+) z)"),
+                      mv("(x (+) x (+) 1) (+) (y (+) z)"))
+
+
+class TestWorkerCounts:
+    @pytest.mark.parametrize("check", [
+        lambda: check_equation(*BLOCKED_EQUATION, resolve("chain:40"), Exhaustive()),
+        lambda: check_entailment(*BLOCKED_ENTAILMENT, resolve("chain:40@w"), Exhaustive()),
+        lambda: check_equation(*VALID_CHAIN70, resolve("chain:70"), Exhaustive()),
+        lambda: check_equation(*TWO_WITNESS_BLOCKS, resolve("chain:70"), Exhaustive()),
+        lambda: check_equation(mv("x (+) y"), mv("y (+) x"), resolve("square"),
+                               RandomSampling(2_000_000), seed=5),
+    ], ids=["blocked-equation", "blocked-entailment", "valid-chain70",
+            "two-witness-blocks", "random-square"])
+    def test_same_report_for_every_thread_count(self, monkeypatch, check):
+        texts = []
+        for n in (1, 2, 4):
+            monkeypatch.setattr(semantics, "_workers", lambda n=n: n)
+            texts.append(check().as_text())
+        assert texts[0] == texts[1] == texts[2]
+
+    def test_earlier_of_two_witness_blocks_wins(self, monkeypatch):
+        # blocks 2 and 3 both hold witnesses; they share a window whether 2
+        # or 4 blocks are built at once
+        m = resolve("chain:70")
+        starts = [offset for offset, _, _ in semantics._blocks((141,) * 3)]
+        later = {"x": m.elements[starts[3] // 141**2], "y": m.elements[0], "z": m.elements[0]}
+        lhs, rhs = TWO_WITNESS_BLOCKS
+        assert evaluate(lhs, m, later) != evaluate(rhs, m, later)
+        for n in (2, 4):
+            monkeypatch.setattr(semantics, "_workers", lambda n=n: n)
+            report = check_equation(lhs, rhs, m, Exhaustive())
+            assert starts[2] < report.samples_tried <= starts[3]
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_error_in_a_later_block_is_raised(self, monkeypatch, n):
+        monkeypatch.setattr(semantics, "_workers", lambda: n)
+        env = {"x": np.arange(4 * semantics._SLICE)}
+
+        def bad_in(part, witness_first=False):
+            x = part["x"]
+            if x[0] == semantics._SLICE:
+                raise SemanticsError("second block")
+            return (x == 7) if witness_first else np.zeros(x.shape, dtype=bool)
+
+        with pytest.raises(SemanticsError, match="second block"):
+            semantics._first_witness(env, bad_in)
+        # a witness in an earlier block is returned: the sweep never reads on
+        assert semantics._first_witness(env, lambda p: bad_in(p, True)) == 7
+        # and the block threads still take the next check
+        report = check_equation(*VALID_CHAIN70, resolve("chain:70"), Exhaustive())
+        assert (report.verdict, report.samples_tried) == (Verdict.VALID_EXHAUSTIVE, 141**3)
 
 
 class TestCheckEquation:

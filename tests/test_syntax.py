@@ -34,7 +34,6 @@ from sqmv.syntax import (
     parse_iff,
     print_term,
     substitute,
-    subterm_at,
     subterms,
     variables,
 )
@@ -283,7 +282,7 @@ class TestSchema:
 class TestPaths:
     def test_round_trip(self):
         t = parse("~(p -> q) -> 1", Sig.W)
-        assert subterm_at(t, (0, 0, 1)) == q
+        assert t.left.arg.right == q
         assert variables(t) == ("p", "q")
 
 

@@ -30,7 +30,6 @@ from sqmv.syntax import (  # noqa: E402
     expand_abbreviations,
     join_term,
     print_term,
-    subterm_at,
 )
 from sqmv.proofkit.registry import Registry  # noqa: E402
 from sqmv.proofkit.script import (  # noqa: E402
@@ -61,6 +60,12 @@ def positions(t: Term) -> Iterator[tuple[int, ...]]:
     for i, c in enumerate(children(t)):
         for p in positions(c):
             yield (i,) + p
+
+
+def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
+    for i in path:
+        t = children(t)[i]
+    return t
 
 
 class EquivBuilder(ProofBuilder):
