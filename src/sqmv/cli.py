@@ -48,22 +48,22 @@ def _model(name: str) -> md.Model:
     return md.resolve(name)
 
 
-def _default_strategy(m: md.Model, text: str | None) -> sem.Strategy:
+def _strategy(args, m: md.Model | None = None) -> sem.Strategy:
+    """``--strategy`` (by default exhaustive on a finite ``m``, otherwise
+    random:10000), with ``--max-den`` checked whatever the strategy and
+    applied to random sampling."""
     from . import semantics as sem
 
-    if text:
-        return sem.parse_strategy(text)
-    return sem.Exhaustive() if m.finite else sem.RandomSampling(10000)
-
-
-def _apply_max_den(strategy: sem.Strategy, max_den: int | None) -> sem.Strategy:
-    from . import semantics as sem
-
-    if max_den is None:
-        return strategy
-    sem.check_max_denominator(strategy, max_den)
-    if isinstance(strategy, sem.RandomSampling):
-        return sem.RandomSampling(strategy.count, max_den)
+    if args.strategy:
+        strategy = sem.parse_strategy(args.strategy)
+    elif m is not None and m.finite:
+        strategy = sem.Exhaustive()
+    else:
+        strategy = sem.RandomSampling(10000)
+    if args.max_den is not None:
+        sem.check_max_denominator(strategy, args.max_den)
+        if isinstance(strategy, sem.RandomSampling):
+            strategy = sem.RandomSampling(strategy.count, args.max_den)
     return strategy
 
 
@@ -103,22 +103,19 @@ def _split_top(text: str) -> list[str]:
 
 
 def _ast(t: Term) -> dict:
-    node = type(t).__name__
+    # one frame per level of nesting (a comprehension adds one before Python
+    # 3.12), so that building the tree fails no sooner than printing it
+    node = {"node": type(t).__name__}
     if isinstance(t, Var):
-        return {"node": node, "name": t.name}
-    kids = children(t)
-    if not kids:
-        return {"node": node}
-    return {"node": node, "children": [_ast(c) for c in kids]}
+        node["name"] = t.name
+    elif kids := children(t):
+        node["children"] = list(map(_ast, kids))
+    return node
 
 
-def _ast_text(t: Term, indent: int = 0) -> str:
-    pad = "  " * indent
-    node = type(t).__name__
-    if isinstance(t, Var):
-        return f"{pad}{node} {t.name}"
-    lines = [pad + node]
-    for c in children(t):
+def _ast_text(node: dict, indent: int = 0) -> str:
+    lines = ["  " * indent + node["node"] + (f" {node['name']}" if "name" in node else "")]
+    for c in node.get("children", ()):
         lines.append(_ast_text(c, indent + 1))
     return "\n".join(lines)
 
@@ -158,11 +155,8 @@ def _load_script(path: str):
 
 
 def cmd_parse(args) -> int:
-    t = parse(args.formula, _sig(args.sig))
-    if args.json:
-        print(json.dumps(_ast(t), sort_keys=True))
-    else:
-        print(_ast_text(t))
+    tree = _ast(parse(args.formula, _sig(args.sig)))
+    print(json.dumps(tree, sort_keys=True) if args.json else _ast_text(tree))
     return 0
 
 
@@ -197,7 +191,7 @@ def cmd_check_eq(args) -> int:
     m = _model(args.model)
     lhs = parse(args.lhs, m.signature)
     rhs = parse(args.rhs, m.signature)
-    strategy = _apply_max_den(_default_strategy(m, args.strategy), args.max_den)
+    strategy = _strategy(args, m)
     report = sem.check_equation(lhs, rhs, m, strategy, args.seed)
     return _emit_report(report, args.json)
 
@@ -210,7 +204,7 @@ def cmd_check_entail(args) -> int:
         raise CliError("entailment needs a Wajsberg view; pick a model with @w")
     premises = [parse(p, Sig.W) for p in args.premise or []]
     conclusion = parse(args.conclusion, Sig.W)
-    strategy = _apply_max_den(_default_strategy(m, args.strategy), args.max_den)
+    strategy = _strategy(args, m)
     report = sem.check_entailment(premises, conclusion, m, strategy, args.seed)
     return _emit_report(report, args.json)
 
@@ -224,10 +218,7 @@ def cmd_find_countermodel(args) -> int:
     first = _model(names[0])
     lhs = parse(args.lhs, first.signature)
     rhs = parse(args.rhs, first.signature)
-    strategy = _apply_max_den(
-        sem.parse_strategy(args.strategy) if args.strategy else sem.RandomSampling(10000),
-        args.max_den,
-    )
+    strategy = _strategy(args)
     report = sem.search_countermodel(lhs, rhs, names, strategy, args.seed)
     return _emit_report(report, args.json)
 
@@ -276,7 +267,7 @@ def cmd_audit_axioms(args) -> int:
 
     m = _model(args.model)
     battery = audit_battery(m.signature)
-    strategy = _apply_max_den(_default_strategy(m, args.strategy), args.max_den)
+    strategy = _strategy(args, m)
     failures = 0
     for eq in battery:
         report = sem.check_equation(eq.lhs, eq.rhs, m, strategy, args.seed)

@@ -13,7 +13,7 @@ from .script import (
     parse_script,
 )
 from .checker import LineCheck, ProofReport, check_proof
-from .registry import CertificationFailed, DerivedRule, Registry, standard_registry
+from .registry import CertificationFailed, Registry, standard_registry
 from .transforms import (
     PathMismatch,
     NotRegular,

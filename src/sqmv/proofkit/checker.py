@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from ..syntax import Term, match_schema
 from .script import AxiomRef, HypRef, LemmaRef, ProofScript, RuleRef
-from .systems import AXIOMS, RULES, SQL
+from .systems import AXIOMS, RULES, SQL, Rule
 
 
 @dataclass
@@ -37,16 +37,11 @@ class ProofReport:
         return f"REJECT at line {self.failure_line}: {self.failure_reason}"
 
 
-def _match_application(
-    premises: tuple[Term, ...],
-    conclusion: Term,
-    cited: list[Term],
-    goal: Term,
-) -> dict[str, Term] | None:
-    sigma = match_schema(conclusion, goal)
+def _match_application(rule: Rule, cited: list[Term], goal: Term) -> dict[str, Term] | None:
+    sigma = match_schema(rule.conclusion, goal)
     if sigma is None:
         return None
-    for schema, formula in zip(premises, cited):
+    for schema, formula in zip(rule.premises, cited):
         sigma = match_schema(schema, formula, sigma)
         if sigma is None:
             return None
@@ -98,20 +93,17 @@ def check_proof(script: ProofScript, registry=None) -> ProofReport:
         if isinstance(just, RuleRef):
             kind, name = "Rule", just.name
             rule = rules.get(name)
-            schemas = None if rule is None else (rule.premises, rule.conclusion)
         elif script.system != SQL:
             return reject(n, "LemmasRequireRegistry: derived rules live in sqL*")
         else:
             kind, name = "Lemma", just.rule_id
-            entry = registry.get(name) if registry is not None else None
-            schemas = None if entry is None else (entry.hypotheses, entry.conclusion)
+            rule = registry.get(name) if registry is not None else None
 
-        if schemas is None:
+        if rule is None:
             return reject(n, f"Unknown{kind}: {name}")
-        premises, conclusion = schemas
-        if len(cited) != len(premises):
-            return reject(n, f"ArityMismatch: {name} takes {len(premises)} premises")
-        if _match_application(premises, conclusion, cited, line.formula) is None:
+        if len(cited) != len(rule.premises):
+            return reject(n, f"ArityMismatch: {name} takes {len(rule.premises)} premises")
+        if _match_application(rule, cited, line.formula) is None:
             return reject(n, f"NoMatching{kind}Instance: {name}")
         checks.append(LineCheck(n, True, f"{kind.lower()} {name}"))
 

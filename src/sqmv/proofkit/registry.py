@@ -7,39 +7,30 @@ files, whose numeric filename prefixes fix the order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from ..syntax import SqmvError, Term
+from ..syntax import SqmvError
 from .checker import check_proof
 from .script import ProofScript, parse_script
-from .systems import SQL
+from .systems import SQL, Rule
 
 
 class CertificationFailed(SqmvError):
     pass
 
 
-@dataclass(frozen=True)
-class DerivedRule:
-    rule_id: str
-    hypotheses: tuple[Term, ...]
-    conclusion: Term
-    certificate: ProofScript
-
-
 class Registry:
     def __init__(self):
-        self._rules: dict[str, DerivedRule] = {}
+        self._rules: dict[str, Rule] = {}
 
-    def get(self, rule_id: str) -> DerivedRule | None:
+    def get(self, rule_id: str) -> Rule | None:
         return self._rules.get(rule_id)
 
     def ids(self) -> tuple[str, ...]:
         return tuple(self._rules)
 
-    def register(self, rule_id: str, certificate: ProofScript) -> DerivedRule:
+    def register(self, rule_id: str, certificate: ProofScript) -> Rule:
         """Check ``certificate`` against the rules registered so far, then add it.
 
         The certificate's hypotheses become the rule's premise schemas and its
@@ -54,9 +45,7 @@ class Registry:
             raise CertificationFailed(
                 f"certificate for {rule_id!r} rejected: {report.summary()}"
             )
-        rule = DerivedRule(
-            rule_id, certificate.hypotheses, certificate.conclusion, certificate
-        )
+        rule = Rule(rule_id, certificate.hypotheses, certificate.conclusion)
         self._rules[rule_id] = rule
         return rule
 

@@ -7,7 +7,7 @@ implications, forward first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..syntax import (
     Sig,
@@ -60,9 +60,16 @@ AXIOMS[LSTAR] = {p: AXIOMS[SQL][q] for p, q in L_TO_SQ_AXIOM.items()}
 
 @dataclass(frozen=True)
 class Rule:
+    """A deduction rule of a system, or a lemma registered from a certificate."""
+
     name: str
     premises: tuple[Term, ...]
     conclusion: Term
+
+    @property
+    def hypotheses(self) -> tuple[Term, ...]:
+        """The premises, under the name a certificate gives them."""
+        return self.premises
 
 
 def _rule(name: str, premises: list[str], conclusion: str) -> Rule:
@@ -71,7 +78,7 @@ def _rule(name: str, premises: list[str], conclusion: str) -> Rule:
     return Rule(name, prem, concl)
 
 
-_SQ_RULES = [
+RULES: dict[str, dict[str, Rule]] = {SQL: {r.name: r for r in (
     _rule("qMP", ["(r -> r) -> p", "(r -> r) -> (p -> q)"], "(r -> r) -> q"),
     _rule("Reg", ["p"], "(r -> r) -> p"),
     _rule("AReg1", ["(r -> r) -> (p -> q)"], "p -> q"),
@@ -83,18 +90,13 @@ _SQ_RULES = [
     _rule("Flat", ["p", "~1"], "~p"),
     _rule("R2'", ["p -> q", "r -> t"], "(q -> r) -> (p -> t)"),
     _rule("R3'", ["(r -> r) -> p"], "p^-"),
-]
-
-_L_RULES = [
+)}}
+# L*'s R2 has the forms of sqL*'s R2'.
+RULES[LSTAR] = {r.name: r for r in (
     _rule("R1", ["p", "p -> q"], "q"),
-    _rule("R2", ["p -> q", "r -> t"], "(q -> r) -> (p -> t)"),
+    replace(RULES[SQL]["R2'"], name="R2"),
     _rule("R3", ["p"], "p^-"),
-]
-
-RULES: dict[str, dict[str, Rule]] = {
-    SQL: {r.name: r for r in _SQ_RULES},
-    LSTAR: {r.name: r for r in _L_RULES},
-}
+)}
 
 
 def instantiate_axiom(system: str, name: str, assignment: dict[str, Term]) -> tuple[Term, ...]:

@@ -350,29 +350,32 @@ def _env_shape(env: dict) -> tuple:
 
 
 def _blocks(shape: tuple):
-    """Cut the row-major order of ``shape`` into blocks of at most ``_SLICE``
-    valuations, slicing the first axis below which a block fits; yield each
-    block's first row-major index, its slices (none if one block) and shape."""
-    if prod(shape) <= _SLICE:
-        yield 0, (), shape
-        return
-    p = 0
-    while prod(shape[p + 1:]) > _SLICE:
-        p += 1
-    inner = prod(shape[p + 1:])
-    step = _SLICE // inner
-    for j, outer in enumerate(np.ndindex(*shape[:p])):
-        for s in range(0, shape[p], step):
-            e = min(s + step, shape[p])
-            cut = tuple(slice(o, o + 1) for o in outer) + (slice(s, e),)
-            yield (j * shape[p] + s) * inner, cut, (1,) * p + (e - s,) + shape[p + 1:]
+    """Cut the row-major order of ``shape`` into runs of whole rows, a row
+    being one index of the fewest leading axes below which at most
+    ``_SLICE`` valuations lie, so that every block but the last holds
+    ``_SLICE // row`` rows.  Yield each block's first row-major index, its
+    index into the leading axes (a slice if there is one such axis) and
+    its shape."""
+    lead = 0
+    while prod(shape[lead:]) > _SLICE:
+        lead += 1
+    row, rows = prod(shape[lead:]), prod(shape[:lead])
+    step = _SLICE // row
+    for s in range(0, rows, step):
+        e = min(s + step, rows)
+        if lead > 1:
+            index = np.unravel_index(np.arange(s, e), shape[:lead])
+        else:
+            index = (slice(s, e),)[:lead]
+        yield s * row, index, ((e - s,) if lead else ()) + shape[lead:]
 
 
-def _cut(rep, cut: tuple):
+def _take(rep, index: tuple):
+    """``rep`` (an array or a pair of them) at ``index`` into its leading
+    axes; an axis of length 1 is broadcast, not indexed."""
     if isinstance(rep, tuple):
-        return tuple(_cut(a, cut) for a in rep)
-    # an axis of length 1 is broadcast, not sliced
-    return rep[tuple(c if d > 1 else slice(None) for c, d in zip(cut, rep.shape))]
+        return tuple(_take(a, index) for a in rep)
+    return rep[tuple(c if d > 1 else 0 for c, d in zip(index, rep.shape))]
 
 
 def _workers() -> int:
@@ -403,27 +406,22 @@ def _executor(threads: int):
 def _first_witness(env: dict, bad_in) -> int | None:
     """Row-major index of the first valuation where the mask ``bad_in(part)``
     holds, or None.  The mask is built for one block ``part`` of ``env`` at a
-    time.  Up to ``_workers()`` consecutive blocks (a window) are built at
-    once, the first on the calling thread and the rest on the block threads;
-    each window is read in block order and the sweep stops at the first
-    block with a witness (or error), so the result does not depend on the
-    thread count."""
+    time, a run of whole rows (``_blocks``).  Up to ``_workers()``
+    consecutive blocks (a window) are built at once, the first on the
+    calling thread and the rest on the block threads, which exist only once
+    a window holds more than one block; each window is read in block order
+    and the sweep stops at the first block with a witness (or error), so
+    the result does not depend on the thread count."""
 
-    def first_hit(offset, cut, block):
-        part = {nm: _cut(rep, cut) for nm, rep in env.items()} if cut else env
-        mask = bad_in(part)
+    def first_hit(offset, index, block):
+        mask = bad_in({nm: _take(rep, index) for nm, rep in env.items()} if index else env)
         hits = np.flatnonzero(mask if mask.shape == block else np.broadcast_to(mask, block))
         return offset + int(hits[0]) if hits.size else None
 
     blocks = _blocks(_env_shape(env))
-    first = next(blocks)
-    if not first[1]:  # one block: no threads
-        return first_hit(*first)
     w = _workers()
-    pool = _executor(w - 1) if w > 1 else None
-    window = [first, *itertools.islice(blocks, w - 1)]
-    while window:
-        futures = [pool.submit(first_hit, *b) for b in window[1:]]
+    while window := list(itertools.islice(blocks, w)):
+        futures = [_executor(w - 1).submit(first_hit, *b) for b in window[1:]]
         try:
             i = first_hit(*window[0])
         finally:
@@ -432,7 +430,6 @@ def _first_witness(env: dict, bad_in) -> int | None:
         for i in itertools.chain([i], (f.result() for f in futures)):
             if i is not None:
                 return i
-        window = list(itertools.islice(blocks, w))
     return None
 
 
@@ -441,18 +438,15 @@ def _valuation_at(m: Model, env: dict, D: int, i: int) -> dict:
     the element of each array is read, nothing is broadcast."""
     shape = _env_shape(env)
     coords = np.unravel_index(i, shape) if shape else ()
-
-    def at(a) -> int:
-        return int(a[tuple(c if d > 1 else 0 for c, d in zip(coords, a.shape))])
-
     out = {}
     for nm, rep in env.items():
+        v = _take(rep, coords)
         if isinstance(m, FiniteModel):
-            out[nm] = m.elements[at(rep)]
+            out[nm] = m.elements[int(v)]
         elif m.pair:
-            out[nm] = (Fraction(at(rep[0]), D), Fraction(at(rep[1]), D))
+            out[nm] = (Fraction(int(v[0]), D), Fraction(int(v[1]), D))
         else:
-            out[nm] = Fraction(at(rep), D)
+            out[nm] = Fraction(int(v), D)
     return out
 
 

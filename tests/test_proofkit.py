@@ -308,7 +308,7 @@ def _mutants(script: ProofScript, rng: random.Random):
         elif isinstance(just, LemmaRef):
             for other in lemma_ids:
                 entry = standard_registry().get(other)
-                if other != just.rule_id and len(entry.hypotheses) == len(just.premises):
+                if other != just.rule_id and len(entry.premises) == len(just.premises):
                     yield i, LemmaRef(other, just.premises)
             for premises in premise_swaps(i, just):
                 yield i, LemmaRef(just.rule_id, premises)
@@ -492,7 +492,7 @@ class TestSoundnessBridge:
         reg = standard_registry()
         for rule_id in reg.ids():
             rule = reg.get(rule_id)
-            if rule.hypotheses:
+            if rule.premises:
                 continue
             report = check_entailment([], rule.conclusion, sw, RandomSampling(10000), seed=2)
             assert not report.found_countermodel, rule_id

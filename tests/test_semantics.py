@@ -217,16 +217,17 @@ def _brute_force_first(m, names, failing):
 
 
 # an equation and an entailment on chain:40 (81 elements) whose first witness
-# lies 793881 valuations into their 4-variable sweep
-BLOCKED_EQUATION = (mv("w (+) w (+) x (+) z^-^+"), mv("w (+) x (+) y^-^+"))
-BLOCKED_ENTAILMENT = ([w("x"), w("z -> z"), w("y -> y")], w("w -> (~w -> w)"))
+# lies 1056321 valuations into their 4-variable sweep, and a valid equation
+BLOCKED_EQUATION = (mv("w (+) w (+) (x (+) -1) (+) z^-^+"), mv("w (+) (x (+) -1) (+) y^-^+"))
+BLOCKED_ENTAILMENT = ([w("1 -> x"), w("z -> z"), w("y -> y")], w("w -> (~w -> w)"))
+VALID_CHAIN40 = (mv("(w (+) x) (+) (y (+) z)"), mv("(x (+) w) (+) (z (+) y)"))
 
 
 class TestBlockedSweeps:
-    # chain:40 has 81 elements: each of the 81 leading-axis slices of a
-    # 4-variable sweep is cut into blocks of 39, 39 and 3 rows of 81**2
-    # valuations, and the first witness sits in the fifth block, past the
-    # widest window of blocks that are built at once
+    # chain:40 has 81 elements: a 4-variable sweep is cut into 169 blocks of
+    # 39 rows of 81**2 valuations (the last of 3 rows), a row being one index
+    # of the first two axes, and the first witness sits in the fifth block,
+    # past the widest window of blocks that are built at once
     NAMES = ["w", "x", "y", "z"]
 
     def assert_beyond_first_window(self, m, i):
@@ -263,17 +264,29 @@ class TestBlockedSweeps:
     @pytest.mark.parametrize("shape", [(), (7,), (2_000_000,), (81,) * 4, (3, 2**10, 2**11),
                                        (2, 3, 2**21)])
     def test_blocks_tile_the_row_major_order(self, shape):
-        # rows longer than a block are cut on the first axis below which a block fits
+        # each block, read through _take from one broadcast axis per position,
+        # runs from its offset on in row-major order
+        axes = [np.arange(d).reshape((1,) * i + (d,) + (1,) * (len(shape) - 1 - i))
+                for i, d in enumerate(shape)]
         nxt = 0
-        for offset, cut, block in semantics._blocks(shape):
+        for offset, index, block in semantics._blocks(shape):
             assert offset == nxt
-            assert len(block) == len(shape) and int(np.prod(block)) <= semantics._SLICE
-            starts = [c.start for c in cut] + [0] * (len(shape) - len(cut))
-            assert offset == (np.ravel_multi_index(starts, shape) if shape else 0)
-            assert [c.stop - c.start for c in cut] == list(block[:len(cut)])
-            assert block[len(cut):] == shape[len(cut):]
-            nxt = offset + int(np.prod(block))
+            size = int(np.prod(block))
+            assert size <= semantics._SLICE and block[1:] == shape[len(shape) + 1 - len(block):]
+            coords = [np.broadcast_to(semantics._take(a, index), block) for a in axes]
+            for j in (0, size - 1) if shape else ():
+                assert np.ravel_multi_index([c.flat[j] for c in coords], shape) == offset + j
+            nxt = offset + size
         assert nxt == int(np.prod(shape))
+
+    @pytest.mark.parametrize("shape, rows, row, blocks", [((81,) * 4, 39, 81**2, 169),
+                                                          ((41,) * 5, 3, 41**3, 561)])
+    def test_every_block_but_the_last_is_full(self, shape, rows, row, blocks):
+        # a row is one index of the fewest leading axes below which a block fits
+        sizes = [int(np.prod(block)) for _, _, block in semantics._blocks(shape)]
+        assert len(sizes) == blocks
+        assert set(sizes[:-1]) == {rows * row} and rows * row <= semantics._SLICE < (rows + 1) * row
+        assert sum(sizes) == int(np.prod(shape))
 
     def test_large_sweeps_stay_small_in_memory(self, monkeypatch):
         # 401**3 valuations: at most one window of _WORKERS blocks of them is
@@ -306,11 +319,12 @@ class TestWorkerCounts:
     @pytest.mark.parametrize("check", [
         lambda: check_equation(*BLOCKED_EQUATION, resolve("chain:40"), Exhaustive()),
         lambda: check_entailment(*BLOCKED_ENTAILMENT, resolve("chain:40@w"), Exhaustive()),
+        lambda: check_equation(*VALID_CHAIN40, resolve("chain:40"), Exhaustive()),
         lambda: check_equation(*VALID_CHAIN70, resolve("chain:70"), Exhaustive()),
         lambda: check_equation(*TWO_WITNESS_BLOCKS, resolve("chain:70"), Exhaustive()),
         lambda: check_equation(mv("x (+) y"), mv("y (+) x"), resolve("square"),
                                RandomSampling(2_000_000), seed=5),
-    ], ids=["blocked-equation", "blocked-entailment", "valid-chain70",
+    ], ids=["blocked-equation", "blocked-entailment", "valid-chain40", "valid-chain70",
             "two-witness-blocks", "random-square"])
     def test_same_report_for_every_thread_count(self, monkeypatch, check):
         texts = []

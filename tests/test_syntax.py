@@ -336,3 +336,12 @@ class TestWalks:
             t = PosPart(t)
         with pytest.raises(SignatureError, match="^connective UMinus is not part of the W-STAR"):
             check_signature(t, Sig.W)
+
+    def test_parse_verb_prints_a_deep_tree(self, capsys):
+        # the text tree is rendered from the --json dict; building that dict
+        # must not fail sooner than the text walk
+        from sqmv.cli import main
+
+        assert main(["parse", "--", "-" * 800 + "x"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 801 and out[-1] == "  " * 800 + "Var x"

@@ -168,6 +168,18 @@ class TestSharing:
         assert len(compound) == 9
         assert calls["vec_apply"] == 9 * calls["run"]
 
+    def test_once_per_run_of_whole_rows(self, monkeypatch):
+        # a valid 4-variable sweep of chain:40 runs the tape on 169 blocks of
+        # 39 rows of 81**2 valuations, a row being one index of the first
+        # two axes (243 blocks if each index of the first axis were cut alone)
+        monkeypatch.setattr(semantics, "_workers", lambda: 1)
+        calls = self.count_calls(monkeypatch, FiniteModel)
+        report = check_equation(parse("(w (+) x) (+) (y (+) z)", Sig.MV),
+                                parse("(x (+) w) (+) (z (+) y)", Sig.MV),
+                                resolve("chain:40"), Exhaustive())
+        assert (report.verdict, report.samples_tried) == (Verdict.VALID_EXHAUSTIVE, 81**4)
+        assert calls["run"] == 169
+
 
 def test_deep_terms_compile_and_run():
     # 3000 nested negations, three times the default recursion limit
