@@ -47,21 +47,23 @@ class MissingBinding(FormulaError):
 # ---------------------------------------------------------------------------
 # Term nodes
 
-# Print levels, loosest first; an operand below its slot's level is parenthesised.
+# Print and parse levels, loosest first; an operand below its slot's level is
+# parenthesised.  The join sugar \/ has a level but no node class.
 _LEVEL_INFIX = 1
-_LEVEL_PREFIX = 2
-_LEVEL_POSTFIX = 3
-_LEVEL_ATOM = 4
+_LEVEL_JOIN = 2
+_LEVEL_PREFIX = 3
+_LEVEL_POSTFIX = 4
+_LEVEL_ATOM = 5
 
 
 @dataclass(frozen=True)
 class Term:
     """A formula node.  Each node class states its facts once: ``op`` names the
     model operation or constant it denotes, ``sig`` the one signature it
-    belongs to (None: both), and ``level``/``symbol`` its print form.  The
-    connective classes add only these attributes to ``Term``, ``Binary`` or
-    ``Unary`` and inherit their dataclass methods; ``__eq__`` compares the
-    exact class."""
+    belongs to (None: both), and ``level``/``symbol`` its print and parse
+    form.  The connective classes add only these attributes to ``Term``,
+    ``Binary`` or ``Unary`` and inherit their dataclass methods; ``__eq__``
+    compares the exact class."""
 
     __slots__ = ()
     sig = None
@@ -127,10 +129,10 @@ class NegPart(Unary):
 ZERO = Const0()
 ONE = Const1()
 
+_NODES = (Var, Const0, Const1, OPlus, UMinus, Impl, Neg, PosPart, NegPart)
+
 # Constructor tags accepted by count_connective: each class's op, and "neg".
-CONNECTIVES = {
-    c.op: c for c in (Var, Const0, Const1, OPlus, UMinus, Impl, Neg, PosPart, NegPart)
-}
+CONNECTIVES = {c.op: c for c in _NODES}
 CONNECTIVES["neg"] = Neg
 
 
@@ -264,148 +266,113 @@ def _w_to_mv(s: Term) -> Term:
 # variable names
 IDENT = re.compile(r"[a-z][a-z0-9_]*")
 
-_TOKEN_RE = re.compile(
-    rf"""(?P<ws>\s+)
-      | (?P<oplus>\(\+\))
-      | (?P<iff><->)
-      | (?P<arrow>->)
-      | (?P<pospart>\^\+)
-      | (?P<negpart>\^-)
-      | (?P<join>\\/)
-      | (?P<minus>-)
-      | (?P<tilde>~)
-      | (?P<lpar>\()
-      | (?P<rpar>\))
-      | (?P<zero>0)
-      | (?P<one>1)
-      | (?P<ident>{IDENT.pattern})
-    """,
-    re.VERBOSE,
-)
+
+class _Join:
+    """The join ``\\/``, a binary connective of the parser only (see :func:`join_term`)."""
+
+    sig, symbol, level, operand_levels = None, "\\/", _LEVEL_JOIN, (_LEVEL_JOIN, _LEVEL_PREFIX)
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+_TOKENS = {c.symbol: c for c in (*_NODES, _Join) if c is not Var}
+_BINARY = {s: c for s, c in _TOKENS.items() if c.level <= _LEVEL_JOIN}
+# longest first: "(+)" before "(", "<->" and "->" before "-"
+_SYMBOLS = sorted([*_TOKENS, "<->", "(", ")"], key=len, reverse=True)
+# after optional whitespace: a symbol or a variable name, or else one stray character
+_TOKEN = re.compile(r"\s*(?:(%s|%s)|(\S))" % ("|".join(map(re.escape, _SYMBOLS)), IDENT.pattern))
+
+
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    """(token, position) pairs, ending with ``("", len(text))``."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        if kind != "ws":
-            tokens.append((kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(("eof", "", len(text)))
+    for m in _TOKEN.finditer(text):
+        if m.lastindex == 2:
+            raise ParseError(f"unexpected character {m[2]!r}", m.start(2))
+        tokens.append((m[1], m.start(1)))
+    tokens.append(("", len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, text: str, sig: Sig, allow_iff: bool):
+    def __init__(self, text: str, sig: Sig):
         self.tokens = _tokenize(text)
         self.sig = sig
-        self.allow_iff = allow_iff
         self.i = 0
 
-    def allow(self, cls: type[Term]) -> None:
-        if cls.sig is not None and cls.sig is not self.sig:
-            raise SignatureError(
-                f"'{cls.symbol}' is not part of the {self.sig.value.upper()}-STAR language"
-            )
+    def allow(self, cls: type) -> None:
+        if cls.sig not in (None, self.sig):
+            lang = self.sig.value.upper()
+            raise SignatureError(f"'{cls.symbol}' is not part of the {lang}-STAR language")
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
+    def expect(self, token: str, name: str) -> None:
+        found, pos = self.tokens[self.i]
         self.i += 1
-        return tok
+        if found != token:
+            raise ParseError(f"expected {name!r}, found {found!r}", pos)
 
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
+    def take(self, level: int) -> type | None:
+        """Consume the next token if its class has ``level``, and return that class."""
+        cls = _TOKENS.get(self.tokens[self.i][0])
+        if cls is None or cls.level != level:
+            return None
+        self.allow(cls)
+        self.i += 1
+        return cls
 
-    # precedence, loosest first: <->, (-> | (+)), \/, prefix, postfix, atom
-
-    def parse_iff(self) -> tuple[Term, ...]:
-        lhs = self.parse_infix()
-        if self.peek()[0] == "iff":
-            tok = self.next()
-            if not self.allow_iff:
-                raise ParseError("'<->' is not allowed here", tok[2])
+    def formulas(self, allow_iff: bool) -> tuple[Term, ...]:
+        """The whole text: one formula, or both implications of a topmost ``<->``."""
+        terms = (self.formula(_LEVEL_INFIX),)
+        tok, pos = self.tokens[self.i]
+        if tok == "<->":
+            self.i += 1
+            if not allow_iff:
+                raise ParseError("'<->' is not allowed here", pos)
             if self.sig is not Sig.W:
                 raise SignatureError("'<->' belongs to the W-STAR language")
-            rhs = self.parse_infix()
-            return (Impl(lhs, rhs), Impl(rhs, lhs))
-        return (lhs,)
+            lhs, rhs = terms[0], self.formula(_LEVEL_INFIX)
+            terms = (Impl(lhs, rhs), Impl(rhs, lhs))
+        self.expect("", "eof")
+        return terms
 
-    def parse_infix(self) -> Term:
-        lhs = self.parse_join()
-        if self.peek()[0] == "arrow":
-            self.allow(Impl)
-            self.next()
-            return Impl(lhs, self.parse_infix())
-        while self.peek()[0] == "oplus":
-            self.allow(OPlus)
-            self.next()
-            lhs = OPlus(lhs, self.parse_join())
-        return lhs
-
-    def parse_join(self) -> Term:
-        t = self.parse_prefix()
-        while self.peek()[0] == "join":
-            self.next()
-            t = join_term(t, self.parse_prefix(), self.sig)
-        return t
-
-    def parse_prefix(self) -> Term:
-        kind = self.peek()[0]
-        if kind == "minus":
-            self.allow(UMinus)
-            self.next()
-            return UMinus(self.parse_prefix())
-        if kind == "tilde":
-            self.allow(Neg)
-            self.next()
-            return Neg(self.parse_prefix())
-        return self.parse_postfix()
-
-    def parse_postfix(self) -> Term:
-        t = self.parse_atom()
+    def formula(self, least: int) -> Term:
+        """An operand, then each binary connective after it of level ``least`` or more."""
+        left, left_level = self.operand(), _LEVEL_PREFIX
         while True:
-            kind = self.peek()[0]
-            if kind == "pospart":
-                self.next()
-                t = PosPart(t)
-            elif kind == "negpart":
-                self.next()
-                t = NegPart(t)
-            else:
-                return t
+            cls = _BINARY.get(self.tokens[self.i][0])
+            if cls is None or cls.level < least or left_level < cls.operand_levels[0]:
+                return left
+            self.allow(cls)
+            self.i += 1
+            right = self.formula(cls.operand_levels[1])
+            left = join_term(left, right, self.sig) if cls is _Join else cls(left, right)
+            left_level = cls.level
 
-    def parse_atom(self) -> Term:
-        kind, text, pos = self.next()
-        if kind == "ident":
-            return Var(text)
-        if kind == "zero":
-            self.allow(Const0)
-            return ZERO
-        if kind == "one":
-            return ONE
-        if kind == "lpar":
-            inner = self.parse_infix()
-            self.expect("rpar")
-            return inner
-        raise ParseError(f"expected a formula, found {text!r}", pos)
+    def operand(self) -> Term:
+        """A run of prefix connectives, one atom, then a run of postfix connectives."""
+        prefixes = []
+        while cls := self.take(_LEVEL_PREFIX):
+            prefixes.append(cls)
+        tok, pos = self.tokens[self.i]
+        self.i += 1
+        if tok == "(":
+            t = self.formula(_LEVEL_INFIX)
+            self.expect(")", "rpar")
+        elif tok.isidentifier():  # of all tokens, only variable names are
+            t = Var(tok)
+        elif (cls := _TOKENS.get(tok)) is not None and cls.level == _LEVEL_ATOM:
+            self.allow(cls)
+            t = cls()
+        else:
+            raise ParseError(f"expected a formula, found {tok!r}", pos)
+        while cls := self.take(_LEVEL_POSTFIX):
+            t = cls(t)
+        for cls in reversed(prefixes):
+            t = cls(t)
+        return t
 
 
 def parse(text: str, sig: Sig) -> Term:
     """Parse ``text`` as a single formula of the given signature."""
-    p = _Parser(text, sig, allow_iff=False)
-    terms = p.parse_iff()
-    p.expect("eof")
-    return terms[0]
+    return _Parser(text, sig).formulas(allow_iff=False)[0]
 
 
 def parse_iff(text: str, sig: Sig = Sig.W) -> tuple[Term, ...]:
@@ -414,10 +381,7 @@ def parse_iff(text: str, sig: Sig = Sig.W) -> tuple[Term, ...]:
     Returns a 1-tuple for plain formulas and the pair of implications
     (forward, backward) if ``<->`` is present.
     """
-    p = _Parser(text, sig, allow_iff=True)
-    terms = p.parse_iff()
-    p.expect("eof")
-    return terms
+    return _Parser(text, sig).formulas(allow_iff=True)
 
 
 # ---------------------------------------------------------------------------

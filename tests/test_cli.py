@@ -550,7 +550,7 @@ class TestErrorTaxonomy:
 
     @pytest.mark.parametrize("verb", ["parse", "print"])
     def test_deep_nesting_exits_two(self, capsys, verb):
-        code, out, err = run(capsys, verb, "(" * 198 + "x" + ")" * 198)
+        code, out, err = run(capsys, verb, "(" * 1000 + "x" + ")" * 1000)
         assert (code, out, err) == (2, "", "error: formula nests too deeply\n")
 
     def test_long_left_nested_sum_exits_two(self, capsys):

@@ -12,6 +12,7 @@ from sqmv.syntax import (
     CONNECTIVES,
     Const0,
     Const1,
+    FormulaError,
     Impl,
     MissingBinding,
     Neg,
@@ -91,6 +92,22 @@ class TestParse:
     def test_join_sugar_expands(self):
         assert parse("p \\/ q", Sig.W) == join_term(p, q, Sig.W)
         assert parse("p \\/ q", Sig.MV) == join_term(p, q, Sig.MV)
+        # \/ binds tighter than (+) and ->, looser than prefix and postfix connectives
+        mv, w = Sig.MV, Sig.W
+        assert parse("p (+) q \\/ r", mv) == OPlus(p, join_term(q, r, mv))
+        assert parse("p \\/ q (+) r", mv) == OPlus(join_term(p, q, mv), r)
+        assert parse("-p \\/ q", mv) == join_term(UMinus(p), q, mv)
+        assert parse("p \\/ q^+", mv) == join_term(p, PosPart(q), mv)
+        assert parse("p \\/ q \\/ r", mv) == join_term(join_term(p, q, mv), r, mv)
+        assert parse("p -> q \\/ r", w) == Impl(p, join_term(q, r, w))
+
+    def test_prefix_run_does_not_recurse(self):
+        # three times the default recursion limit
+        t = parse("-" * 3000 + "x", Sig.MV)
+        for _ in range(3000):
+            assert type(t) is UMinus
+            t = t.arg
+        assert t == Var("x")
 
 
 class TestPrint:
@@ -105,11 +122,34 @@ class TestPrint:
         assert print_term(Impl(Impl(p, q), r)) == "(p -> q) -> r"
 
     def test_round_trip_bulk(self):
-        rng = random.Random(7)
+        rng, gaps = random.Random(7), random.Random(8)
         for _ in range(10000):
             sig = rng.choice((Sig.MV, Sig.W))
             t = random_term(rng, sig, rng.randint(0, 8))
             assert parse(print_term(t), sig) == t
+            # text the printer never emits: every operand in parentheses,
+            # random whitespace between tokens
+            assert parse(_loose(t, gaps), sig) == t
+
+
+def _gap(rng) -> str:
+    return "".join(rng.choice(" \t\n") for _ in range(rng.randint(0, 2)))
+
+
+def _loose(t, rng) -> str:
+    """``t`` with every operand parenthesised and random whitespace around each token."""
+    kids = [f"({_gap(rng)}{_loose(c, rng)}{_gap(rng)})" for c in children(t)]
+    if isinstance(t, Var):
+        parts = [t.name]
+    elif isinstance(t, (UMinus, Neg)):
+        parts = [t.symbol, *kids]
+    elif isinstance(t, (PosPart, NegPart)):
+        parts = [*kids, t.symbol]
+    elif kids:
+        parts = [kids[0], t.symbol, kids[1]]
+    else:
+        parts = [t.symbol]
+    return _gap(rng) + _gap(rng).join(parts) + _gap(rng)
 
 
 _ws = st.recursive(
@@ -142,6 +182,52 @@ def test_parser_signature_errors(sig, text, message):
     with pytest.raises(SignatureError) as exc:
         parse_iff(text, sig)
     assert str(exc.value) == message
+
+
+_BOTH = (parse, parse_iff)
+
+
+def _formula(found, column):
+    return f"expected a formula, found {found!r} (at column {column})"
+
+
+@pytest.mark.parametrize("text, parsers, sigs, error, message, position", [
+    ("", _BOTH, Sig, ParseError, _formula("", 1), 0),
+    ("   ", _BOTH, Sig, ParseError, _formula("", 4), 3),
+    ("p ->", _BOTH, [Sig.W], ParseError, _formula("", 5), 4),
+    ("p ->", _BOTH, [Sig.MV], SignatureError, "'->' is not part of the MV-STAR language", None),
+    ("(p", _BOTH, Sig, ParseError, "expected 'rpar', found '' (at column 3)", 2),
+    ("p)", _BOTH, Sig, ParseError, "expected 'eof', found ')' (at column 2)", 1),
+    ("p q", _BOTH, Sig, ParseError, "expected 'eof', found 'q' (at column 3)", 2),
+    ("p & q", _BOTH, Sig, ParseError, "unexpected character '&' (at column 3)", 2),
+    ("\u00f1", _BOTH, Sig, ParseError, "unexpected character '\u00f1' (at column 1)", 0),
+    ("\\/p", _BOTH, Sig, ParseError, _formula("\\/", 1), 0),
+    ("^+", _BOTH, Sig, ParseError, _formula("^+", 1), 0),
+    ("p <-> q", [parse], Sig, ParseError, "'<->' is not allowed here (at column 3)", 2),
+    ("p <-> q", [parse_iff], [Sig.MV], SignatureError, "'<->' belongs to the W-STAR language", None),
+    ("(p <-> q)", _BOTH, Sig, ParseError, "expected 'rpar', found '<->' (at column 4)", 3),
+    ("p <-> q <-> r", [parse], Sig, ParseError, "'<->' is not allowed here (at column 3)", 2),
+    ("p <-> q <-> r", [parse_iff], [Sig.MV], SignatureError,
+     "'<->' belongs to the W-STAR language", None),
+    ("p <-> q <-> r", [parse_iff], [Sig.W], ParseError,
+     "expected 'eof', found '<->' (at column 9)", 8),
+    # a sum is not a left operand of ->, so the formula ends before the arrow
+    ("p (+) q -> r", _BOTH, [Sig.MV], ParseError, "expected 'eof', found '->' (at column 9)", 8),
+    ("p (+) q -> r", _BOTH, [Sig.W], SignatureError,
+     "'(+)' is not part of the W-STAR language", None),
+    ("p -> q (+) r", _BOTH, [Sig.W], SignatureError,
+     "'(+)' is not part of the W-STAR language", None),
+    ("p -> q (+) r", _BOTH, [Sig.MV], SignatureError,
+     "'->' is not part of the MV-STAR language", None),
+])
+def test_parser_error_surface(text, parsers, sigs, error, message, position):
+    for parser in parsers:
+        for sig in sigs:
+            with pytest.raises(FormulaError) as exc:
+                parser(text, sig)
+            assert type(exc.value) is error, (parser.__name__, sig)
+            assert str(exc.value) == message, (parser.__name__, sig)
+            assert getattr(exc.value, "position", None) == position, (parser.__name__, sig)
 
 
 class TestExpand:
