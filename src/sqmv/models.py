@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -485,34 +485,40 @@ class Tape:
     last_use: tuple[int, ...]
 
 
-def compile(terms: Sequence[Term], sig: Sig) -> Tape:
-    """One preorder walk over ``terms``; a node object met again is skipped."""
-    number: dict[tuple, int] = {}
-    seen: dict[int, int] = {}  # id of a walked node -> its step
+_TAPES = 128  # tapes kept; each keeps its formulas alive, so this bounds their memory
+
+
+@lru_cache(maxsize=_TAPES)
+def compile(terms: tuple[Term, ...], sig: Sig) -> Tape:
+    """One preorder walk over ``terms``, kept for the same formulas; a node met
+    again is skipped, and equal subterms are one node, so one step each."""
+    for t in terms:
+        check_signature(t, sig)
+    steps: list[tuple] = []
+    seen: dict[Term, int] = {}  # walked node -> its step
     for t in terms:
         stack = [t]
         while stack:
             s = stack.pop()
             if type(s) is tuple:  # (node, arguments) once the arguments have steps
                 s, kids = s
-                key = (s.op, tuple(map(seen.__getitem__, map(id, kids))))
-            elif id(s) in seen:
+                step = (s.op, tuple(map(seen.__getitem__, kids)))
+            elif s in seen:
                 continue
             else:
-                if s.sig is not None and s.sig is not sig:
-                    check_signature(t, sig)  # raises at s, the first foreign node
                 kids = children(s)
                 if kids:
                     stack.append((s, kids))
                     stack.extend(reversed(kids))
                     continue
-                key = ("var", s.name) if isinstance(s, Var) else (s.op, ())
-            seen[id(s)] = number.setdefault(key, len(number))
-    steps, outputs = tuple(number), tuple(seen[id(t)] for t in terms)
+                step = ("var", s.name) if isinstance(s, Var) else (s.op, ())
+            seen[s] = len(steps)
+            steps.append(step)
+    outputs = tuple(seen[t] for t in terms)
     last = {j: i for i, (op, args) in enumerate(steps) if op != "var" for j in args}
     last.update(dict.fromkeys(outputs, len(steps)))
     names = tuple(sorted(arg for op, arg in steps if op == "var"))
-    return Tape(steps, names, outputs, tuple(last[j] for j in range(len(steps))))
+    return Tape(tuple(steps), names, outputs, tuple(last[j] for j in range(len(steps))))
 
 
 def run(tape: Tape, m: Model, env: dict, D: int) -> list:

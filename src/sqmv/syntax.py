@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+import threading
+import weakref
+from itertools import repeat
 from typing import Iterator
 
 
@@ -55,79 +57,110 @@ _LEVEL_PREFIX = 3
 _LEVEL_POSTFIX = 4
 _LEVEL_ATOM = 5
 
+# Every live node by (class, *fields); an entry goes when its node dies.
+_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_LOCK = threading.Lock()
+_BOTH = "both"  # the signature needed by a term with connectives of both languages
 
-@dataclass(frozen=True)
+
 class Term:
-    """A formula node.  Each node class states its facts once: ``op`` names the
+    """A formula node, interned and immutable: equal terms are one node, so
+    ``==`` is ``is``.  Each node class states its facts once: ``op`` names the
     model operation or constant it denotes, ``sig`` the one signature it
-    belongs to (None: both), and ``level``/``symbol`` its print and parse
-    form.  The connective classes add only these attributes to ``Term``,
-    ``Binary`` or ``Unary`` and inherit their dataclass methods; ``__eq__``
-    compares the exact class."""
+    belongs to (None: both), ``level``/``symbol`` its print and parse form.  A
+    node records the signature its tree needs (``_needs``: None, a ``Sig`` or
+    ``_BOTH``) and its expansions (``_expanded``; None when it has no parts)."""
 
-    __slots__ = ()
+    __slots__ = ("_needs", "_expanded", "__weakref__")
+    _fields: tuple[str, ...] = ()
     sig = None
     level = _LEVEL_ATOM
+
+    def __new__(cls, *fields) -> Term:
+        key = (cls, *fields)
+        if (node := _TABLE.get(key)) is None:
+            with _LOCK:  # look again: another thread may have stored the node
+                node = _TABLE.setdefault(key, _make(cls, fields))
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
 
     def __str__(self) -> str:
         return print_term(self)
 
 
-@dataclass(frozen=True)
+def _make(cls: type, fields: tuple) -> Term:
+    if len(fields) != len(cls._fields):
+        raise TypeError(f"{cls.__name__} takes {len(cls._fields)} operands, not {len(fields)}")
+    node = object.__new__(cls)
+    for name, value in zip(cls._fields, fields):
+        object.__setattr__(node, name, value)
+    needs, parts = cls.sig, cls in (PosPart, NegPart)
+    for c in children(node):
+        if c._needs not in (None, needs):
+            needs = c._needs if needs is None else _BOTH
+        parts = parts or c._expanded is not None
+    object.__setattr__(node, "_needs", needs)
+    object.__setattr__(node, "_expanded", {} if parts else None)
+    return node
+
+
 class Var(Term):
-    name: str
+    __slots__ = _fields = ("name",)
     op = "var"
 
 
 class Const0(Term):
-    op, sig, symbol = "zero", Sig.MV, "0"
+    __slots__, op, sig, symbol = (), "zero", Sig.MV, "0"
 
 
 class Const1(Term):
-    op, symbol = "one", "1"
+    __slots__, op, symbol = (), "one", "1"
 
 
-@dataclass(frozen=True)
 class Binary(Term):
-    left: Term
-    right: Term
+    __slots__ = _fields = ("left", "right")
     level = _LEVEL_INFIX
     # least levels of the left and right operand: (+) groups to the left
     operand_levels = (_LEVEL_INFIX, _LEVEL_INFIX + 1)
 
 
-@dataclass(frozen=True)
 class Unary(Term):
-    arg: Term
+    __slots__ = _fields = ("arg",)
 
 
 class OPlus(Binary):
-    op, sig, symbol = "oplus", Sig.MV, "(+)"
+    __slots__, op, sig, symbol = (), "oplus", Sig.MV, "(+)"
 
 
 class Impl(Binary):
-    op, sig, symbol = "impl", Sig.W, "->"
+    __slots__, op, sig, symbol = (), "impl", Sig.W, "->"
     operand_levels = (_LEVEL_INFIX + 1, _LEVEL_INFIX)
 
 
 class UMinus(Unary):
-    op, sig, level, symbol = "uminus", Sig.MV, _LEVEL_PREFIX, "-"
+    __slots__, op, sig, level, symbol = (), "uminus", Sig.MV, _LEVEL_PREFIX, "-"
 
 
 class Neg(Unary):
-    op, sig, level, symbol = "wneg", Sig.W, _LEVEL_PREFIX, "~"
+    __slots__, op, sig, level, symbol = (), "wneg", Sig.W, _LEVEL_PREFIX, "~"
 
 
 class PosPart(Unary):
-    op, level, symbol = "pos", _LEVEL_POSTFIX, "^+"
+    __slots__, op, level, symbol = (), "pos", _LEVEL_POSTFIX, "^+"
 
 
 class NegPart(Unary):
-    op, level, symbol = "npart", _LEVEL_POSTFIX, "^-"
+    __slots__, op, level, symbol = (), "npart", _LEVEL_POSTFIX, "^-"
 
-
-ZERO = Const0()
-ONE = Const1()
 
 _NODES = (Var, Const0, Const1, OPlus, UMinus, Impl, Neg, PosPart, NegPart)
 
@@ -145,7 +178,12 @@ def children(t: Term) -> tuple[Term, ...]:
 
 
 def rebuild(t: Term, new_children: tuple[Term, ...]) -> Term:
-    return type(t)(*new_children) if new_children else t
+    """``t`` with ``new_children``; ``t`` itself when no child changed."""
+    return t if new_children == children(t) else type(t)(*new_children)
+
+
+ZERO = Const0()
+ONE = Const1()
 
 
 def subterms(t: Term) -> Iterator[Term]:
@@ -167,6 +205,8 @@ def count_connective(t: Term, tag: str | type) -> int:
 
 
 def check_signature(t: Term, sig: Sig) -> None:
+    if t._needs in (None, sig):  # walk only to find the first foreign node
+        return
     for s in subterms(t):
         if s.sig is not None and s.sig is not sig:
             raise SignatureError(
@@ -188,19 +228,25 @@ def is_regular(t: Term) -> bool:
 
 def join_term(x: Term, y: Term, sig: Sig) -> Term:
     """The lattice join as a term with primitive ``^+`` / ``^-`` parts."""
+    xp, yp, xn, yn = PosPart(x), PosPart(y), NegPart(x), NegPart(y)
     if sig is Sig.MV:
         # (x^+ (+) (-x^+ (+) y^+)^+) (+) (x^- (+) (-x^- (+) y^-)^+)
-        xp, yp, xn, yn = PosPart(x), PosPart(y), NegPart(x), NegPart(y)
         return OPlus(
             OPlus(xp, PosPart(OPlus(UMinus(xp), yp))),
             OPlus(xn, PosPart(OPlus(UMinus(xn), yn))),
         )
     # ((x^+ -> y^+)^+ -> (~x)^-) -> ((y^- -> x^-)^- -> x^-)
-    xp, yp, xn, yn = PosPart(x), PosPart(y), NegPart(x), NegPart(y)
     return Impl(
         Impl(PosPart(Impl(xp, yp)), NegPart(Neg(x))),
         Impl(NegPart(Impl(yn, xn)), xn),
     )
+
+
+# The defining terms of the parts in strong algebras, by signature and class.
+_PARTS = {Sig.W: {PosPart: lambda a: Impl(Impl(a, ONE), ONE),
+                  NegPart: lambda a: Impl(Impl(a, Neg(ONE)), Neg(ONE))},
+          Sig.MV: {PosPart: lambda a: OPlus(ONE, OPlus(UMinus(ONE), a)),
+                   NegPart: lambda a: OPlus(UMinus(ONE), OPlus(ONE, a))}}
 
 
 def expand_abbreviations(t: Term, sig: Sig) -> Term:
@@ -210,54 +256,46 @@ def expand_abbreviations(t: Term, sig: Sig) -> Term:
     return _expand(t, sig)
 
 
-# The recursive helpers below are module-level functions, not nested closures:
-# a closure that calls itself sits in a reference cycle, so every call would
-# leave garbage for the cyclic collector.
+# The recursive helpers below are module-level functions, not nested closures (a
+# closure that calls itself sits in a reference cycle, garbage after each call);
+# they recurse through ``map``, which unlike a comprehension adds no frame.
 def _expand(s: Term, sig: Sig) -> Term:
-    s = rebuild(s, tuple(_expand(c, sig) for c in children(s)))
-    if isinstance(s, PosPart):
-        if sig is Sig.W:
-            return Impl(Impl(s.arg, ONE), ONE)
-        return OPlus(ONE, OPlus(UMinus(ONE), s.arg))
-    if isinstance(s, NegPart):
-        if sig is Sig.W:
-            return Impl(Impl(s.arg, Neg(ONE)), Neg(ONE))
-        return OPlus(UMinus(ONE), OPlus(ONE, s.arg))
-    return s
+    # memoised on the node, never as itself: a node with parts expands to one without
+    memo = s._expanded
+    if memo is None:
+        return s
+    if sig not in memo:
+        memo[sig] = _apply(s, _PARTS[sig], tuple(map(_expand, children(s), repeat(sig))))
+    return memo[sig]
+
+
+def _apply(s: Term, rules: dict, kids: tuple[Term, ...]) -> Term:
+    """The rule for ``s``'s class applied to the rewritten ``kids``, or else ``s`` over them."""
+    rule = rules.get(type(s))
+    return rule(*kids) if rule else rebuild(s, kids)
+
+
+def _rewrite(s: Term, rules: dict) -> Term:
+    return _apply(s, rules, tuple(map(_rewrite, children(s), repeat(rules))))
 
 
 # ---------------------------------------------------------------------------
 # Term equivalence of the two signatures
 
+_MV_TO_W = {OPlus: lambda a, b: Impl(Neg(a), b), UMinus: Neg, Const0: lambda: Impl(ONE, ONE)}
+_W_TO_MV = {Impl: lambda a, b: OPlus(UMinus(a), b), Neg: UMinus}
+
 
 def mv_to_w_term(t: Term) -> Term:
     """Rewrite an additive-signature term into the implicational signature."""
     check_signature(t, Sig.MV)
-    return _mv_to_w(t)
-
-
-def _mv_to_w(s: Term) -> Term:
-    if isinstance(s, OPlus):
-        return Impl(Neg(_mv_to_w(s.left)), _mv_to_w(s.right))
-    if isinstance(s, UMinus):
-        return Neg(_mv_to_w(s.arg))
-    if isinstance(s, Const0):
-        return Impl(ONE, ONE)
-    return rebuild(s, tuple(_mv_to_w(c) for c in children(s)))
+    return _rewrite(t, _MV_TO_W)
 
 
 def w_to_mv_term(t: Term) -> Term:
     """Rewrite an implicational-signature term into the additive signature."""
     check_signature(t, Sig.W)
-    return _w_to_mv(t)
-
-
-def _w_to_mv(s: Term) -> Term:
-    if isinstance(s, Impl):
-        return OPlus(UMinus(_w_to_mv(s.left)), _w_to_mv(s.right))
-    if isinstance(s, Neg):
-        return UMinus(_w_to_mv(s.arg))
-    return rebuild(s, tuple(_w_to_mv(c) for c in children(s)))
+    return _rewrite(t, _W_TO_MV)
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +462,8 @@ def match_schema(
 
 
 def _match(pat: Term, g: Term, out: dict[str, Term]) -> bool:
-    if isinstance(pat, Var):
-        bound = out.get(pat.name)
-        if bound is None:
-            out[pat.name] = g
-            return True
-        return bound == g
+    if isinstance(pat, Var):  # bind at the first occurrence, else agree with it
+        return out.setdefault(pat.name, g) is g
     if type(pat) is not type(g):
         return False
     return all(_match(pc, gc, out) for pc, gc in zip(children(pat), children(g)))

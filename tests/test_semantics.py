@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import itertools
 import json
+import pathlib
 import tracemalloc
 import weakref
 from fractions import Fraction as F
@@ -46,10 +47,32 @@ from sqmv.semantics import (
     parse_strategy,
     search_countermodel,
 )
-from sqmv.syntax import Const0, Const1, Sig, SignatureError, Var, children, parse, variables
+from sqmv.proofkit import (
+    check_proof,
+    deregularize_proof,
+    lift_lstar_proof,
+    parse_script,
+    standard_registry,
+)
+from sqmv.proofkit.registry import packaged_certificates
+from sqmv.proofkit.systems import AXIOMS, SQL
+from sqmv.syntax import (
+    Const0,
+    Const1,
+    Neg,
+    Sig,
+    SignatureError,
+    Var,
+    children,
+    is_regular,
+    parse,
+    substitute,
+    variables,
+)
 from sqmv.transform import mv_to_w_model
 
 
+FIXTURES = pathlib.Path(semantics.__file__).resolve().parent / "fixtures"
 STANDARD_VIEWS = [name + view for name in STANDARD_CATALOG for view in ("", "@w")]
 FINITE_VIEWS = [name + view for name in FINITE_CATALOG for view in ("", "@w")]
 
@@ -419,6 +442,19 @@ class TestCheckEquation:
         report = check_equation(mv("-0"), mv("0"), resolve("square"), RandomSampling(10))
         assert not report.found_countermodel
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_grid_on_the_interval_agrees_with_the_chain(self, d):
+        # grid:d on the interval and an exhaustive sweep of chain:d run over
+        # the same carrier {k/d}, so they find a countermodel for the same
+        # equations, and valid runs count the same valuations
+        for eq in corpus.corpus():
+            view = "" if eq.sig is Sig.MV else "@w"
+            grid = check_equation(eq.lhs, eq.rhs, resolve("interval" + view), Grid(d))
+            sweep = check_equation(eq.lhs, eq.rhs, resolve(f"chain:{d}{view}"), Exhaustive())
+            assert grid.found_countermodel == sweep.found_countermodel, (d, eq.name)
+            if not sweep.found_countermodel:
+                assert grid.samples_tried == sweep.samples_tried, (d, eq.name)
+
 
 @pytest.fixture
 def apply_calls(monkeypatch):
@@ -747,6 +783,27 @@ class TestNoReferenceCycles:
                 check_entailment(*detachment, sw, RandomSampling(5000), seed=3),
             ]
             assert [r.found_countermodel for r in reports] == [False, True] * 4
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_proof_path_leaves_no_cyclic_garbage(self):
+        lstar = [f.read_text() for f in sorted((FIXTURES / "lstar").iterdir())]
+        registry = standard_registry()
+        x, y = Var("x"), Var("y")
+        gc.collect()
+        gc.disable()
+        try:
+            for text in [*lstar, *(text for _, text in packaged_certificates())]:
+                script = parse_script(text)
+                assert check_proof(script, registry).accepted
+            for text in lstar:
+                lifted = lift_lstar_proof(parse_script(text))
+                if is_regular(lifted.conclusion.right):
+                    assert check_proof(deregularize_proof(lifted, registry), registry).accepted
+            for _ in range(2):  # the second compile of each is a cache hit
+                for form in AXIOMS[SQL]["Q8"]:
+                    compile((substitute(form, {"p": x, "q": y, "r": Neg(x)}, Sig.W),), Sig.W)
             assert gc.collect() == 0
         finally:
             gc.enable()

@@ -1,11 +1,16 @@
+import copy
 import gc
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_term
+from sqmv import models, syntax
 from sqmv.models import ops_for, resolve
 from sqmv.transform import mv_to_w_term, w_to_mv_term
 from sqmv.syntax import (
@@ -431,3 +436,109 @@ class TestWalks:
         assert main(["parse", "--", "-" * 800 + "x"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 801 and out[-1] == "  " * 800 + "Var x"
+
+
+class TestInterning:
+    """Equal terms are one node: ``==`` is ``is``, and nodes never change."""
+
+    def test_equal_terms_are_one_node(self):
+        assert Var("p") is Var("p") and Const1() is Const1()
+        built = Impl(Neg(Var("p")), PosPart(Const1()))
+        assert parse("~p -> 1^+", Sig.W) is built
+        assert substitute(Impl(q, r), {"q": Neg(p), "r": PosPart(Const1())}) is built
+        assert Impl(Var("p"), Var("q")) is not Impl(Var("q"), Var("p"))
+        assert OPlus(p, q) is not Impl(p, q)
+
+    @given(_ws)
+    @settings(max_examples=300)
+    def test_parse_of_print_is_the_node(self, t):
+        assert parse(print_term(t), Sig.W) is t
+
+    def test_rebuilders_return_the_node_when_nothing_changes(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            sig = rng.choice((Sig.MV, Sig.W))
+            t = random_term(rng, sig, 5, allow_parts=False)
+            assert expand_abbreviations(t, sig) is t
+            assert substitute(t, {n: Var(n) for n in variables(t)}, sig) is t
+        common = parse("x^+^-", Sig.W)  # connectives of both languages only
+        assert mv_to_w_term(common) is common and w_to_mv_term(common) is common
+        t = parse("p^+ -> q", Sig.W)
+        assert expand_abbreviations(t, Sig.W).right is q
+
+    @pytest.mark.parametrize("node, field", [
+        (Var("p"), "name"), (Impl(p, q), "left"), (OPlus(p, q), "right"),
+        (Neg(p), "arg"), (Const0(), "extra"),
+    ])
+    def test_nodes_are_immutable(self, node, field):
+        with pytest.raises(AttributeError):
+            setattr(node, field, Var("z"))
+        assert node is type(node)(*[getattr(node, f) for f in type(node)._fields])
+
+    def test_copies_and_pickles_are_the_node(self):
+        t = parse("~(p -> 1^+) -> (q -> p)", Sig.W)
+        u = parse("-(x (+) 0) (+) y^-", Sig.MV)
+        for s in (t, u, p, Const0()):
+            assert copy.copy(s) is s
+            assert copy.deepcopy(s) is s
+            assert pickle.loads(pickle.dumps(s)) is s
+
+    def test_repr_is_the_dataclass_form(self):
+        assert repr(Impl(p, q)) == "Impl(left=Var(name='p'), right=Var(name='q'))"
+        assert repr(UMinus(PosPart(Const0()))) == "UMinus(arg=PosPart(arg=Const0()))"
+        assert repr(OPlus(Const1(), NegPart(r))) == (
+            "OPlus(left=Const1(), right=NegPart(arg=Var(name='r')))")
+
+    def test_deep_terms_compare_and_hash_without_recursion(self):
+        def chain():
+            t = p
+            for _ in range(10_000):
+                t = UMinus(t)
+            return t
+
+        a, b = chain(), chain()
+        assert a is b and a == b and hash(a) == hash(b)
+        assert a != UMinus(a) and len({a, b, UMinus(a)}) == 2
+
+    def test_dead_nodes_leave_the_table(self):
+        gc.collect()
+        before = len(syntax._TABLE)
+        terms = [random_term(random.Random(i), Sig.W, 6, var_names=("fresh",)) for i in range(200)]
+        assert len(syntax._TABLE) > before
+        del terms
+        gc.collect()
+        assert len(syntax._TABLE) == before
+
+    @pytest.mark.parametrize("sig, first", [(Sig.MV, "Impl"), (Sig.W, "OPlus")])
+    def test_mixed_term_names_the_first_offender(self, sig, first):
+        t = OPlus(PosPart(Impl(p, Neg(q))), UMinus(Impl(r, p)))
+        message = f"^connective {first} is not part of the {sig.value.upper()}-STAR language$"
+        for call in (lambda: check_signature(t, sig), lambda: expand_abbreviations(t, sig),
+                     lambda: substitute(p, {"p": t}, sig), lambda: models.compile((t,), sig)):
+            with pytest.raises(SignatureError, match=message):
+                call()
+
+    def test_threads_building_the_same_terms_get_one_node_each(self):
+        threads, size = 4, 2000
+        start, built = threading.Barrier(threads), [None] * threads
+
+        def build(i):
+            rng = random.Random(13)
+            start.wait()
+            built[i] = [random_term(rng, rng.choice((Sig.MV, Sig.W)), 7,
+                                    var_names=("t1", "t2", "t3")) for _ in range(size)]
+
+        workers = [threading.Thread(target=build, args=(i,)) for i in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the table's miss path too
+        try:
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        assert all(len(b) == size for b in built)
+        for terms in built[1:]:
+            assert all(a is b for a, b in zip(built[0], terms))
