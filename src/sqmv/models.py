@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -485,13 +485,9 @@ class Tape:
     last_use: tuple[int, ...]
 
 
-_TAPES = 128  # tapes kept; each keeps its formulas alive, so this bounds their memory
-
-
-@lru_cache(maxsize=_TAPES)
-def compile(terms: tuple[Term, ...], sig: Sig) -> Tape:
-    """One preorder walk over ``terms``, kept for the same formulas; a node met
-    again is skipped, and equal subterms are one node, so one step each."""
+def compile(terms: Sequence[Term], sig: Sig) -> Tape:
+    """One preorder walk over ``terms``; a node met again is skipped, and equal
+    subterms are one node, so one step each."""
     for t in terms:
         check_signature(t, sig)
     steps: list[tuple] = []
