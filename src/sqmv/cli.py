@@ -68,8 +68,6 @@ def _strategy(args, m: md.Model | None = None) -> sem.Strategy:
 
 
 def _parse_element(m: md.Model, text: str):
-    from fractions import Fraction
-
     from . import models as md
 
     text = text.strip()
@@ -80,10 +78,7 @@ def _parse_element(m: md.Model, text: str):
     if "," in text:
         parts = [_parse_element(m, p) for p in _split_top(text)]
         return tuple(parts)
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise CliError(f"cannot read element {text!r}") from None
+    return md.read_fraction(text, CliError, "cannot read element")
 
 
 def _split_top(text: str) -> list[str]:

@@ -76,6 +76,18 @@ def ops_for(sig: Sig) -> dict[str, int]:
     return MV_OPS if sig is Sig.MV else W_OPS
 
 
+def read_fraction(text: str, error: type[Exception], what: str) -> Fraction:
+    """The rational literal ``text``, such as ``-1/2`` or ``0.25``; otherwise
+    ``error("<what> <text>")``.  Exponent notation is refused, since
+    ``Fraction`` would compute 10**exp in full."""
+    if "e" in text.lower():
+        raise error(f"{what} {text!r}: exponent notation is not accepted")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise error(f"{what} {text!r}") from None
+
+
 def label_str(el) -> str:
     if isinstance(el, Fraction):
         return str(el)
@@ -111,8 +123,6 @@ class Model:
     finite: bool
     # batch values are pairs of numerator arrays (the square and the disk)
     pair = False
-    # the DesignatedSet, filled on demand by semantics.designated_set
-    _designated = None
 
     def const(self, name: str):
         raise NotImplementedError
@@ -841,11 +851,7 @@ def _build(name: str) -> Model:
             raise CatalogError("flattening is available for finite bases only")
         if kpart == "new":
             return flattening(base, None)
-        try:
-            k = Fraction(kpart)
-        except (ValueError, ZeroDivisionError):
-            raise CatalogError(f"bad flattening element {kpart!r}") from None
-        return flattening(base, k)
+        return flattening(base, read_fraction(kpart, CatalogError, "bad flattening element"))
     if name.startswith("product:"):
         left, right = _split_product_args(name[len("product:"):])
         m1 = resolve(_strip_parens(left))

@@ -4,6 +4,7 @@ import pathlib
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -228,6 +229,24 @@ class TestRejections:
         # Fraction("1/0") raised ZeroDivisionError: a traceback and exit 3
         code, out, err = run(capsys, "classify", "--model", "flatten:chain:1:1/0")
         assert (code, out, err) == (2, "", "error: bad flattening element '1/0'\n")
+
+    @pytest.mark.parametrize("argv, err", [
+        (["eval", "--model", "interval", "--let", "x=1e5000", "--", "x"],
+         "cannot read element '1e5000'"),
+        (["eval", "--model", "square", "--let", "x=1e-5000,0", "--", "x"],
+         "cannot read element '1e-5000'"),
+        (["classify", "--model", "flatten:chain:1:1e5000"],
+         "bad flattening element '1e5000'"),
+    ], ids=["interval", "square", "flatten"])
+    def test_exponent_notation_exits_two(self, capsys, argv, err):
+        # Fraction computed 10**5000 in full (Fraction("1e10000000") took
+        # 14.6 s), and printing the element ended in a ValueError traceback
+        # and exit 3
+        start = time.perf_counter()
+        code, out, text = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out, text) == (
+            2, "", f"error: {err}: exponent notation is not accepted\n")
 
     def test_largest_finite_carriers_still_build(self):
         assert len(finite_chain(2047).elements) == 4095

@@ -22,6 +22,7 @@ from sqmv.models import (
     finite_model_from_ops,
     finite_mv_view,
     flattening,
+    is_strong,
     label_str,
     mu_congruence,
     ops_for,
@@ -30,7 +31,9 @@ from sqmv.models import (
     resolve,
     tau_congruence,
 )
-from sqmv.semantics import evaluate
+from sqmv import axioms
+from sqmv.corpus import corpus
+from sqmv.semantics import Exhaustive, check_equation, evaluate
 from sqmv.syntax import Const0, OPlus, Sig, Var, join_term
 
 
@@ -382,6 +385,24 @@ def test_quotient_tables_match_the_cell_by_cell_reference(name, congruence):
     assert q.tables.keys() == ref.tables.keys()
     for op, tbl in ref.tables.items():
         assert np.array_equal(q.tables[op], tbl), (name, op)
+
+
+def _holds(eq, m) -> bool:
+    return not check_equation(eq.lhs, eq.rhs, m, Exhaustive()).found_countermodel
+
+
+@pytest.mark.parametrize("name", CATALOG_VIEWS)
+def test_equation_holds_exactly_when_it_holds_on_both_quotients(name):
+    # the representation theorem: a strong A embeds into A/mu x A/tau, and
+    # both factors are homomorphic images of A
+    m = resolve(name)
+    assert is_strong(m)
+    sig = m.signature
+    eqs = ([e for e in corpus() if e.sig is sig]
+           + axioms.star_axioms(sig) + [axioms.flat_equation(sig)])
+    qmu, qtau = quotient(m, mu_congruence(m)), quotient(m, tau_congruence(m))
+    for eq in eqs:
+        assert _holds(eq, m) == (_holds(eq, qmu) and _holds(eq, qtau)), (name, eq.name)
 
 
 class TestEmbedding:

@@ -26,6 +26,7 @@ from sqmv.models import (
     StandardModel,
     compile,
     finite_w_view,
+    label_str,
     resolve,
     run,
 )
@@ -495,39 +496,41 @@ class TestDesignated:
         with pytest.raises(SemanticsError):
             designated_set(resolve("square"))
 
-    def test_check_runs_once_per_model(self, apply_calls):
-        designated_set(StandardModel("square", Sig.W))
-        one_check = apply_calls.n
-        assert one_check >= 2 * 1000  # (c -> 1) -> 1 for every sample
-        apply_calls.n = 0
-        sw = StandardModel("square", Sig.W)
-        designated_set(sw)
-        designated_set(sw)
-        for seed in (1, 2):
-            report = check_entailment([w("p")], w("p"), sw, RandomSampling(500), seed=seed)
-            assert not report.found_countermodel
-        assert apply_calls.n == one_check
+    @pytest.mark.parametrize("kind", STANDARD_CATALOG)
+    def test_closed_form_at_every_grid_point(self, kind):
+        # both inclusions against the exact scalar apply: every (c -> 1) -> 1
+        # is in the set, and exactly the members are their own image
+        m = StandardModel(kind, Sig.W)
+        ds, one = designated_set(m), m.const("one")
+        for D in (*range(1, 13), 24):
+            ks = range(-D, D + 1)
+            nums, inside = [], []
+            for n in itertools.product(ks, ks) if m.pair else ks:
+                c = (F(n[0], D), F(n[1], D)) if m.pair else F(n, D)
+                if not m.contains(c):
+                    continue
+                d = m.apply("impl", m.apply("impl", c, one), one)
+                assert ds.contains(d), (kind, D, c)
+                assert ds.contains(c) == (d == c), (kind, D, c)
+                nums.append(n)
+                inside.append(ds.contains(c))
+            rep = tuple(map(np.array, zip(*nums))) if m.pair else np.array(nums)
+            assert ds.vec_contains(rep).tolist() == inside, (kind, D)
 
-    def test_fresh_model_runs_its_own_check(self, apply_calls):
-        designated_set(resolve("interval@w"))
-        apply_calls.n = 0
-        designated_set(resolve("interval@w"))
+    @pytest.mark.parametrize("kind", STANDARD_CATALOG)
+    def test_standard_set_makes_no_apply_call(self, apply_calls, kind):
+        designated_set(StandardModel(kind, Sig.W))
         assert apply_calls.n == 0
-        designated_set(StandardModel("interval", Sig.W))
-        assert apply_calls.n >= 2 * 1000
 
-    def test_wrong_closed_form_raises_on_every_call(self, apply_calls):
-        class BrokenInterval(StandardModel):
-            def apply(self, op, *args):
-                out = super().apply(op, *args)
-                return -out if op == "impl" else out
-
-        bad = BrokenInterval("interval", Sig.W)
-        for _ in range(2):
-            apply_calls.n = 0
-            with pytest.raises(SemanticsError, match="misses"):
-                designated_set(bad)
-            assert apply_calls.n > 0
+    @pytest.mark.parametrize("name", [n + "@w" for n in FINITE_CATALOG]
+                             + [f"chain:{n}@w" for n in range(4, 12)])
+    def test_finite_set_is_the_scalar_image(self, name):
+        m = resolve(name)
+        one = m.const("one")
+        image = {m.apply("impl", m.apply("impl", c, one), one) for c in m.elements}
+        ds = designated_set(m)
+        assert ds.elements == tuple(sorted(image, key=label_str))
+        assert ds.table.tolist() == [el in image for el in m.elements]
 
     def test_cache_does_not_keep_the_model_alive(self):
         gc.collect()
@@ -544,7 +547,6 @@ class TestDesignated:
 
     def test_cached_set_is_shared_and_immutable(self):
         ds = designated_set(resolve("chain:2@w"))
-        assert designated_set(resolve("chain:2@w")) is ds
         with pytest.raises(dataclasses.FrozenInstanceError):
             ds.elements = ()
         with pytest.raises(ValueError):

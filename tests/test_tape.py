@@ -7,6 +7,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqmv import models, proofkit, semantics
 from sqmv.models import (
@@ -31,7 +33,13 @@ from sqmv.semantics import (
     evaluate,
 )
 from sqmv.syntax import (
+    Const0,
+    Const1,
+    Impl,
     Neg,
+    NegPart,
+    OPlus,
+    PosPart,
     Sig,
     SignatureError,
     UMinus,
@@ -40,6 +48,7 @@ from sqmv.syntax import (
     parse,
     substitute,
     subterms,
+    variables,
 )
 
 STANDARD_VIEWS = [name + view for name in STANDARD_CATALOG for view in ("", "@w")]
@@ -102,6 +111,36 @@ class TestValues:
         m = resolve(name)
         k = max(j for j in (1, 2, 3) if j == 1 or len(m.elements) ** j <= 400)
         assert_tape_matches_evaluate(m, Exhaustive(), nested_joins(m.signature, k))
+
+
+def random_terms(sig):
+    """Hypothesis terms of ``sig`` over x, y, z and the constants, parts
+    included."""
+    binary, neg = (OPlus, UMinus) if sig is Sig.MV else (Impl, Neg)
+    leaves = [x, y, z, Const1()] + ([Const0()] if sig is Sig.MV else [])
+    return st.recursive(
+        st.sampled_from(leaves),
+        lambda kids: st.one_of(st.builds(binary, kids, kids), st.builds(neg, kids),
+                               st.builds(PosPart, kids), st.builds(NegPart, kids)),
+        max_leaves=12,
+    )
+
+
+@pytest.mark.parametrize("name, strategy", [
+    ("product:chain:1,flatten:chain:1:0@w", Exhaustive()),
+    ("square", RandomSampling(20)),
+    ("interval@w", RandomSampling(20)),
+    ("flat-standard", Grid(1)),
+], ids=lambda v: str(v) if isinstance(v, str) else v.describe())
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_tape_matches_evaluate_on_random_terms(name, strategy, data):
+    # random sampling draws ``count`` valuations even when there is no
+    # variable, while the batch shape then has one cell
+    m = resolve(name)
+    terms = data.draw(st.lists(random_terms(m.signature), min_size=1, max_size=3)
+                      .filter(lambda ts: any(map(variables, ts))))
+    assert_tape_matches_evaluate(m, strategy, terms)
 
 
 class TestSharing:

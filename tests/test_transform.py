@@ -16,8 +16,8 @@ from sqmv.models import (
     finite_model_from_ops,
     resolve,
 )
-from sqmv import corpus, semantics
-from sqmv.semantics import Exhaustive, RandomSampling, check_entailment, check_equation, evaluate
+from sqmv import corpus
+from sqmv.semantics import Exhaustive, check_equation, evaluate
 from sqmv.syntax import Sig, SignatureError, parse, print_term, variables
 from sqmv.transform import (
     mv_to_w_model,
@@ -187,18 +187,6 @@ class TestModelRoundTrips:
     def test_standard_views_are_the_catalog_models(self, kind):
         assert mv_to_w_model(resolve(kind)) is resolve(kind + "@w")
         assert w_to_mv_model(resolve(kind + "@w")) is resolve(kind)
-
-    def test_view_shares_the_designated_set(self, monkeypatch):
-        built = []
-        build = semantics._build_designated_set
-        monkeypatch.setattr(semantics, "_build_designated_set",
-                            lambda m: built.append(m.name) or build(m))
-        monkeypatch.setattr(resolve("square@w"), "_designated", None)
-        for seed in (1, 2):
-            report = check_entailment([w("p")], w("p"), mv_to_w_model(resolve("square")),
-                                      RandomSampling(100), seed)
-            assert not report.found_countermodel
-        assert built == ["square@w"]
 
     def test_signature_guard(self):
         with pytest.raises(ClassError):
