@@ -278,8 +278,14 @@ class FiniteModel(Model):
         return self.index_dtype.type(self.consts[name])
 
     def vec_apply(self, op: str, args, D: int):
-        i = args[0] * len(self.elements) + args[1] if len(args) == 2 else args[0]
-        return self.tables[op].take(i)
+        t, a, b = self.tables[op], args[0], args[-1]
+        if len(args) == 2 and a.size * b.size > 2**14:  # below, the flat take is as fast
+            # operands on disjoint axes, as in a sweep: look up rows, then columns of those
+            ka, kb = ([i for i, d in enumerate(x.shape, -x.ndim) if d > 1] for x in args)
+            if ka and kb and (ka[-1] < kb[0] or kb[-1] < ka[0]):
+                t, a, b = (t, a, b) if ka[0] < kb[0] else (t.T, b, a)
+                return t.take(a.ravel(), 0).take(b.ravel(), 1).reshape(np.broadcast(a, b).shape)
+        return t.take(a * len(self.elements) + b if len(args) == 2 else a)
 
     def table_text(self) -> str:
         """Operation tables as text, one tuple per line."""

@@ -112,6 +112,23 @@ class TestValues:
         k = max(j for j in (1, 2, 3) if j == 1 or len(m.elements) ** j <= 400)
         assert_tape_matches_evaluate(m, Exhaustive(), nested_joins(m.signature, k))
 
+    @pytest.mark.parametrize("sa, sb", [
+        ((13, 1, 1), (141, 141)), ((13, 141, 1), (141,)),  # rows, then columns
+        ((141,), (13, 141, 1)), ((141, 141), (13, 1, 1)),  # the same, swapped
+        ((7, 1, 141), (141, 1)), ((141, 1), (7, 1, 141)),  # interleaved axes
+        ((13, 141, 141), (141,)),  # a shared axis
+        ((), (13, 141, 141)), ((13, 1), (141,)),  # a constant; a small result
+    ], ids=str)
+    def test_finite_lookup_on_any_operand_axes(self, sa, sb):
+        # impl is not commutative, so a swapped row and column shows
+        m = resolve("chain:70@w")
+        rng = np.random.default_rng(7)
+        a, b = (rng.integers(0, len(m.elements), size=s).astype(m.index_dtype)[()]
+                for s in (sa, sb))
+        got = m.vec_apply("impl", [a, b], 1)
+        want = m.tables["impl"][a, b]
+        assert got.shape == want.shape and np.array_equal(got, want)
+
 
 def random_terms(sig):
     """Hypothesis terms of ``sig`` over x, y, z and the constants, parts
