@@ -172,11 +172,11 @@ def cmd_eval(args) -> int:
         if not _:
             raise CliError(f"bindings look like x=1/2 or x=1/2,0 (got {binding!r})")
         valuation[name.strip()] = _parse_element(m, value)
-    value = sem.evaluate(t, m, valuation)
-    if args.json:
-        print(json.dumps({"value": md.label_str(value)}))
-    else:
-        print(md.label_str(value))
+    try:  # a value computed from printable literals can still be too long
+        text = md.label_str(sem.evaluate(t, m, valuation))
+    except ValueError:
+        raise CliError("the value exceeds Python's integer digit limit") from None
+    print(json.dumps({"value": text}) if args.json else text)
     return 0
 
 

@@ -79,13 +79,16 @@ def ops_for(sig: Sig) -> dict[str, int]:
 def read_fraction(text: str, error: type[Exception], what: str) -> Fraction:
     """The rational literal ``text``, such as ``-1/2`` or ``0.25``; otherwise
     ``error("<what> <text>")``.  Exponent notation is refused, since
-    ``Fraction`` would compute 10**exp in full."""
+    ``Fraction`` would compute 10**exp in full, and so is a value that
+    ``label_str`` cannot print (past Python's integer digit limit)."""
     if "e" in text.lower():
         raise error(f"{what} {text!r}: exponent notation is not accepted")
     try:
-        return Fraction(text)
+        value = Fraction(text)
+        str(value)
     except (ValueError, ZeroDivisionError):
         raise error(f"{what} {text!r}") from None
+    return value
 
 
 def label_str(el) -> str:

@@ -12,8 +12,6 @@ models, the image of (c -> 1) -> 1 in the impl table on finite ones.
 from __future__ import annotations
 
 import enum
-import itertools
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt, lcm, prod
@@ -55,10 +53,6 @@ _EXHAUSTIVE_CAP = 10**9
 # Batch checks build their mask in blocks of at most this many valuations and
 # stop at the first block that holds a witness.
 _SLICE = 2**18
-
-# A sweep of more than one block evaluates up to this many consecutive blocks
-# at once, one per thread, so at most _WORKERS * _SLICE valuations are in flight.
-_WORKERS = 4
 
 # Largest max denominator of random sampling: numerators stay in [-D, D], so
 # D*D in the disk test and the sum of two numerators fit in int64.
@@ -380,58 +374,15 @@ def _take(rep, index: tuple):
     return rep[tuple(c if d > 1 else 0 for c, d in zip(index, rep.shape))]
 
 
-def _workers() -> int:
-    """How many blocks a multi-block sweep evaluates at once: ``_WORKERS``, or
-    the number of CPUs this process may run on if that is smaller."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(_WORKERS, cpus or 1))
-
-
-# (threads, executor) of the block threads, made on the first window of more
-# than one block
-_pool = None
-
-
-def _executor(threads: int):
-    # Exactly ``threads`` threads: a larger pool may start a fresh thread while
-    # an idle one has not yet said so, and each thread keeps its own malloc
-    # arena of freed block memory.
-    global _pool
-    if _pool is None or _pool[0] != threads:
-        from concurrent.futures import ThreadPoolExecutor
-        if _pool is not None:
-            _pool[1].shutdown()
-        _pool = (threads, ThreadPoolExecutor(threads))
-    return _pool[1]
-
-
 def _first_witness(env: dict, bad_in) -> int | None:
     """Row-major index of the first valuation where the mask ``bad_in(part)``
     holds, or None.  The mask is built for one block ``part`` of ``env`` at a
-    time, a run of whole rows (``_blocks``).  Up to ``_workers()``
-    consecutive blocks (a window) are built at once, the first on the
-    calling thread and the rest on the block threads, which exist only once
-    a window holds more than one block; each window is read in block order
-    and the sweep stops at the first block with a witness (or error), so
-    the result does not depend on the thread count."""
-
-    def first_hit(offset, index, block):
+    time, a run of whole rows (``_blocks``), one block after another on the
+    calling thread, and the sweep stops at the first block with a witness."""
+    for offset, index, block in _blocks(_env_shape(env)):
         mask = bad_in({nm: _take(rep, index) for nm, rep in env.items()} if index else env)
-        hits = np.flatnonzero(mask if mask.shape == block else np.broadcast_to(mask, block))
-        return offset + int(hits[0]) if hits.size else None
-
-    blocks = _blocks(_env_shape(env))
-    w = _workers()
-    while window := list(itertools.islice(blocks, w)):
-        futures = [_executor(w - 1).submit(first_hit, *b) for b in window[1:]]
-        try:
-            i = first_hit(*window[0])
-        finally:
-            for f in futures:  # no block outlives its window, error or not
-                f.exception()
-        for i in itertools.chain([i], (f.result() for f in futures)):
-            if i is not None:
-                return i
+        if (hits := np.flatnonzero(np.broadcast_to(mask, block))).size:
+            return offset + int(hits[0])
     return None
 
 

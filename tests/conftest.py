@@ -1,4 +1,4 @@
-"""Shared helpers: seeded random terms/valuations, an independent
+"""Shared helpers: seeded random terms/valuations, hypothesis terms, an independent
 reference evaluator written straight from the model definitions, and the
 carrier restriction and valuation projection that only tests use."""
 
@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from sqmv.models import FiniteModel, Model, finite_model_from_ops, ops_for
 from sqmv.syntax import (
@@ -79,6 +80,19 @@ def _random_term(rng, sig, depth, var_names, allow_parts) -> Term:
     if kind == "un":
         return UMinus(arg) if sig is Sig.MV else Neg(arg)
     return PosPart(arg) if kind == "pos" else NegPart(arg)
+
+
+def random_terms(sig: Sig):
+    """Hypothesis terms of ``sig`` over x, y, z and the constants, parts
+    included."""
+    binary, neg = (OPlus, UMinus) if sig is Sig.MV else (Impl, Neg)
+    leaves = [Var("x"), Var("y"), Var("z"), Const1()] + ([Const0()] if sig is Sig.MV else [])
+    return st.recursive(
+        st.sampled_from(leaves),
+        lambda kids: st.one_of(st.builds(binary, kids, kids), st.builds(neg, kids),
+                               st.builds(PosPart, kids), st.builds(NegPart, kids)),
+        max_leaves=12,
+    )
 
 
 def random_square_valuation(rng, names, den: int = 120) -> dict:

@@ -9,6 +9,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     oracle_interval,
@@ -17,6 +19,7 @@ from conftest import (
     random_interval_valuation,
     random_square_valuation,
     random_term,
+    random_terms,
     zero_second_coordinates,
 )
 from sqmv import corpus, semantics
@@ -241,30 +244,28 @@ def _brute_force_first(m, names, failing):
 
 
 # an equation and an entailment on chain:40 (81 elements) whose first witness
-# lies 1056321 valuations into their 4-variable sweep, and a valid equation
+# lies 1056321 valuations into their 4-variable sweep
 BLOCKED_EQUATION = (mv("w (+) w (+) (x (+) -1) (+) z^-^+"), mv("w (+) (x (+) -1) (+) y^-^+"))
 BLOCKED_ENTAILMENT = ([w("1 -> x"), w("z -> z"), w("y -> y")], w("w -> (~w -> w)"))
-VALID_CHAIN40 = (mv("(w (+) x) (+) (y (+) z)"), mv("(x (+) w) (+) (z (+) y)"))
 
 
 class TestBlockedSweeps:
     # chain:40 has 81 elements: a 4-variable sweep is cut into 169 blocks of
     # 39 rows of 81**2 valuations (the last of 3 rows), a row being one index
-    # of the first two axes, and the first witness sits in the fifth block,
-    # past the widest window of blocks that are built at once
+    # of the first two axes, and the first witness sits in the fifth block
     NAMES = ["w", "x", "y", "z"]
 
-    def assert_beyond_first_window(self, m, i):
+    def assert_past_several_blocks(self, m, i):
         shape = (len(m.elements),) * len(self.NAMES)
         starts = [offset for offset, _, _ in semantics._blocks(shape)]
-        assert 0 < starts[1] < starts[semantics._WORKERS] <= i
+        assert 0 < starts[1] < starts[4] <= i < starts[5]
 
     def test_equation_witness_in_later_slice(self):
         m = resolve("chain:40")
         lhs, rhs = BLOCKED_EQUATION
         fl, fr = _index_fn(lhs, m, self.NAMES), _index_fn(rhs, m, self.NAMES)
         i, valuation = _brute_force_first(m, self.NAMES, lambda v: fl(v) != fr(v))
-        self.assert_beyond_first_window(m, i)
+        self.assert_past_several_blocks(m, i)
         report = check_equation(lhs, rhs, m, Exhaustive())
         assert report.verdict is Verdict.COUNTERMODEL
         assert report.samples_tried == i + 1
@@ -279,7 +280,7 @@ class TestBlockedSweeps:
         i, valuation = _brute_force_first(
             m, self.NAMES,
             lambda v: fc(v) not in ds and all(f(v) in ds for f in fps))
-        self.assert_beyond_first_window(m, i)
+        self.assert_past_several_blocks(m, i)
         report = check_entailment(premises, conclusion, m, Exhaustive())
         assert report.verdict is Verdict.COUNTERMODEL
         assert report.samples_tried == i + 1
@@ -312,10 +313,9 @@ class TestBlockedSweeps:
         assert set(sizes[:-1]) == {rows * row} and rows * row <= semantics._SLICE < (rows + 1) * row
         assert sum(sizes) == int(np.prod(shape))
 
-    def test_large_sweeps_stay_small_in_memory(self, monkeypatch):
-        # 401**3 valuations: at most one window of _WORKERS blocks of them is
-        # held at a time
-        monkeypatch.setattr(semantics, "_workers", lambda: semantics._WORKERS)
+    def test_large_sweeps_stay_small_in_memory(self):
+        # 401**3 valuations, one block of them at a time: the peak was 3.9 MB,
+        # against 8.0 MB when two blocks were built at once on two threads
         m = resolve("chain:200")
         tracemalloc.start()
         try:
@@ -328,7 +328,7 @@ class TestBlockedSweeps:
             tracemalloc.stop()
         assert (failing.verdict, failing.samples_tried) == (Verdict.COUNTERMODEL, 202)
         assert (valid.verdict, valid.samples_tried) == (Verdict.VALID_EXHAUSTIVE, 401**3)
-        assert peak < 100 * 2**20
+        assert peak < 6 * 2**20
 
 
 # chain:70 has 141 elements: its 3-variable sweeps are 11 blocks of 13 rows
@@ -339,40 +339,18 @@ TWO_WITNESS_BLOCKS = (mv("(x (+) x (+) 1)^- (+) (y (+) z)"),
                       mv("(x (+) x (+) 1) (+) (y (+) z)"))
 
 
-class TestWorkerCounts:
-    @pytest.mark.parametrize("check", [
-        lambda: check_equation(*BLOCKED_EQUATION, resolve("chain:40"), Exhaustive()),
-        lambda: check_entailment(*BLOCKED_ENTAILMENT, resolve("chain:40@w"), Exhaustive()),
-        lambda: check_equation(*VALID_CHAIN40, resolve("chain:40"), Exhaustive()),
-        lambda: check_equation(*VALID_CHAIN70, resolve("chain:70"), Exhaustive()),
-        lambda: check_equation(*TWO_WITNESS_BLOCKS, resolve("chain:70"), Exhaustive()),
-        lambda: check_equation(mv("x (+) y"), mv("y (+) x"), resolve("square"),
-                               RandomSampling(2_000_000), seed=5),
-    ], ids=["blocked-equation", "blocked-entailment", "valid-chain40", "valid-chain70",
-            "two-witness-blocks", "random-square"])
-    def test_same_report_for_every_thread_count(self, monkeypatch, check):
-        texts = []
-        for n in (1, 2, 4):
-            monkeypatch.setattr(semantics, "_workers", lambda n=n: n)
-            texts.append(check().as_text())
-        assert texts[0] == texts[1] == texts[2]
-
-    def test_earlier_of_two_witness_blocks_wins(self, monkeypatch):
-        # blocks 2 and 3 both hold witnesses; they share a window whether 2
-        # or 4 blocks are built at once
+class TestBlockOrder:
+    def test_earlier_of_two_witness_blocks_wins(self):
+        # blocks 2 and 3 both hold witnesses
         m = resolve("chain:70")
         starts = [offset for offset, _, _ in semantics._blocks((141,) * 3)]
         later = {"x": m.elements[starts[3] // 141**2], "y": m.elements[0], "z": m.elements[0]}
         lhs, rhs = TWO_WITNESS_BLOCKS
         assert evaluate(lhs, m, later) != evaluate(rhs, m, later)
-        for n in (2, 4):
-            monkeypatch.setattr(semantics, "_workers", lambda n=n: n)
-            report = check_equation(lhs, rhs, m, Exhaustive())
-            assert starts[2] < report.samples_tried <= starts[3]
+        report = check_equation(lhs, rhs, m, Exhaustive())
+        assert starts[2] < report.samples_tried <= starts[3]
 
-    @pytest.mark.parametrize("n", [1, 2, 4])
-    def test_error_in_a_later_block_is_raised(self, monkeypatch, n):
-        monkeypatch.setattr(semantics, "_workers", lambda: n)
+    def test_error_in_a_later_block_is_raised(self):
         env = {"x": np.arange(4 * semantics._SLICE)}
 
         def bad_in(part, witness_first=False):
@@ -385,9 +363,34 @@ class TestWorkerCounts:
             semantics._first_witness(env, bad_in)
         # a witness in an earlier block is returned: the sweep never reads on
         assert semantics._first_witness(env, lambda p: bad_in(p, True)) == 7
-        # and the block threads still take the next check
+        # and the next check runs as before
         report = check_equation(*VALID_CHAIN70, resolve("chain:70"), Exhaustive())
         assert (report.verdict, report.samples_tried) == (Verdict.VALID_EXHAUSTIVE, 141**3)
+
+
+# the catalog views of at most 9 elements: a 3-variable sweep of one of them
+# is at most 729 valuations
+SMALL_FINITE_VIEWS = [n for n in FINITE_VIEWS if len(resolve(n).elements) <= 9]
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_same_report_for_every_block_size(data):
+    # blocks of at most 5 valuations: a sweep of two or more variables is many
+    # blocks, and one of three variables is cut across more than one leading
+    # axis (lead > 1 in _blocks)
+    m = resolve(data.draw(st.sampled_from(SMALL_FINITE_VIEWS)))
+    strategy = data.draw(st.sampled_from([Exhaustive(), RandomSampling(40)]))
+    terms = data.draw(st.lists(random_terms(m.signature), min_size=2, max_size=4)
+                      .filter(lambda ts: any(map(variables, ts))))
+    checks = [lambda: check_equation(terms[0], terms[1], m, strategy)]
+    if m.signature is Sig.W:
+        checks.append(lambda: check_entailment(terms[1:], terms[0], m, strategy))
+    for check in checks:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(semantics, "_SLICE", 5)
+            small = check().as_text()
+        assert small == check().as_text()
 
 
 class TestCheckEquation:

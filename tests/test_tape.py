@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_terms
 from sqmv import models, proofkit, semantics
 from sqmv.models import (
     FINITE_CATALOG,
@@ -33,13 +34,8 @@ from sqmv.semantics import (
     evaluate,
 )
 from sqmv.syntax import (
-    Const0,
-    Const1,
-    Impl,
     Neg,
-    NegPart,
     OPlus,
-    PosPart,
     Sig,
     SignatureError,
     UMinus,
@@ -130,19 +126,6 @@ class TestValues:
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
-def random_terms(sig):
-    """Hypothesis terms of ``sig`` over x, y, z and the constants, parts
-    included."""
-    binary, neg = (OPlus, UMinus) if sig is Sig.MV else (Impl, Neg)
-    leaves = [x, y, z, Const1()] + ([Const0()] if sig is Sig.MV else [])
-    return st.recursive(
-        st.sampled_from(leaves),
-        lambda kids: st.one_of(st.builds(binary, kids, kids), st.builds(neg, kids),
-                               st.builds(PosPart, kids), st.builds(NegPart, kids)),
-        max_leaves=12,
-    )
-
-
 @pytest.mark.parametrize("name, strategy", [
     ("product:chain:1,flatten:chain:1:0@w", Exhaustive()),
     ("square", RandomSampling(20)),
@@ -206,9 +189,7 @@ class TestSharing:
 
     def test_once_per_block(self, monkeypatch):
         # chain:40 has 81 elements; the witness of this 4-variable equation
-        # sits past the first block of the sweep.  One block at a time: the
-        # call counters are not thread-safe.
-        monkeypatch.setattr(semantics, "_workers", lambda: 1)
+        # sits past the first block of the sweep
         m = resolve("chain:40")
         lhs = parse("w (+) w (+) z (+) x^-^+", Sig.MV)
         rhs = parse("w (+) z (+) y^-^+", Sig.MV)
@@ -228,7 +209,6 @@ class TestSharing:
         # a valid 4-variable sweep of chain:40 runs the tape on 169 blocks of
         # 39 rows of 81**2 valuations, a row being one index of the first
         # two axes (243 blocks if each index of the first axis were cut alone)
-        monkeypatch.setattr(semantics, "_workers", lambda: 1)
         calls = self.count_calls(monkeypatch, FiniteModel)
         report = check_equation(parse("(w (+) x) (+) (y (+) z)", Sig.MV),
                                 parse("(x (+) w) (+) (z (+) y)", Sig.MV),
