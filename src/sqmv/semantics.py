@@ -277,13 +277,13 @@ def _env_from_random(m: Model, names: Sequence[str], count: int, seed: int, max_
         elif m.pair:
             a = rng.integers(-D, D + 1, size=count)
             b = rng.integers(-D, D + 1, size=count)
-            if m.kind == "disk":
-                bad = a * a > D * D - b * b
-                while bad.any():
-                    n_bad = int(bad.sum())
-                    a[bad] = rng.integers(-D, D + 1, size=n_bad)
-                    b[bad] = rng.integers(-D, D + 1, size=n_bad)
-                    bad = a * a > D * D - b * b
+            if m.kind == "disk":  # redraw the points outside it, in index order
+                bad = np.flatnonzero(a * a > D * D - b * b)
+                while bad.size:
+                    a[bad] = rng.integers(-D, D + 1, size=bad.size)
+                    b[bad] = rng.integers(-D, D + 1, size=bad.size)
+                    x, y = a[bad], b[bad]
+                    bad = bad[x * x > D * D - y * y]
             env[nm] = (a, b)
         else:
             env[nm] = rng.integers(-D, D + 1, size=count)

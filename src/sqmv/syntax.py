@@ -313,104 +313,90 @@ class _Join:
 
 _TOKENS = {c.symbol: c for c in (*_NODES, _Join) if c is not Var}
 _BINARY = {s: c for s, c in _TOKENS.items() if c.level <= _LEVEL_JOIN}
+_PREFIX, _POSTFIX, _ATOMS = ({s: c for s, c in _TOKENS.items() if c.level == level}
+                             for level in (_LEVEL_PREFIX, _LEVEL_POSTFIX, _LEVEL_ATOM))
 # longest first: "(+)" before "(", "<->" and "->" before "-"
 _SYMBOLS = sorted([*_TOKENS, "<->", "(", ")"], key=len, reverse=True)
-# after optional whitespace: a symbol or a variable name, or else one stray character
-_TOKEN = re.compile(r"\s*(?:(%s|%s)|(\S))" % ("|".join(map(re.escape, _SYMBOLS)), IDENT.pattern))
+# after optional whitespace: a symbol or a variable name (group 1), or else one
+# stray character, which ``findall`` reads as the empty token
+_TOKEN = re.compile(r"\s*(?:(%s|%s)|\S)" % ("|".join(map(re.escape, _SYMBOLS)), IDENT.pattern))
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    """(token, position) pairs, ending with ``("", len(text))``."""
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        if m.lastindex == 2:
-            raise ParseError(f"unexpected character {m[2]!r}", m.start(2))
-        tokens.append((m[1], m.start(1)))
-    tokens.append(("", len(text)))
-    return tokens
+def _start(text: str, k: int) -> int:
+    """Where the ``k``-th token from the end of ``text`` starts; the end token,
+    ``k == 1``, starts at the end.  Only errors need positions."""
+    return [*(m.start(1) for m in _TOKEN.finditer(text)), len(text)][-k]
 
 
-class _Parser:
-    def __init__(self, text: str, sig: Sig):
-        self.tokens = _tokenize(text)
-        self.sig = sig
-        self.i = 0
+def _foreign(cls: type, sig: Sig) -> SignatureError:
+    return SignatureError(f"'{cls.symbol}' is not part of the {sig.value.upper()}-STAR language")
 
-    def allow(self, cls: type) -> None:
-        if cls.sig not in (None, self.sig):
-            lang = self.sig.value.upper()
-            raise SignatureError(f"'{cls.symbol}' is not part of the {lang}-STAR language")
 
-    def expect(self, token: str, name: str) -> None:
-        found, pos = self.tokens[self.i]
-        self.i += 1
-        if found != token:
-            raise ParseError(f"expected {name!r}, found {found!r}", pos)
+def _formulas(text: str, sig: Sig, allow_iff: bool) -> tuple[Term, ...]:
+    """The whole text: one formula, or both implications of a topmost ``<->``."""
+    tokens = _TOKEN.findall(text)
+    if "" in tokens:  # a stray character is the error, wherever it stands
+        m = next(m for m in _TOKEN.finditer(text) if m.lastindex is None)
+        raise ParseError(f"unexpected character {text[m.end() - 1]!r}", m.end() - 1)
+    tokens.append("")  # the end token
+    tokens.reverse()  # the next token is the last, so that reading it is ``pop``
+    t = _formula(text, tokens, _LEVEL_INFIX, sig)
+    terms = (t,)
+    if tokens[-1] == "<->":
+        if not allow_iff:
+            raise ParseError("'<->' is not allowed here", _start(text, len(tokens)))
+        if sig is not Sig.W:
+            raise SignatureError("'<->' belongs to the W-STAR language")
+        tokens.pop()
+        rhs = _formula(text, tokens, _LEVEL_INFIX, sig)
+        terms = (Impl(t, rhs), Impl(rhs, t))
+    if tokens[-1]:
+        raise ParseError(f"expected 'eof', found {tokens[-1]!r}", _start(text, len(tokens)))
+    return terms
 
-    def take(self, level: int) -> type | None:
-        """Consume the next token if its class has ``level``, and return that class."""
-        cls = _TOKENS.get(self.tokens[self.i][0])
-        if cls is None or cls.level != level:
-            return None
-        self.allow(cls)
-        self.i += 1
-        return cls
 
-    def formulas(self, allow_iff: bool) -> tuple[Term, ...]:
-        """The whole text: one formula, or both implications of a topmost ``<->``."""
-        terms = (self.formula(_LEVEL_INFIX),)
-        tok, pos = self.tokens[self.i]
-        if tok == "<->":
-            self.i += 1
-            if not allow_iff:
-                raise ParseError("'<->' is not allowed here", pos)
-            if self.sig is not Sig.W:
-                raise SignatureError("'<->' belongs to the W-STAR language")
-            lhs, rhs = terms[0], self.formula(_LEVEL_INFIX)
-            terms = (Impl(lhs, rhs), Impl(rhs, lhs))
-        self.expect("", "eof")
-        return terms
-
-    def formula(self, least: int) -> Term:
-        """An operand, then each binary connective after it of level ``least`` or more."""
-        left, left_level = self.operand(), _LEVEL_PREFIX
-        while True:
-            cls = _BINARY.get(self.tokens[self.i][0])
-            if cls is None or cls.level < least or left_level < cls.operand_levels[0]:
-                return left
-            self.allow(cls)
-            self.i += 1
-            right = self.formula(cls.operand_levels[1])
-            left = join_term(left, right, self.sig) if cls is _Join else cls(left, right)
-            left_level = cls.level
-
-    def operand(self) -> Term:
-        """A run of prefix connectives, one atom, then a run of postfix connectives."""
-        prefixes = []
-        while cls := self.take(_LEVEL_PREFIX):
-            prefixes.append(cls)
-        tok, pos = self.tokens[self.i]
-        self.i += 1
-        if tok == "(":
-            t = self.formula(_LEVEL_INFIX)
-            self.expect(")", "rpar")
-        elif tok.isidentifier():  # of all tokens, only variable names are
-            t = Var(tok)
-        elif (cls := _TOKENS.get(tok)) is not None and cls.level == _LEVEL_ATOM:
-            self.allow(cls)
-            t = cls()
-        else:
-            raise ParseError(f"expected a formula, found {tok!r}", pos)
-        while cls := self.take(_LEVEL_POSTFIX):
-            t = cls(t)
-        for cls in reversed(prefixes):
-            t = cls(t)
-        return t
+def _formula(text: str, tokens: list[str], least: int, sig: Sig) -> Term:
+    """Read from the reversed ``tokens`` the formula whose connectives outside
+    parentheses have level ``least`` or more: a run of prefix connectives, one
+    atom, a run of postfix connectives, then each binary connective and its
+    right operand.  It recurses once per parenthesis and once per right operand."""
+    prefixes = []
+    while (cls := _PREFIX.get(tok := tokens.pop())) is not None:
+        if cls.sig not in (None, sig):
+            raise _foreign(cls, sig)
+        prefixes.append(cls)
+    if tok == "(":
+        t = _formula(text, tokens, _LEVEL_INFIX, sig)
+        if (tok := tokens.pop()) != ")":
+            raise ParseError(f"expected 'rpar', found {tok!r}", _start(text, len(tokens) + 1))
+    elif tok.isidentifier():  # of all tokens, only variable names are
+        t = Var(tok)
+    elif (cls := _ATOMS.get(tok)) is not None:
+        if cls.sig not in (None, sig):
+            raise _foreign(cls, sig)
+        t = cls()
+    else:
+        raise ParseError(f"expected a formula, found {tok!r}", _start(text, len(tokens) + 1))
+    while (cls := _POSTFIX.get(tokens[-1])) is not None:
+        tokens.pop()
+        t = cls(t)
+    for cls in reversed(prefixes):
+        t = cls(t)
+    level = _LEVEL_PREFIX  # of t
+    while ((cls := _BINARY.get(tokens[-1])) is not None and cls.level >= least
+           and level >= cls.operand_levels[0]):
+        if cls.sig not in (None, sig):
+            raise _foreign(cls, sig)
+        tokens.pop()
+        right = _formula(text, tokens, cls.operand_levels[1], sig)
+        t = join_term(t, right, sig) if cls is _Join else cls(t, right)
+        level = cls.level
+    return t
 
 
 def parse(text: str, sig: Sig) -> Term:
     """Parse ``text`` as a single formula of the given signature."""
-    return _Parser(text, sig).formulas(allow_iff=False)[0]
+    return _formulas(text, sig, allow_iff=False)[0]
 
 
 def parse_iff(text: str, sig: Sig = Sig.W) -> tuple[Term, ...]:
@@ -419,7 +405,7 @@ def parse_iff(text: str, sig: Sig = Sig.W) -> tuple[Term, ...]:
     Returns a 1-tuple for plain formulas and the pair of implications
     (forward, backward) if ``<->`` is present.
     """
-    return _Parser(text, sig).formulas(allow_iff=True)
+    return _formulas(text, sig, allow_iff=True)
 
 
 # ---------------------------------------------------------------------------
@@ -458,15 +444,19 @@ def match_schema(
     occurring in ``ground`` are treated as ordinary constants.
     """
     out = dict(bindings) if bindings else {}
-    return out if _match(pattern, ground, out) else None
-
-
-def _match(pat: Term, g: Term, out: dict[str, Term]) -> bool:
-    if isinstance(pat, Var):  # bind at the first occurrence, else agree with it
-        return out.setdefault(pat.name, g) is g
-    if type(pat) is not type(g):
-        return False
-    return all(_match(pc, gc, out) for pc, gc in zip(children(pat), children(g)))
+    pairs = [(pattern, ground)]  # still to match; they pop in preorder
+    while pairs:
+        pat, g = pairs.pop()
+        if type(pat) is Var:  # bind at the first occurrence, else agree with it
+            if out.setdefault(pat.name, g) is not g:
+                return None
+        elif type(pat) is not type(g):
+            return None
+        elif isinstance(pat, Binary):
+            pairs += (pat.right, g.right), (pat.left, g.left)
+        elif isinstance(pat, Unary):
+            pairs.append((pat.arg, g.arg))
+    return out
 
 
 def substitute(pattern: Term, assignment: dict[str, Term], sig: Sig | None = None) -> Term:

@@ -1,15 +1,18 @@
 """Shared helpers: seeded random terms/valuations, hypothesis terms, an independent
-reference evaluator written straight from the model definitions, and the
+reference evaluator written straight from the model definitions, a reference
+parser (the library's previous parser, one method call per token), and the
 carrier restriction and valuation projection that only tests use."""
 
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
+from sqmv import syntax
 from sqmv.models import FiniteModel, Model, finite_model_from_ops, ops_for
 from sqmv.syntax import (
     Const0,
@@ -18,11 +21,14 @@ from sqmv.syntax import (
     Neg,
     NegPart,
     OPlus,
+    ParseError,
     PosPart,
     Sig,
+    SignatureError,
     Term,
     UMinus,
     Var,
+    join_term,
 )
 
 F = Fraction
@@ -170,6 +176,115 @@ def oracle_interval(t: Term, v: dict, flat: bool = False) -> Fraction:
         return F(0) if flat else min(F(0), ev(s.arg))
 
     return ev(t)
+
+
+# ---------------------------------------------------------------------------
+# Reference parser: the library's previous precedence-climbing parser, which
+# tokenises up front and then makes one method call per token.  It reads the
+# same connective table (symbols, levels, signatures); the order in which it
+# raises errors is the one the library keeps.
+
+_INFIX, _PREFIX = syntax._LEVEL_INFIX, syntax._LEVEL_PREFIX
+_POSTFIX, _ATOM = syntax._LEVEL_POSTFIX, syntax._LEVEL_ATOM
+_REF_TOKEN = re.compile(r"\s*(?:(%s|%s)|(\S))" % (
+    "|".join(map(re.escape, syntax._SYMBOLS)), syntax.IDENT.pattern))
+
+
+def _ref_tokenize(text: str) -> list[tuple[str, int]]:
+    """(token, position) pairs, ending with ``("", len(text))``."""
+    tokens = []
+    for m in _REF_TOKEN.finditer(text):
+        if m.lastindex == 2:
+            raise ParseError(f"unexpected character {m[2]!r}", m.start(2))
+        tokens.append((m[1], m.start(1)))
+    tokens.append(("", len(text)))
+    return tokens
+
+
+class ReferenceParser:
+    def __init__(self, text: str, sig: Sig):
+        self.tokens = _ref_tokenize(text)
+        self.sig = sig
+        self.i = 0
+
+    def allow(self, cls: type) -> None:
+        if cls.sig not in (None, self.sig):
+            lang = self.sig.value.upper()
+            raise SignatureError(f"'{cls.symbol}' is not part of the {lang}-STAR language")
+
+    def expect(self, token: str, name: str) -> None:
+        found, pos = self.tokens[self.i]
+        self.i += 1
+        if found != token:
+            raise ParseError(f"expected {name!r}, found {found!r}", pos)
+
+    def take(self, level: int) -> type | None:
+        """Consume the next token if its class has ``level``, and return that class."""
+        cls = syntax._TOKENS.get(self.tokens[self.i][0])
+        if cls is None or cls.level != level:
+            return None
+        self.allow(cls)
+        self.i += 1
+        return cls
+
+    def formulas(self, allow_iff: bool) -> tuple[Term, ...]:
+        """The whole text: one formula, or both implications of a topmost ``<->``."""
+        terms = (self.formula(_INFIX),)
+        tok, pos = self.tokens[self.i]
+        if tok == "<->":
+            self.i += 1
+            if not allow_iff:
+                raise ParseError("'<->' is not allowed here", pos)
+            if self.sig is not Sig.W:
+                raise SignatureError("'<->' belongs to the W-STAR language")
+            lhs, rhs = terms[0], self.formula(_INFIX)
+            terms = (Impl(lhs, rhs), Impl(rhs, lhs))
+        self.expect("", "eof")
+        return terms
+
+    def formula(self, least: int) -> Term:
+        """An operand, then each binary connective after it of level ``least`` or more."""
+        left, left_level = self.operand(), _PREFIX
+        while True:
+            cls = syntax._BINARY.get(self.tokens[self.i][0])
+            if cls is None or cls.level < least or left_level < cls.operand_levels[0]:
+                return left
+            self.allow(cls)
+            self.i += 1
+            right = self.formula(cls.operand_levels[1])
+            left = join_term(left, right, self.sig) if cls is syntax._Join else cls(left, right)
+            left_level = cls.level
+
+    def operand(self) -> Term:
+        """A run of prefix connectives, one atom, then a run of postfix connectives."""
+        prefixes = []
+        while cls := self.take(_PREFIX):
+            prefixes.append(cls)
+        tok, pos = self.tokens[self.i]
+        self.i += 1
+        if tok == "(":
+            t = self.formula(_INFIX)
+            self.expect(")", "rpar")
+        elif tok.isidentifier():  # of all tokens, only variable names are
+            t = Var(tok)
+        elif (cls := syntax._TOKENS.get(tok)) is not None and cls.level == _ATOM:
+            self.allow(cls)
+            t = cls()
+        else:
+            raise ParseError(f"expected a formula, found {tok!r}", pos)
+        while cls := self.take(_POSTFIX):
+            t = cls(t)
+        for cls in reversed(prefixes):
+            t = cls(t)
+        return t
+
+
+def reference_parse(text: str, sig: Sig) -> Term:
+    return ReferenceParser(text, sig).formulas(allow_iff=False)[0]
+
+
+def reference_parse_iff(text: str, sig: Sig) -> tuple[Term, ...]:
+    return ReferenceParser(text, sig).formulas(allow_iff=True)
 
 
 # ---------------------------------------------------------------------------

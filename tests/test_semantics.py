@@ -852,3 +852,28 @@ class TestStrategyParsing:
         m = resolve(kind)
         for d in range(1, 200):
             assert semantics._grid_count(m, d) == len(semantics._grid_points(m, d)[0]), d
+
+
+def _disk_draw_reference(rng, D, count):
+    """The disk draw as it was first written: every round re-tests the whole arrays."""
+    a = rng.integers(-D, D + 1, size=count)
+    b = rng.integers(-D, D + 1, size=count)
+    bad = a * a > D * D - b * b
+    while bad.any():
+        n_bad = int(bad.sum())
+        a[bad] = rng.integers(-D, D + 1, size=n_bad)
+        b[bad] = rng.integers(-D, D + 1, size=n_bad)
+        bad = a * a > D * D - b * b
+    return a, b
+
+
+@pytest.mark.parametrize("D", [120, 7, 2**31])
+def test_disk_draws_equal_the_whole_array_loop(D):
+    disk = resolve("disk")
+    for seed in range(50):
+        for count in (10000, 2000, 37, 5000):
+            env, _, _ = semantics._env_from_random(disk, ("x", "y"), count, seed, D)
+            rng = np.random.default_rng(seed)
+            for name in ("x", "y"):
+                want = _disk_draw_reference(rng, D, count)
+                assert all(np.array_equal(g, h) for g, h in zip(env[name], want)), (seed, count)

@@ -4,12 +4,13 @@ import pickle
 import random
 import sys
 import threading
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_term
+from conftest import random_term, random_terms, reference_parse, reference_parse_iff
 from sqmv import models, syntax
 from sqmv.models import ops_for, resolve
 from sqmv.transform import mv_to_w_term, w_to_mv_term
@@ -235,6 +236,57 @@ def test_parser_error_surface(text, parsers, sigs, error, message, position):
             assert getattr(exc.value, "position", None) == position, (parser.__name__, sig)
 
 
+def _outcome(parser, text, sig):
+    """What ``parser`` makes of ``text``: its terms, or its error's type, text and position."""
+    try:
+        return parser(text, sig)
+    except FormulaError as e:
+        return type(e), str(e), getattr(e, "position", None)
+
+
+_GAPS = st.sampled_from(["", "", " ", "  ", "\t", "\n"])
+# every token, twice the parentheses and the iff, and three stray characters
+_SOUP = st.sampled_from(["p", "x1", "0", "1", "(+)", "->", "<->", "<->", "-", "~", "^+", "^-",
+                         "\\/", "(", "(", ")", ")", "&", "^", "\u00f1"])
+_JOINS = st.sampled_from(["(+)", "->", "\\/", "<->"])
+_SIGS = st.sampled_from(Sig)
+_TERMS = {sig: random_terms(sig) for sig in Sig}
+
+
+@st.composite
+def _texts(draw):
+    """A token soup, or one to three printed random terms of one signature
+    joined by binary connectives; then up to four tokens deleted or inserted,
+    and random whitespace between tokens."""
+    if draw(st.integers(0, 3)) == 0:
+        tokens = draw(st.lists(_SOUP, max_size=12))
+    else:
+        tokens, terms = [], _TERMS[draw(_SIGS)]
+        for _ in range(draw(st.sampled_from([1, 2, 3]))):
+            if tokens:
+                tokens.append(draw(_JOINS))
+            tokens += syntax._TOKEN.findall(print_term(draw(terms)))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3, 4]))):
+        i = draw(st.integers(0, len(tokens)))
+        if i < len(tokens) and draw(st.booleans()):
+            del tokens[i]
+        else:
+            tokens.insert(i, draw(_SOUP))
+    gaps = draw(st.lists(_GAPS, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    return "".join(g + t for g, t in zip(gaps, tokens)) + gaps[-1]
+
+
+@given(_texts())
+@example("p (+) q -> r")  # the level check comes before the signature check
+@example("(p -> ~q & r")  # a stray character wins over a parse or signature error
+@settings(max_examples=1000, deadline=None)
+def test_parser_agrees_with_the_reference_parser(text):
+    # the same nodes, or the same error: which error wins included
+    for sig in Sig:
+        for parser, reference in ((parse, reference_parse), (parse_iff, reference_parse_iff)):
+            assert _outcome(parser, text, sig) == _outcome(reference, text, sig)
+
+
 class TestExpand:
     def test_pospart_w(self):
         assert expand_abbreviations(PosPart(p), Sig.W) == parse("(p -> 1) -> 1", Sig.W)
@@ -427,6 +479,21 @@ class TestWalks:
             t = PosPart(t)
         with pytest.raises(SignatureError, match="^connective UMinus is not part of the W-STAR"):
             check_signature(t, Sig.W)
+
+    def test_deep_patterns_match_and_long_texts_parse(self):
+        # a schema three times the default recursion limit deep matches; a
+        # 20000-operand sum and a 20000-long prefix run each parse within a second
+        x = Var("x")
+        pattern, ground = p, x
+        for _ in range(3000):
+            pattern, ground = Neg(pattern), Neg(ground)
+        assert match_schema(pattern, ground) == {"p": x}
+        for text, sig, cls, count in ((" (+) ".join(["x"] * 20000), Sig.MV, OPlus, 19999),
+                                      ("~" * 20000 + "x", Sig.W, Neg, 20000)):
+            start = time.perf_counter()
+            t = parse(text, sig)
+            assert time.perf_counter() - start < 1
+            assert count_connective(t, cls) == count
 
     def test_parse_verb_prints_a_deep_tree(self, capsys):
         # the text tree is rendered from the --json dict; building that dict
