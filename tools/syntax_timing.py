@@ -6,18 +6,17 @@
 - ``match_schema`` runs on every (schema, formula, bindings) call that
   ``check_proof`` makes while checking those scripts.
 
-Each call is timed on its own (best of ``--repeat`` rounds of ``--number``
+Each call is timed on its own (best of ``REPEAT`` rounds of ``NUMBER``
 runs). The output is one JSON object: per function, the number of calls, the
 median and the 90th percentile of the per-call times in microseconds, and
 their sum in milliseconds (one pass over all the calls). Run from the
 repository root:
 
-    python3 tools/syntax_timing.py [--number 20] [--repeat 3]
+    python3 tools/syntax_timing.py
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import pathlib
 import platform
@@ -35,6 +34,8 @@ from sqmv.syntax import Sig, match_schema, parse  # noqa: E402
 FIXTURES = ROOT / "src" / "sqmv" / "fixtures"
 # the formula of a hypothesis or of a numbered proof line
 _FORMULA = re.compile(r"^\s*(?:hyp:|\d+\.)\s*(.+?)\s*(?:;|$)")
+NUMBER = 20  # runs per timing round
+REPEAT = 3  # rounds per call; the best counts
 
 
 def scripts() -> list[str]:
@@ -60,8 +61,8 @@ def match_calls(texts: list[str]) -> list[tuple]:
     return calls
 
 
-def per_call_us(fn, calls: list[tuple], number: int, repeat: int) -> dict:
-    times = [1e6 * min(timeit.repeat(lambda: fn(*args), number=number, repeat=repeat)) / number
+def per_call_us(fn, calls: list[tuple]) -> dict:
+    times = [1e6 * min(timeit.repeat(lambda: fn(*args), number=NUMBER, repeat=REPEAT)) / NUMBER
              for args in calls]
     return {"calls": len(calls),
             "median_us": round(statistics.median(times), 3),
@@ -69,11 +70,7 @@ def per_call_us(fn, calls: list[tuple], number: int, repeat: int) -> dict:
             "sum_ms": round(sum(times) / 1000, 3)}
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--number", type=int, default=20, help="runs per timing round")
-    ap.add_argument("--repeat", type=int, default=3, help="rounds per call; the best counts")
-    args = ap.parse_args(argv)
+def main() -> int:
     texts = scripts()
     lines = [(m[1], Sig.W) for text in texts
              for m in map(_FORMULA.match, text.splitlines()) if m]
@@ -82,8 +79,8 @@ def main(argv=None) -> int:
     report = {
         "python": platform.python_version(),
         "scripts": len(texts),
-        "parse": per_call_us(parse, lines, args.number, args.repeat),
-        "match_schema": per_call_us(match_schema, matches, args.number, args.repeat),
+        "parse": per_call_us(parse, lines),
+        "match_schema": per_call_us(match_schema, matches),
     }
     print(json.dumps(report, indent=2))
     return 0
