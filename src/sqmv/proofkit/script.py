@@ -96,7 +96,8 @@ class ProofScript:
         return self.lines[-1].formula
 
 
-_LINE_RE = re.compile(r"^(\d+)\.\s*(.+?)\s*;\s*(.+)$")
+# the formula: group 2 if it starts with neither ";" nor a blank, else group 3 (error lines)
+_LINE_RE = re.compile(r"^(\d+)\.\s*(?:([^;\s](?:[^;]*[^;\s])?)|(.+?))\s*;\s*(.+)$")
 _JUST_RE = re.compile(r"^(AX|HYP|RULE|LEM)\s+(\S+)(?:\s+([\d,\s]+))?$")
 
 
@@ -127,9 +128,9 @@ def _parse_just(text: str, lineno: int) -> Justification:
     return LemmaRef(name, premises)
 
 
-def _parse_formula(text: str, lineno: int) -> Term:
+def _parse_formula(text: str, lineno: int, memo: dict) -> Term:
     try:
-        return expand_abbreviations(parse(text, Sig.W), Sig.W)
+        return expand_abbreviations(parse(text, Sig.W, memo), Sig.W)
     except FormulaError as exc:
         raise ScriptError(f"line {lineno}: {exc}") from None
 
@@ -138,6 +139,7 @@ def parse_script(text: str) -> ProofScript:
     system: str | None = None
     hypotheses: list[Term] = []
     lines: list[ProofLine] = []
+    memo: dict = {}  # the groups this script's formulas share (see ``parse``)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
@@ -154,17 +156,17 @@ def parse_script(text: str) -> ProofScript:
         if stripped.startswith("hyp:"):
             if lines:
                 raise ScriptError(f"line {lineno}: hypotheses must precede proof lines")
-            hypotheses.append(_parse_formula(stripped[len("hyp:"):], lineno))
+            hypotheses.append(_parse_formula(stripped[len("hyp:"):], lineno, memo))
             continue
         m = _LINE_RE.match(stripped)
         if not m:
             raise ScriptError(f"line {lineno}: cannot parse proof line {stripped!r}")
-        number, formula_text, just_text = m.groups()
+        number, formula_text, just_text = m[1], m[2] or m[3], m[4]
         if int(number) != len(lines) + 1:
             raise ScriptError(
                 f"line {lineno}: expected line number {len(lines) + 1}, got {number}"
             )
-        formula = _parse_formula(formula_text, lineno)
+        formula = _parse_formula(formula_text, lineno, memo)
         lines.append(ProofLine(formula, _parse_just(just_text, lineno), formula_text))
     if system is None:
         raise ScriptError("missing system header")

@@ -44,8 +44,10 @@ class StrategyError(SemanticsError):
     pass
 
 
-# Larger grids and random samples are refused before anything is allocated.
+# Larger grids and random samples are refused before anything is allocated, and
+# so are random samples of more values in all (sample count times variables).
 _GRID_CAP = 2_000_000
+_DRAW_CAP = 4_000_000
 
 # Exhaustive sweeps of more valuations are refused before anything is allocated.
 _EXHAUSTIVE_CAP = 10**9
@@ -320,6 +322,9 @@ def _valuations(m: Model, strategy: Strategy, names: Sequence[str],
             raise StrategyError(
                 f"strategy {strategy.describe()!r} needs a non-negative seed, got {seed}"
             )
+        if (draws := strategy.count * len(names)) > _DRAW_CAP:
+            raise StrategyError(f"strategy {strategy.describe()!r} over {len(names)} variables "
+                                f"draws {draws} values; at most {_DRAW_CAP} are drawn")
         env, D, total = _env_from_random(m, names, strategy.count, seed,
                                          strategy.max_denominator)
     else:

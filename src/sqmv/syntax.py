@@ -13,7 +13,8 @@ import enum
 import re
 import threading
 import weakref
-from itertools import repeat
+from _weakref import _remove_dead_weakref
+from itertools import compress, repeat
 from typing import Iterator
 
 
@@ -57,8 +58,16 @@ _LEVEL_PREFIX = 3
 _LEVEL_POSTFIX = 4
 _LEVEL_ATOM = 5
 
-# Every live node by (class, *fields); an entry goes when its node dies.
-_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)  # of its node in ``_TABLE``
+
+    def drop(self) -> None:  # its node's death callback: a live successor keeps the entry
+        _remove_dead_weakref(_TABLE, self.key)
+
+
+# A weak reference to every live node by (class, *fields); an entry goes when its node dies.
+_TABLE: dict[tuple, _Ref] = {}
 _LOCK = threading.Lock()
 _BOTH = "both"  # the signature needed by a term with connectives of both languages
 
@@ -78,9 +87,12 @@ class Term:
 
     def __new__(cls, *fields) -> Term:
         key = (cls, *fields)
-        if (node := _TABLE.get(key)) is None:
+        if (ref := _TABLE.get(key)) is None or (node := ref()) is None:
             with _LOCK:  # look again: another thread may have stored the node
-                node = _TABLE.setdefault(key, _make(cls, fields))
+                if (ref := _TABLE.get(key)) is None or (node := ref()) is None:
+                    node = _make(cls, fields)
+                    ref = _TABLE[key] = _Ref(node, _Ref.drop)
+                    ref.key = key
         return node
 
     def __setattr__(self, name, value):
@@ -332,7 +344,7 @@ def _foreign(cls: type, sig: Sig) -> SignatureError:
     return SignatureError(f"'{cls.symbol}' is not part of the {sig.value.upper()}-STAR language")
 
 
-def _formulas(text: str, sig: Sig, allow_iff: bool) -> tuple[Term, ...]:
+def _formulas(text: str, sig: Sig, allow_iff: bool, memo: dict | None) -> tuple[Term, ...]:
     """The whole text: one formula, or both implications of a topmost ``<->``."""
     tokens = _TOKEN.findall(text)
     if "" in tokens:  # a stray character is the error, wherever it stands
@@ -340,7 +352,8 @@ def _formulas(text: str, sig: Sig, allow_iff: bool) -> tuple[Term, ...]:
         raise ParseError(f"unexpected character {text[m.end() - 1]!r}", m.end() - 1)
     tokens.append("")  # the end token
     tokens.reverse()  # the next token is the last, so that reading it is ``pop``
-    t = _formula(text, tokens, _LEVEL_INFIX, sig)
+    groups = None if memo is None else (memo, _groups(tokens))
+    t = _formula(text, tokens, _LEVEL_INFIX, sig, groups)
     terms = (t,)
     if tokens[-1] == "<->":
         if not allow_iff:
@@ -348,27 +361,46 @@ def _formulas(text: str, sig: Sig, allow_iff: bool) -> tuple[Term, ...]:
         if sig is not Sig.W:
             raise SignatureError("'<->' belongs to the W-STAR language")
         tokens.pop()
-        rhs = _formula(text, tokens, _LEVEL_INFIX, sig)
+        rhs = _formula(text, tokens, _LEVEL_INFIX, sig, groups)
         terms = (Impl(t, rhs), Impl(rhs, t))
     if tokens[-1]:
         raise ParseError(f"expected 'eof', found {tokens[-1]!r}", _start(text, len(tokens)))
     return terms
 
 
-def _formula(text: str, tokens: list[str], least: int, sig: Sig) -> Term:
+def _groups(tokens: list[str]) -> dict[int, int]:
+    """Where each matched ``(`` of the reversed ``tokens`` stands -> where its ``)`` does."""
+    match, closes = {}, []
+    for i in compress(range(len(tokens)), map(("(", ")").__contains__, tokens)):
+        if tokens[i] == ")":
+            closes.append(i)
+        elif closes:
+            match[i] = closes.pop()
+    return match
+
+
+def _formula(text: str, tokens: list[str], least: int, sig: Sig, groups: tuple | None) -> Term:
     """Read from the reversed ``tokens`` the formula whose connectives outside
     parentheses have level ``least`` or more: a run of prefix connectives, one
     atom, a run of postfix connectives, then each binary connective and its
-    right operand.  It recurses once per parenthesis and once per right operand."""
+    right operand.  It recurses once per parenthesis and once per right operand.
+    ``groups`` is None, or a memo from each group read (its tokens from ``)`` back
+    to just after ``(``) to its node, and ``_groups(tokens)``."""
     prefixes = []
     while (cls := _PREFIX.get(tok := tokens.pop())) is not None:
         if cls.sig not in (None, sig):
             raise _foreign(cls, sig)
         prefixes.append(cls)
     if tok == "(":
-        t = _formula(text, tokens, _LEVEL_INFIX, sig)
-        if (tok := tokens.pop()) != ")":
-            raise ParseError(f"expected 'rpar', found {tok!r}", _start(text, len(tokens) + 1))
+        end = groups[1].get(len(tokens)) if groups else None
+        if end is not None and (t := groups[0].get(key := tuple(tokens[end:]))) is not None:
+            del tokens[end:]
+        else:
+            t = _formula(text, tokens, _LEVEL_INFIX, sig, groups)
+            if (tok := tokens.pop()) != ")":
+                raise ParseError(f"expected 'rpar', found {tok!r}", _start(text, len(tokens) + 1))
+            if end is not None:
+                groups[0][key] = t
     elif tok.isidentifier():  # of all tokens, only variable names are
         t = Var(tok)
     elif (cls := _ATOMS.get(tok)) is not None:
@@ -388,15 +420,16 @@ def _formula(text: str, tokens: list[str], least: int, sig: Sig) -> Term:
         if cls.sig not in (None, sig):
             raise _foreign(cls, sig)
         tokens.pop()
-        right = _formula(text, tokens, cls.operand_levels[1], sig)
+        right = _formula(text, tokens, cls.operand_levels[1], sig, groups)
         t = join_term(t, right, sig) if cls is _Join else cls(t, right)
         level = cls.level
     return t
 
 
-def parse(text: str, sig: Sig) -> Term:
-    """Parse ``text`` as a single formula of the given signature."""
-    return _formulas(text, sig, allow_iff=False)[0]
+def parse(text: str, sig: Sig, memo: dict | None = None) -> Term:
+    """Parse ``text`` as a single formula of the given signature.  Calls that
+    share a ``memo`` dict, and the signature, read each parenthesised group once."""
+    return _formulas(text, sig, False, memo)[0]
 
 
 def parse_iff(text: str, sig: Sig = Sig.W) -> tuple[Term, ...]:
@@ -405,7 +438,7 @@ def parse_iff(text: str, sig: Sig = Sig.W) -> tuple[Term, ...]:
     Returns a 1-tuple for plain formulas and the pair of implications
     (forward, backward) if ``<->`` is present.
     """
-    return _formulas(text, sig, allow_iff=True)
+    return _formulas(text, sig, True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -464,16 +497,16 @@ def substitute(pattern: Term, assignment: dict[str, Term], sig: Sig | None = Non
     if sig is not None:
         for name, image in assignment.items():
             check_signature(image, sig)
-    result = _substitute(pattern, assignment)
+    result = _substitute(pattern, {Var(name): image for name, image in assignment.items()})
     if sig is not None:
         check_signature(result, sig)
     return result
 
 
-def _substitute(s: Term, assignment: dict[str, Term]) -> Term:
-    if isinstance(s, Var):
-        try:
-            return assignment[s.name]
-        except KeyError:
-            raise MissingBinding(f"no binding for metavariable {s.name!r}") from None
-    return rebuild(s, tuple(_substitute(c, assignment) for c in children(s)))
+def _substitute(s: Term, images: dict[Term, Term]) -> Term:
+    # ``images`` maps each bound metavariable, and each node this call rebuilt, to its image
+    if (image := images.get(s)) is None:
+        if type(s) is Var:
+            raise MissingBinding(f"no binding for metavariable {s.name!r}")
+        image = images[s] = rebuild(s, tuple(map(_substitute, children(s), repeat(images))))
+    return image

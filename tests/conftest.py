@@ -1,7 +1,8 @@
 """Shared helpers: seeded random terms/valuations, hypothesis terms, an independent
 reference evaluator written straight from the model definitions, a reference
-parser (the library's previous parser, one method call per token), and the
-carrier restriction and valuation projection that only tests use."""
+parser (the library's previous parser, one method call per token), a reference
+substitution (a tree walk), and the carrier restriction and valuation
+projection that only tests use."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from sqmv.syntax import (
     Const0,
     Const1,
     Impl,
+    MissingBinding,
     Neg,
     NegPart,
     OPlus,
@@ -285,6 +287,18 @@ def reference_parse(text: str, sig: Sig) -> Term:
 
 def reference_parse_iff(text: str, sig: Sig) -> tuple[Term, ...]:
     return ReferenceParser(text, sig).formulas(allow_iff=True)
+
+
+def reference_substitute(s: Term, assignment: dict[str, Term]) -> Term:
+    """The library's previous substitution: it rebuilds every occurrence of a
+    shared node and raises at the first unbound metavariable in preorder."""
+    if isinstance(s, Var):
+        try:
+            return assignment[s.name]
+        except KeyError:
+            raise MissingBinding(f"no binding for metavariable {s.name!r}") from None
+    return syntax.rebuild(s, tuple(reference_substitute(c, assignment)
+                                   for c in syntax.children(s)))
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,17 @@ class TestRejections:
         assert (code, out) == (2, "")
         assert f"error: strategy '{strategy}'" in err
 
+    def test_oversized_random_request_exits_two_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "check-eq", "--model", "square", "--strategy", "random:2000000",
+            "--", "x (+) y (+) z", "z (+) y (+) x",
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == ("error: strategy 'random:2000000' over 3 variables draws "
+                       "6000000 values; at most 4000000 are drawn\n")
+
     @pytest.mark.parametrize(
         "model, strategy",
         [("interval", "random:1000"), ("interval", "grid:2"), ("chain:2", "exhaustive")],

@@ -1,8 +1,13 @@
 import pathlib
 import random
+import re
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_terms
 
 from sqmv.models import resolve
 from sqmv.semantics import Exhaustive, RandomSampling, check_entailment, designated_set, evaluate
@@ -23,10 +28,24 @@ from sqmv.proofkit import (
     replacement_proof,
     standard_registry,
 )
+from sqmv.proofkit import script as script_mod
 from sqmv.proofkit.registry import packaged_certificates
 from sqmv.proofkit.script import AxiomRef, HypRef, LemmaRef, ProofLine, ProofScript, RuleRef
 from sqmv.proofkit.systems import AXIOMS, L_TO_SQ_AXIOM, LSTAR, RULES, SQL
-from sqmv.syntax import Impl, Neg, Sig, Var, is_regular, parse, substitute, variables
+from sqmv.syntax import (
+    FormulaError,
+    Impl,
+    Neg,
+    PosPart,
+    Sig,
+    Var,
+    expand_abbreviations,
+    is_regular,
+    parse,
+    print_term,
+    substitute,
+    variables,
+)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "src" / "sqmv" / "fixtures"
 
@@ -105,7 +124,7 @@ class TestScriptFormat:
     def test_programming_error_is_not_a_script_error(self, monkeypatch):
         import sqmv.proofkit.script as script_mod
 
-        def broken(text, sig):
+        def broken(text, sig, memo):
             raise TypeError("broken parser")
 
         monkeypatch.setattr(script_mod, "parse", broken)
@@ -115,6 +134,113 @@ class TestScriptFormat:
     def test_comments_and_blanks_ignored(self):
         s = parse_script("system: L*\n\n# a remark\n1. p -> 1 ; AX P4\n")
         assert len(s.lines) == 1
+
+
+# The plain lazy proof-line pattern, the reference: ``_LINE_RE`` must read
+# every line into the same groups.
+_LAZY_LINE = re.compile(r"^(\d+)\.\s*(.+?)\s*;\s*(.+)$")
+_LINE_EDGES = ["1. ; AX Q1", "1.; AX Q1", "1.   ;  ; AX Q1", "1. ;p; AX Q1", "1. p ;",
+               "1. p -> q ; RULE MP 1;2", "1. p ; ; AX Q1", "1. p -> q   ;   AX Q1",
+               "1.\tp\t;\tAX Q1", "1. (p -> q) ; AX Q1 ;", "1. p q ; AX Q1"]
+
+
+def _script(*lines: str) -> str:
+    return "system: sqL*\n" + "".join(f"{i}. {t} ; AX Q1\n" for i, t in enumerate(lines, 1))
+
+
+def _alone(text: str, lineno: int):
+    """What ``parse_script`` must give for a proof line read without a memo:
+    its node, or the text of its error."""
+    try:
+        return expand_abbreviations(parse(text, Sig.W), Sig.W)
+    except FormulaError as exc:
+        return f"line {lineno}: {exc}"
+
+
+@st.composite
+def _reusing_scripts(draw):
+    """Formulas that each build on earlier ones, as derivation steps do, and a
+    last one perturbed: an unbalanced "(", an extra ")", a stray character
+    or token after a group, or "<->" inside a group."""
+    terms = random_terms(Sig.W)
+    formulas = [draw(terms)]
+    for _ in range(draw(st.integers(1, 4))):
+        a, b = draw(st.sampled_from(formulas)), draw(st.one_of(st.sampled_from(formulas), terms))
+        formulas.append(draw(st.sampled_from([Impl(a, b), Impl(Impl(b, a), a), Neg(a), PosPart(a)])))
+    texts = [print_term(t) for t in formulas]
+    a, b = draw(st.sampled_from(texts)), draw(st.sampled_from(texts))
+    last = draw(st.sampled_from([
+        f"({a}) -> {b}", f"(({a}) -> {b}", f"({a}) -> {b})", f"({a}) $ -> {b}",
+        f"({a}) x -> {b}", f"({a} <-> {b}) -> {a}", f"{b} -> ({a})"]))
+    return [*texts, last]
+
+
+class TestScriptLines:
+    @pytest.mark.parametrize("line", _LINE_EDGES)
+    def test_edge_lines_read_as_the_lazy_pattern_reads_them(self, line):
+        m, lazy = script_mod._LINE_RE.match(line), _LAZY_LINE.match(line)
+        assert (m and (m[1], m[2] or m[3], m[4])) == (lazy and lazy.groups())
+
+    @given(st.lists(st.sampled_from(["1", ".", ";", " ", "\t", "\x1c", "p", "->", "(", "AX"]),
+                    max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_every_line_reads_as_the_lazy_pattern_reads_it(self, pieces):
+        line = ("1." + "".join(pieces)).strip()
+        m, lazy = script_mod._LINE_RE.match(line), _LAZY_LINE.match(line)
+        assert (m and (m[1], m[2] or m[3], m[4])) == (lazy and lazy.groups())
+
+    @pytest.mark.parametrize("line, message", [
+        ("1. ; AX Q1", "expected a formula, found '' (at column 2)"),
+        ("1.; AX Q1", "cannot parse proof line '1.; AX Q1'"),
+        ("1.   ;  ; AX Q1", "unexpected character ';' (at column 1)"),
+        ("1. ;p; AX Q1", "unexpected character ';' (at column 1)"),
+        ("1. p ;", "cannot parse proof line '1. p ;'"),
+        ("1. p -> q ; RULE MP 1;2", "cannot parse justification 'RULE MP 1;2'"),
+        ("1. p ; ; AX Q1", "cannot parse justification '; AX Q1'"),
+        ("1. (p -> q) ; AX Q1 ;", "cannot parse justification 'AX Q1 ;'"),
+        ("1. p q ; AX Q1", "expected 'eof', found 'q' (at column 3)"),
+    ])
+    def test_edge_line_errors(self, line, message):
+        with pytest.raises(ScriptError, match=f"^{re.escape('line 2: ' + message)}$"):
+            parse_script(f"system: sqL*\n{line}   \n")
+
+    @pytest.mark.parametrize("line", ["1. p -> q   ;   AX Q1", "1.\tp -> q\t;\tAX Q1  "])
+    def test_blanks_around_the_formula_are_not_part_of_it(self, line):
+        (proof_line,) = parse_script(f"system: sqL*\n{line}\n").lines
+        assert (proof_line.text, proof_line.just) == ("p -> q", AxiomRef("Q1"))
+
+    @given(_reusing_scripts())
+    @settings(max_examples=120, deadline=None)
+    def test_shared_groups_give_what_each_line_gives_alone(self, texts):
+        wants = [_alone(t, i) for i, t in enumerate(texts, 2)]
+        errors = [w for w in wants if isinstance(w, str)]
+        if errors:
+            with pytest.raises(ScriptError, match=f"^{re.escape(errors[0])}$"):
+                parse_script(_script(*texts))
+        else:
+            assert all(line.formula is want
+                       for line, want in zip(parse_script(_script(*texts)).lines, wants, strict=True))
+
+    def test_each_call_has_its_own_memo(self, monkeypatch):
+        memos, calls = [], []
+
+        def spy(text, sig, memo):
+            calls.append(memo is memos[-1] if memos else False)
+            if not calls[-1]:
+                memos.append(memo)
+            return parse(text, sig, memo)
+
+        monkeypatch.setattr(script_mod, "parse", spy)
+        text = "system: sqL*\nhyp: (p -> q) -> p\n1. (p -> q) -> q ; AX Q1\n2. ~(p -> q) ; AX Q1\n"
+        parse_script(text)
+        first = dict(memos[0])
+        parse_script(text)
+        # one memo per call, shared by its three formulas and dropped when it returns
+        assert calls == [False, True, True] * 2 and len(memos) == 2
+        assert first == {(")", "q", "->", "p"): Impl(Var("p"), Var("q"))}
+        assert memos[0] == memos[1] == first
+        refs = list(map(sys.getrefcount, memos))
+        assert refs == [2, 2]  # ``memos`` and the argument: nothing else keeps a memo
 
 
 class TestChecker:

@@ -446,6 +446,28 @@ class TestCheckEquation:
         report = check_equation(mv("-0"), mv("0"), resolve("square"), RandomSampling(10))
         assert not report.found_countermodel
 
+    def test_random_draws_above_the_cap_are_refused_before_drawing(self, monkeypatch):
+        # 1,333,334 samples of three variables are 4,000,002 values, just above the cap
+        monkeypatch.setattr(semantics, "_env_from_random", None)  # drawing would fail
+        with pytest.raises(StrategyError, match=(
+                r"^strategy 'random:1333334' over 3 variables draws 4000002 values; "
+                r"at most 4000000 are drawn$")):
+            check_equation(mv("x (+) y"), mv("y (+) z"), resolve("square"),
+                           RandomSampling(1_333_334), seed=1)
+
+    def test_largest_accepted_random_request_peak_memory(self):
+        # the disk keeps two numerators per value and redraws the points outside it
+        count = semantics._DRAW_CAP // 2
+        tracemalloc.start()
+        try:
+            report = check_equation(mv("x (+) y"), mv("y (+) x"), resolve("disk"),
+                                    RandomSampling(count), seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.samples_tried == count and not report.found_countermodel
+        assert peak <= 32 * semantics._DRAW_CAP  # two int64 arrays per variable, twice over
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_grid_on_the_interval_agrees_with_the_chain(self, d):
         # grid:d on the interval and an exhaustive sweep of chain:d run over

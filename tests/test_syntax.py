@@ -2,6 +2,7 @@ import copy
 import gc
 import pickle
 import random
+import re
 import sys
 import threading
 import time
@@ -10,7 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_term, random_terms, reference_parse, reference_parse_iff
+from conftest import (
+    random_term,
+    random_terms,
+    reference_parse,
+    reference_parse_iff,
+    reference_substitute,
+)
 from sqmv import models, syntax
 from sqmv.models import ops_for, resolve
 from sqmv.transform import mv_to_w_term, w_to_mv_term
@@ -287,6 +294,19 @@ def test_parser_agrees_with_the_reference_parser(text):
             assert _outcome(parser, text, sig) == _outcome(reference, text, sig)
 
 
+@given(_texts(), _texts())
+@settings(max_examples=200, deadline=None)
+def test_a_shared_memo_changes_no_outcome(before, text):
+    # ``before`` leaves its groups in the memo, then ``text`` is read twice:
+    # the second time every group that parsed is a hit
+    for sig in Sig:
+        memo = {}
+        _outcome(lambda t, s: parse(t, s, memo), before, sig)
+        want = _outcome(reference_parse, text, sig)
+        for _ in range(2):
+            assert _outcome(lambda t, s: parse(t, s, memo), text, sig) == want
+
+
 class TestExpand:
     def test_pospart_w(self):
         assert expand_abbreviations(PosPart(p), Sig.W) == parse("(p -> 1) -> 1", Sig.W)
@@ -403,6 +423,23 @@ class TestSchema:
         with pytest.raises(MissingBinding):
             substitute(Impl(p, q), {"p": r}, Sig.W)
 
+    @given(st.one_of(_TERMS[Sig.W], st.builds(  # a pattern that shares a subterm
+               lambda a, b: Impl(Impl(a, b), Neg(Impl(a, b))), _TERMS[Sig.W], _TERMS[Sig.W])),
+           st.dictionaries(st.sampled_from("xyz"), _TERMS[Sig.W], max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_substitute_agrees_with_the_tree_walk(self, pattern, assignment):
+        try:
+            want = reference_substitute(pattern, assignment)
+        except MissingBinding as exc:  # the first unbound metavariable in preorder
+            with pytest.raises(MissingBinding, match=f"^{re.escape(str(exc))}$"):
+                substitute(pattern, assignment)
+        else:
+            assert substitute(pattern, assignment) is want
+
+    def test_missing_binding_names_the_first_in_preorder(self):
+        with pytest.raises(MissingBinding, match="^no binding for metavariable 'q'$"):
+            substitute(Impl(Neg(q), Impl(p, r)), {"p": r})
+
     def test_matching_soundness(self):
         rng = random.Random(23)
         hits = 0
@@ -505,6 +542,37 @@ class TestWalks:
         assert len(out) == 801 and out[-1] == "  " * 800 + "Var x"
 
 
+class TestGroupMemo:
+    """Calls of ``parse`` that share a memo read each parenthesised group once."""
+
+    def test_a_stored_group_is_not_read_again(self):
+        # the key is the group's tokens reversed, from its ")" to just after its "("
+        memo = {(")", "q", "->", "p"): Neg(r)}
+        assert parse("( p->q )  -> r", Sig.W, memo) is Impl(Neg(r), r)
+        assert parse("(p -> q) -> r", Sig.W) is Impl(Impl(p, q), r)
+
+    def test_the_memo_holds_each_group_read(self):
+        memo = {}
+        t = parse("((p -> q) -> r) -> ~(p -> q)", Sig.W, memo)
+        assert t is parse("((p -> q) -> r) -> ~(p -> q)", Sig.W)
+        assert memo == {(")", "q", "->", "p"): Impl(p, q),
+                        (")", "r", "->", ")", "q", "->", "p", "("): Impl(Impl(p, q), r)}
+        assert parse("~(p -> q) -> ((p -> q) -> r)", Sig.W, memo) is Impl(Neg(Impl(p, q)), t.left)
+        assert len(memo) == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("(p -> q q) -> r", "expected 'rpar', found 'q' (at column 9)"),
+        ("(p <-> q) -> r", "expected 'rpar', found '<->' (at column 4)"),
+        ("(p -> q", "expected 'rpar', found '' (at column 8)"),
+    ])
+    def test_errors_are_not_stored(self, text, message):
+        memo = {}
+        for _ in range(2):
+            with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+                parse(text, Sig.W, memo)
+        assert memo == {}
+
+
 class TestInterning:
     """Equal terms are one node: ``==`` is ``is``, and nodes never change."""
 
@@ -575,6 +643,39 @@ class TestInterning:
         del terms
         gc.collect()
         assert len(syntax._TABLE) == before
+
+    @staticmethod
+    def _dead_ref(key):
+        """A table reference whose referent has died, as a node's does before
+        its death callback has run."""
+        class Stand:
+            pass
+
+        stand = Stand()
+        ref = syntax._Ref(stand)
+        ref.key = key
+        del stand
+        assert ref() is None
+        return ref
+
+    def test_death_callback_leaves_a_live_successor_in_place(self):
+        key = (Var, "successor")
+        dead = self._dead_ref(key)
+        node = Var("successor")
+        dead.drop()  # the late callback of the key's previous node
+        assert syntax._TABLE[key]() is node and Var("successor") is node
+
+    def test_death_callback_removes_its_own_dead_entry(self):
+        key = (Var, "departed")
+        syntax._TABLE[key] = dead = self._dead_ref(key)
+        dead.drop()
+        assert key not in syntax._TABLE
+
+    def test_a_dead_entry_is_replaced_by_a_new_node(self):
+        key = (Var, "reborn")
+        syntax._TABLE[key] = self._dead_ref(key)
+        node = Var("reborn")
+        assert syntax._TABLE[key]() is node and Var("reborn") is node
 
     @pytest.mark.parametrize("sig, first", [(Sig.MV, "Impl"), (Sig.W, "OPlus")])
     def test_mixed_term_names_the_first_offender(self, sig, first):
