@@ -2,8 +2,9 @@
 
 Infinite carriers get a semi-decision: grid and seeded random sampling, with
 ``NO_COUNTEREXAMPLE_FOUND`` kept distinct from the finite-carrier verdict
-``VALID_EXHAUSTIVE``.  Batch checks run on integer numerators over a common
-denominator (exact, no floats); every reported countermodel is re-evaluated
+``VALID_EXHAUSTIVE``.  Equations and entailments run through one driver,
+``_check``: one tape, one sweep on integer numerators over a common
+denominator (exact, no floats), and the re-evaluation of the first witness
 through the scalar Fraction path before it is returned.  Entailment reads
 designated values off ``designated_set``: a closed form on the standard
 models, the image of (c -> 1) -> 1 in the impl table on finite ones.
@@ -294,10 +295,10 @@ def _env_from_random(m: Model, names: Sequence[str], count: int, seed: int, max_
 
 def _valuations(m: Model, strategy: Strategy, names: Sequence[str],
                 terms: Sequence[Term], seed: int):
-    """The valuations ``strategy`` checks on ``m``, as ``(env, D, total,
-    valid_verdict)``: ``env`` maps each name to its values (carrier indices on
-    finite models, numerators over ``D`` otherwise), and ``terms`` set the
-    default grid denominator.  Product strategies (exhaustive, grid) put each
+    """The valuations ``strategy`` checks on ``m``, as ``(env, D, total)``:
+    ``env`` maps each name to its values (carrier indices on finite models,
+    numerators over ``D`` otherwise), and ``terms`` set the default grid
+    denominator.  Product strategies (exhaustive, grid) put each
     name on its own broadcast axis; random sampling gives flat arrays."""
     if isinstance(strategy, Exhaustive):
         if not m.finite:
@@ -310,14 +311,14 @@ def _valuations(m: Model, strategy: Strategy, names: Sequence[str],
                 f"large; at most {_EXHAUSTIVE_CAP} are checked"
             )
         env = dict(zip(names, md.product_axes(np.arange(n, dtype=m.index_dtype), len(names))))
-        return env, 1, total, Verdict.VALID_EXHAUSTIVE
+        return env, 1, total
     if isinstance(strategy, Grid):
         if m.finite:
             raise StrategyError("grid sampling targets standard carriers; use exhaustive")
         tag = "oplus" if m.signature is Sig.MV else "impl"
         d = strategy.denominator or sum(count_connective(t, tag) for t in terms) + 2
-        env, D, total = _env_from_grid(m, names, d)
-    elif isinstance(strategy, RandomSampling):
+        return _env_from_grid(m, names, d)
+    if isinstance(strategy, RandomSampling):
         if seed < 0:
             raise StrategyError(
                 f"strategy {strategy.describe()!r} needs a non-negative seed, got {seed}"
@@ -325,11 +326,8 @@ def _valuations(m: Model, strategy: Strategy, names: Sequence[str],
         if (draws := strategy.count * len(names)) > _DRAW_CAP:
             raise StrategyError(f"strategy {strategy.describe()!r} over {len(names)} variables "
                                 f"draws {draws} values; at most {_DRAW_CAP} are drawn")
-        env, D, total = _env_from_random(m, names, strategy.count, seed,
-                                         strategy.max_denominator)
-    else:
-        raise StrategyError(f"unknown strategy {strategy!r}")
-    return env, D, total, Verdict.NO_COUNTEREXAMPLE_FOUND
+        return _env_from_random(m, names, strategy.count, seed, strategy.max_denominator)
+    raise StrategyError(f"unknown strategy {strategy!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -409,25 +407,35 @@ def _valuation_at(m: Model, env: dict, D: int, i: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Equation checking
+# The check driver and equation checking
 
 
-def check_equation(
-    lhs: Term, rhs: Term, m: Model, strategy: Strategy, seed: int = 0
-) -> CheckReport:
-    """Decide / sample the equation lhs = rhs over ``m``."""
-    tape = md.compile((lhs, rhs), m.signature)
-    env, D, total, valid_verdict = _valuations(m, strategy, tape.names, (lhs, rhs), seed)
-    i = _first_witness(env, lambda part: _vec_neq(m, *md.run(tape, m, part, D)))
+def _check(terms: Sequence[Term], m: Model, strategy: Strategy, seed: int,
+           bad, exact) -> CheckReport:
+    """Sweep the valuations of ``strategy`` for the first where the mask
+    ``bad(tape outputs)`` holds and re-evaluate ``terms`` there through
+    ``evaluate``: ``exact(values)`` gives the witness's ``(lhs, rhs)``, or
+    None where the exact values refute it, which raises."""
+    tape = md.compile(terms, m.signature)
+    env, D, total = _valuations(m, strategy, tape.names, terms, seed)
+    i = _first_witness(env, lambda part: bad(md.run(tape, m, part, D)))
     if i is None:
-        return CheckReport(valid_verdict, total, strategy.describe(), seed)
+        exhaustive = isinstance(strategy, Exhaustive)
+        verdict = Verdict.VALID_EXHAUSTIVE if exhaustive else Verdict.NO_COUNTEREXAMPLE_FOUND
+        return CheckReport(verdict, total, strategy.describe(), seed)
     valuation = _valuation_at(m, env, D, i)
-    lhs_val = evaluate(lhs, m, valuation)
-    rhs_val = evaluate(rhs, m, valuation)
-    if lhs_val == rhs_val:
+    pair = exact([evaluate(t, m, valuation) for t in terms])
+    if pair is None:
         raise SemanticsError("batch path disagrees with the exact evaluator")
-    witness = Witness(m.name, valuation, lhs_val, rhs_val)
+    witness = Witness(m.name, valuation, *pair)
     return CheckReport(Verdict.COUNTERMODEL, i + 1, strategy.describe(), seed, witness)
+
+
+def check_equation(lhs: Term, rhs: Term, m: Model, strategy: Strategy,
+                   seed: int = 0) -> CheckReport:
+    """Decide / sample the equation lhs = rhs over ``m``."""
+    return _check((lhs, rhs), m, strategy, seed, lambda v: _vec_neq(m, *v),
+                  lambda v: v if v[0] != v[1] else None)
 
 
 # ---------------------------------------------------------------------------
@@ -482,37 +490,26 @@ def designated_set(m: Model) -> DesignatedSet:
     return DesignatedSet("finite", els, table)
 
 
-def check_entailment(
-    premises: Sequence[Term], conclusion: Term, m: Model,
-    strategy: Strategy, seed: int = 0,
-) -> CheckReport:
+def check_entailment(premises: Sequence[Term], conclusion: Term, m: Model,
+                     strategy: Strategy, seed: int = 0) -> CheckReport:
     """Designated-value entailment: premises designated force the conclusion."""
     if m.signature is not Sig.W:
         raise SemanticsError("entailment is defined over the implicational signature")
-    terms = (*premises, conclusion)
-    tape = md.compile(terms, Sig.W)
-    env, D, total, valid_verdict = _valuations(m, strategy, tape.names, terms, seed)
     ds = designated_set(m)
 
-    def bad_in(part):
-        *values, concl_vals = md.run(tape, m, part, D)
-        bad = ~ds.vec_contains(concl_vals)
-        for v in values:
-            bad = bad & ds.vec_contains(v)
-        return bad
+    def bad(values):
+        *prems, concl = values
+        out = ~ds.vec_contains(concl)
+        for v in prems:
+            out = out & ds.vec_contains(v)
+        return out
 
-    i = _first_witness(env, bad_in)
-    if i is None:
-        return CheckReport(valid_verdict, total, strategy.describe(), seed)
-    valuation = _valuation_at(m, env, D, i)
-    for t in premises:
-        if not ds.contains(evaluate(t, m, valuation)):
-            raise SemanticsError("batch path disagrees with the exact evaluator")
-    concl_val = evaluate(conclusion, m, valuation)
-    if ds.contains(concl_val):
-        raise SemanticsError("batch path disagrees with the exact evaluator")
-    witness = Witness(m.name, valuation, concl_val, None)
-    return CheckReport(Verdict.COUNTERMODEL, i + 1, strategy.describe(), seed, witness)
+    def exact(values):
+        *prems, concl = values
+        countermodel = all(map(ds.contains, prems)) and not ds.contains(concl)
+        return (concl, None) if countermodel else None
+
+    return _check((*premises, conclusion), m, strategy, seed, bad, exact)
 
 
 # ---------------------------------------------------------------------------

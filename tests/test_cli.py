@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import resource
 import subprocess
 import sys
@@ -27,6 +28,9 @@ from sqmv.syntax import FormulaError, SqmvError, Var
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 FIXTURES = SRC / "sqmv" / "fixtures"
+sys.path.insert(0, str(SRC.parent / "tools"))
+
+import cli_transcript  # noqa: E402
 
 
 def run(capsys, *argv):
@@ -86,24 +90,32 @@ class TestExitCodes:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("check-eq", "--model", "square", "--strategy", "random:2000",
-             "--seed", "11", "--json", "x (+) y", "-(-x (+) -y)"),
-            ("check-entail", "--model", "square@w", "--strategy", "random:1000",
-             "--seed", "3", "--json", "--premise", "p", "(x -> x) -> p"),
-            ("find-countermodel", "--models", "chain:1,chain:2,square",
-             "--strategy", "random:500", "--seed", "5", "--json", "x (+) 1", "1"),
-            ("classify", "--model", "ex32-grid", "--json"),
-            ("audit-axioms", "--model", "disk", "--strategy", "random:500", "--seed", "1"),
-        ],
-    )
+    @pytest.mark.parametrize("argv", cli_transcript.DETERMINISM_ARGV)
     def test_identical_invocations_identical_bytes(self, capsys, argv):
         code1, out1, _ = run(capsys, *argv)
         code2, out2, _ = run(capsys, *argv)
         assert code1 == code2
         assert out1 == out2
+
+
+README_EXAMPLES = cli_transcript.readme_examples()
+
+
+@pytest.mark.parametrize("command, comment", README_EXAMPLES,
+                         ids=[f"{i}-{c.split()[1]}" for i, (c, _) in enumerate(README_EXAMPLES)])
+def test_readme_example_behaves_as_documented(command, comment):
+    # the exit code is the one the line's "# exit N" comment gives, else 0
+    result = cli_transcript.run(command)
+    expected = int(re.match(r"exit (\d+)", comment).group(1)) if comment else 0
+    assert (result["exit"], result["stderr"]) == (expected, ""), result
+    if "grid:4" in command:
+        assert "  x = <0,1/2>\n" in result["stdout"]
+
+
+def test_readme_has_every_example():
+    assert len(README_EXAMPLES) == 11
+    assert sum("grid:4" in command for command, _ in README_EXAMPLES) == 1
+    assert sum(" | " in command for command, _ in README_EXAMPLES) == 1
 
 
 class TestRejections:

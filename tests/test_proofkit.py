@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_terms
 
-from sqmv.models import resolve
+from sqmv.models import FINITE_CATALOG, resolve
 from sqmv.semantics import Exhaustive, RandomSampling, check_entailment, designated_set, evaluate
 from sqmv.proofkit import (
     CertificationFailed,
@@ -39,10 +39,12 @@ from sqmv.syntax import (
     PosPart,
     Sig,
     Var,
+    children,
     expand_abbreviations,
     is_regular,
     parse,
     print_term,
+    rebuild,
     substitute,
     variables,
 )
@@ -612,7 +614,48 @@ class TestReplacement:
             replacement_proof(w("a -> c"), path, equiv)
 
 
+def _one_occurrence_renamed(t, names):
+    """``t`` with one variable occurrence renamed to another of ``names``, for
+    each occurrence and name in turn."""
+    if isinstance(t, Var):
+        yield from (Var(name) for name in names if name != t.name)
+        return
+    kids = children(t)
+    for i, kid in enumerate(kids):
+        for new in _one_occurrence_renamed(kid, names):
+            yield rebuild(t, kids[:i] + (new,) + kids[i + 1:])
+
+
 class TestSoundnessBridge:
+    def test_accepted_scripts_entail_on_every_strong_view(self):
+        # soundness: a script the checker accepts entails its conclusion from
+        # its hypotheses on every strong model.  The candidates are the
+        # packaged certificates, the lifted L* fixtures and their
+        # de-regularisations, which must be accepted, and each of these with
+        # one variable occurrence of its last line renamed to another of its
+        # variables, which a checker that accepts too much lets through
+        reg = standard_registry()
+        proofs = [parse_script(text) for _, text in packaged_certificates()]
+        for path in sorted(LSTAR_DIR.iterdir()):
+            lifted = lift_lstar_proof(parse_script(path.read_text()))
+            proofs.append(lifted)
+            if is_regular(lifted.conclusion.right):
+                proofs.append(deregularize_proof(lifted, reg))
+        assert len(proofs) == 16 + 26 + 25
+        assert all(check_proof(s, reg).accepted for s in proofs)
+        renamed = [
+            ProofScript(s.system, s.hypotheses, (*s.lines[:-1], ProofLine(f, s.lines[-1].just)))
+            for s in proofs
+            for f in _one_occurrence_renamed(s.conclusion, sorted(variables(s.conclusion)))
+        ]
+        accepted = proofs + [s for s in renamed if check_proof(s, reg).accepted]
+        views = [(resolve(name + "@w"), Exhaustive()) for name in FINITE_CATALOG]
+        views += [(resolve(name), RandomSampling(2000)) for name in ("square@w", "disk@w")]
+        refuted = [(print_term(s.conclusion), m.name) for s in accepted for m, strategy in views
+                   if check_entailment(s.hypotheses, s.conclusion, m, strategy, seed=1)
+                   .found_countermodel]
+        assert not refuted, f"{len(refuted)} refuted, first: {refuted[:3]}"
+
     def test_theorem_lemmas_designated_on_square(self):
         sw = resolve("square@w")
         reg = standard_registry()

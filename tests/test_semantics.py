@@ -149,6 +149,27 @@ class TestBatchAgreesWithScalar:
             report = check_equation(eq.lhs, eq.rhs, sq, RandomSampling(300), seed=5)
             assert report.verdict is Verdict.COUNTERMODEL, eq.name
 
+    @pytest.mark.parametrize("name, strategy, designated, undesignated", [
+        ("chain:2@w", Exhaustive(), 4, 0),  # carrier indices of 1 and -1
+        ("square@w", RandomSampling(20), (1, 0), (0, 1)),  # <1/120,0>, <0,1/120>
+    ])
+    def test_witness_the_exact_path_refutes_raises(
+        self, monkeypatch, name, strategy, designated, undesignated
+    ):
+        # a tape runner that reports the first term designated and the second
+        # not, at every valuation: the batch path finds a witness at the first
+        # valuation of p = p and of p |= p, and the exact path refutes both
+        m = resolve(name)
+        ds = designated_set(m)
+        assert ds.vec_contains(designated) and not ds.vec_contains(undesignated)
+        monkeypatch.setattr(semantics.md, "run",
+                            lambda tape, m, env, D: [designated, undesignated])
+        p = Var("p")
+        with pytest.raises(SemanticsError, match="batch path disagrees with the exact"):
+            check_equation(p, p, m, strategy)
+        with pytest.raises(SemanticsError, match="batch path disagrees with the exact"):
+            check_entailment([p], p, m, strategy)
+
     @pytest.mark.parametrize("name", STANDARD_VIEWS)
     def test_vector_ops_match_scalar_on_every_valuation(self, rng, name):
         # a VALID verdict re-checks nothing through the scalar path, so compare
@@ -156,7 +177,7 @@ class TestBatchAgreesWithScalar:
         m = resolve(name)
         for seed in range(40):
             t = random_term(rng, m.signature, 5)
-            env, D, total, _ = _valuations(
+            env, D, total = _valuations(
                 m, RandomSampling(50), sorted(variables(t)), (t,), seed
             )
             got = run(compile((t,), m.signature), m, env, D)[0]
@@ -169,7 +190,7 @@ class TestBatchAgreesWithScalar:
 
     @staticmethod
     def assert_batch_matches_scalar(m, strategy, t):
-        env, D, total, _ = _valuations(m, strategy, sorted(variables(t)), (t,), 0)
+        env, D, total = _valuations(m, strategy, sorted(variables(t)), (t,), 0)
         got = run(compile((t,), m.signature), m, env, D)[0]
         arrays = [a for rep in env.values() for a in (rep if isinstance(rep, tuple) else (rep,))]
         shape = np.broadcast_shapes(*(np.shape(a) for a in arrays))

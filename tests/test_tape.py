@@ -73,7 +73,7 @@ def q8_instance():
 
 def assert_tape_matches_evaluate(m, strategy, terms):
     tape = compile(terms, m.signature)
-    env, D, total, _ = _valuations(m, strategy, tape.names, terms, 0)
+    env, D, total = _valuations(m, strategy, tape.names, terms, 0)
     values = run(tape, m, env, D)
     shape = np.broadcast_shapes(*(np.shape(a) for rep in env.values()
                                   for a in (rep if isinstance(rep, tuple) else (rep,))))

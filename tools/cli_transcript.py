@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Print what the documented CLI commands write, so that refactors can be compared.
+
+The commands are every ``sqmv`` line of the example block under README's
+``## CLI`` heading, pipes included, and the argument lists of the CLI
+determinism tests (``DETERMINISM_ARGV``).  Each runs as ``python -m
+sqmv.cli`` from the repository root, with ``src/`` first on the import path.
+A pipe runs its stages one after another, each reading the previous stage's
+output; it reports the last stage's exit code and stdout, and the stderr of
+every stage.  Run from anywhere, with no options:
+
+    python3 tools/cli_transcript.py > transcript.json
+
+It prints one JSON object that maps each command to its exit code, stdout and
+stderr.  Two checkouts print identical bytes when their CLI output agrees.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import pathlib
+import re
+import shlex
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+
+# the argument lists of tests/test_cli.py::TestDeterminism
+DETERMINISM_ARGV = [
+    ("check-eq", "--model", "square", "--strategy", "random:2000",
+     "--seed", "11", "--json", "x (+) y", "-(-x (+) -y)"),
+    ("check-entail", "--model", "square@w", "--strategy", "random:1000",
+     "--seed", "3", "--json", "--premise", "p", "(x -> x) -> p"),
+    ("find-countermodel", "--models", "chain:1,chain:2,square",
+     "--strategy", "random:500", "--seed", "5", "--json", "x (+) 1", "1"),
+    ("classify", "--model", "ex32-grid", "--json"),
+    ("audit-axioms", "--model", "disk", "--strategy", "random:500", "--seed", "1"),
+]
+
+
+def readme_examples() -> list[tuple[str, str]]:
+    """The ``sqmv`` lines of README's CLI example block as ``(command,
+    comment)`` pairs; the comment is the text after ``#``, or empty."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n+```\n(.*?)^```", text, re.M | re.S).group(1)
+    out = []
+    for line in block.splitlines():
+        if line.startswith("sqmv "):
+            command, _, comment = line.partition(" #")
+            out.append((command.rstrip(), comment.strip()))
+    return out
+
+
+def run(command: str) -> dict:
+    """Run one ``sqmv`` command line, pipes included, from the repository
+    root: ``{"exit": ..., "stdout": ..., "stderr": ...}``."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    stdout = stderr = ""
+    for stage in command.split(" | "):  # no sqmv formula holds a "|"
+        argv = shlex.split(stage)
+        if argv[0] != "sqmv":
+            raise ValueError(f"not an sqmv command: {shlex.join(argv)}")
+        proc = subprocess.run([sys.executable, "-m", "sqmv.cli", *argv[1:]], cwd=ROOT,
+                              input=stdout, capture_output=True, text=True, env=env)
+        stdout, stderr = proc.stdout, stderr + proc.stderr
+    return {"exit": proc.returncode, "stdout": stdout, "stderr": stderr}
+
+
+def transcript() -> dict:
+    commands = [command for command, _ in readme_examples()]
+    commands += [shlex.join(("sqmv", *argv)) for argv in DETERMINISM_ARGV]
+    return {command: run(command) for command in commands}
+
+
+def main() -> int:
+    print(json.dumps(transcript(), indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
