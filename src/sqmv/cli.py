@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / valid / ACCEPT, 1 countermodel found or proof
 REJECTed, 2 usage, parse, or I/O errors, 3 internal errors (with a
-traceback).  Identical invocations produce byte-identical output; every
+traceback), 141 (128 + SIGPIPE, with nothing on stderr) when the reader of
+stdout has quit.  Identical invocations produce byte-identical output; every
 sampling verb takes a ``--seed`` (default 0).
 
 Each verb imports the modules it needs when it runs, so that ``parse``,
@@ -65,36 +66,6 @@ def _strategy(args, m: md.Model | None = None) -> sem.Strategy:
         if isinstance(strategy, sem.RandomSampling):
             strategy = sem.RandomSampling(strategy.count, args.max_den)
     return strategy
-
-
-def _parse_element(m: md.Model, text: str):
-    from . import models as md
-
-    text = text.strip()
-    if text == "k*":
-        return md.ADJOINED
-    if text.startswith("<") and text.endswith(">"):
-        text = text[1:-1]
-    if "," in text:
-        parts = [_parse_element(m, p) for p in _split_top(text)]
-        return tuple(parts)
-    return md.read_fraction(text, CliError, "cannot read element")
-
-
-def _split_top(text: str) -> list[str]:
-    out, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "<":
-            depth += 1
-        elif ch == ">":
-            depth -= 1
-        if ch == "," and depth == 0:
-            out.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    out.append("".join(cur))
-    return out
 
 
 def _ast(t: Term) -> dict:
@@ -171,7 +142,7 @@ def cmd_eval(args) -> int:
         name, _, value = binding.partition("=")
         if not _:
             raise CliError(f"bindings look like x=1/2 or x=1/2,0 (got {binding!r})")
-        valuation[name.strip()] = _parse_element(m, value)
+        valuation[name.strip()] = md.read_element(value)
     try:  # a value computed from printable literals can still be too long
         text = md.label_str(sem.evaluate(t, m, valuation))
     except ValueError:
@@ -397,7 +368,13 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has quit: exit as SIGPIPE would; the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except RecursionError:
         print("error: formula nests too deeply", file=sys.stderr)
         return 2

@@ -4,7 +4,9 @@ flattenings, products, congruences, quotients, and the direct-product embedding.
 All arithmetic is exact (``fractions.Fraction``); finite models store full
 operation tables so that classification can sweep every tuple.  Elements of
 pair models are ``(Fraction, Fraction)`` tuples, interval-like models use bare
-Fractions, finite models use their element labels.
+Fractions, finite models use their element labels.  This module owns that
+format: ``label_str`` writes an element, ``read_element`` reads it, and each
+model builds its own batch values and reads them back.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import isqrt, lcm
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -92,28 +95,41 @@ def read_fraction(text: str, error: type[Exception], what: str) -> Fraction:
 
 
 def label_str(el) -> str:
-    if isinstance(el, Fraction):
-        return str(el)
     if isinstance(el, tuple):
         return "<" + ",".join(label_str(c) for c in el) + ">"
     return str(el)
 
 
-class _Adjoined:
-    """Fresh element adjoined by a flattening when no fixpoint is available."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "k*"
+# The element a flattening adjoins when no fixpoint is available, as its label.
+ADJOINED = "k*"
 
 
-ADJOINED = _Adjoined()
+def read_element(text: str):
+    """The element that ``label_str`` writes as ``text``: ``k*``, a rational,
+    or ``<x,y>`` of elements, whose outermost brackets may be left out."""
+    text = text.strip()
+    if text == ADJOINED:
+        return ADJOINED
+    if text.startswith("<") and text.endswith(">"):
+        text = text[1:-1]
+    if "," in text:
+        return tuple(map(read_element, _split_top(text, "<>")))
+    return read_fraction(text, DomainError, "cannot read element")
+
+
+def _split_top(text: str, brackets: str, maxsplit: int = -1) -> list[str]:
+    """``text`` cut at the commas outside the ``brackets`` pair (such as
+    ``"()"``), at the first ``maxsplit`` of them if that is not negative."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == brackets[0]:
+            depth += 1
+        elif ch == brackets[1]:
+            depth -= 1
+        elif ch == "," and depth == 0 and len(parts) != maxsplit:
+            parts.append(text[start:i])
+            start = i + 1
+    return parts + [text[start:]]
 
 
 # ---------------------------------------------------------------------------
@@ -121,20 +137,13 @@ ADJOINED = _Adjoined()
 
 
 class Model:
+    """Elements through ``const``, ``apply`` and ``contains``; batch values
+    through ``vec_const`` and ``vec_apply``, drawn by ``draw`` and read back
+    by ``element``."""
+
     name: str
     signature: Sig
     finite: bool
-    # batch values are pairs of numerator arrays (the square and the disk)
-    pair = False
-
-    def const(self, name: str):
-        raise NotImplementedError
-
-    def apply(self, op: str, *args):
-        raise NotImplementedError
-
-    def contains(self, el) -> bool:
-        raise NotImplementedError
 
     def check_member(self, el) -> None:
         if not self.contains(el):
@@ -161,7 +170,9 @@ class StandardModel(Model):
 
     ``apply`` computes on Fractions and ``vec_apply`` on int64 numerators over
     a common denominator D; they are kept as separate code so that the exact
-    path re-checks every witness of the batch path independently.
+    path re-checks every witness of the batch path independently.  Batch
+    values are numerator arrays, a pair of them on ``pair`` models; ``grid``
+    and ``draw`` build them, so that no caller needs to know their shape.
     """
 
     finite = False
@@ -233,6 +244,55 @@ class StandardModel(Model):
             v = np.minimum(a[0], 0)
         return (v, 0) if self.pair else v
 
+    def grid_count(self, d: int) -> int:
+        """How many points ``grid(d, k)`` gives each variable, counted without
+        building them: the disk keeps the pairs with b = +-1/2 only where
+        |a| <= sqrt(3)/2."""
+        firsts = 2 * d + 1
+        if self.kind == "disk":
+            return firsts + 2 * (2 * (isqrt(3 * d * d) // 2) + 1)
+        return 3 * firsts if self.pair else firsts
+
+    def grid(self, d: int, k: int) -> tuple[list, int]:
+        """``(values, D)``: for each of ``k`` variables the carrier's points,
+        first coordinates 0, 1/d, -1/d, 2/d, ... and second ones 0, +-1/2 on
+        pairs, as numerators over D = lcm(2, d) on the variable's own product
+        axis.  Without variables no point is built."""
+        D = lcm(2, d)
+        if not k:
+            return [], D
+        step = D // d
+        firsts = [0] + [s * i * step for i in range(1, d + 1) for s in (1, -1)]
+        if not self.pair:
+            return product_axes(np.asarray(firsts, dtype=np.int64), k), D
+        pts = [(a, b) for a in firsts for b in (0, D // 2, -(D // 2))]
+        if self.kind == "disk":
+            pts = [(a, b) for a, b in pts if a * a + b * b <= D * D]
+        a, b = (product_axes(np.asarray(c, dtype=np.int64), k) for c in zip(*pts))
+        return list(zip(a, b)), D
+
+    def draw(self, rng: np.random.Generator, count: int, D: int):
+        """``count`` seeded values, numerators in [-D, D] over ``D``; the disk
+        redraws the points outside it, in index order."""
+        a = rng.integers(-D, D + 1, size=count)
+        if not self.pair:
+            return a
+        b = rng.integers(-D, D + 1, size=count)
+        if self.kind == "disk":
+            bad = np.flatnonzero(a * a > D * D - b * b)
+            while bad.size:
+                a[bad] = rng.integers(-D, D + 1, size=bad.size)
+                b[bad] = rng.integers(-D, D + 1, size=bad.size)
+                x, y = a[bad], b[bad]
+                bad = bad[x * x > D * D - y * y]
+        return a, b
+
+    def element(self, value, D: int):
+        """The element of one batch value, numerators over ``D``."""
+        if self.pair:
+            return Fraction(int(value[0]), D), Fraction(int(value[1]), D)
+        return Fraction(int(value), D)
+
 
 # ---------------------------------------------------------------------------
 # Finite table models
@@ -289,6 +349,14 @@ class FiniteModel(Model):
                 t, a, b = (t, a, b) if ka[0] < kb[0] else (t.T, b, a)
                 return t.take(a.ravel(), 0).take(b.ravel(), 1).reshape(np.broadcast(a, b).shape)
         return t.take(a * len(self.elements) + b if len(args) == 2 else a)
+
+    def draw(self, rng: np.random.Generator, count: int, D: int):
+        """``count`` seeded carrier indices."""
+        return rng.integers(0, len(self.elements), size=count)
+
+    def element(self, value, D: int):
+        """The element of one batch value, a carrier index."""
+        return self.elements[int(value)]
 
     def table_text(self) -> str:
         """Operation tables as text, one tuple per line."""
@@ -804,18 +872,6 @@ def _wrap(name: str) -> str:
     return f"({name})" if "," in name else name
 
 
-def _split_product_args(body: str) -> tuple[str, str]:
-    depth = 0
-    for i, ch in enumerate(body):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            return body[:i], body[i + 1:]
-    raise CatalogError(f"cannot split product operands in {body!r}")
-
-
 def _strip_parens(s: str) -> str:
     if s.startswith("(") and s.endswith(")"):
         return s[1:-1]
@@ -862,9 +918,11 @@ def _build(name: str) -> Model:
             return flattening(base, None)
         return flattening(base, read_fraction(kpart, CatalogError, "bad flattening element"))
     if name.startswith("product:"):
-        left, right = _split_product_args(name[len("product:"):])
-        m1 = resolve(_strip_parens(left))
-        m2 = resolve(_strip_parens(right))
+        body = name[len("product:"):]
+        operands = _split_top(body, "()", 1)
+        if len(operands) < 2:
+            raise CatalogError(f"cannot split product operands in {body!r}")
+        m1, m2 = (resolve(_strip_parens(op)) for op in operands)
         if not (isinstance(m1, FiniteModel) and isinstance(m2, FiniteModel)):
             raise CatalogError("product is available for finite factors only")
         return product(m1, m2)

@@ -6,22 +6,23 @@ Infinite carriers get a semi-decision: grid and seeded random sampling, with
 ``_check``: one tape, one sweep on integer numerators over a common
 denominator (exact, no floats), and the re-evaluation of the first witness
 through the scalar Fraction path before it is returned.  Entailment reads
-designated values off ``designated_set``: a closed form on the standard
-models, the image of (c -> 1) -> 1 in the impl table on finite ones.
+designated values off ``designated_set``: the fixpoints of ``pos`` on the
+standard models, the image of (c -> 1) -> 1 in the impl table on finite ones.
+This module decides how to sample; ``models`` owns what the values look like
+(grid points, seeded draws, the element of a batch value).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import models as md
-from .models import FiniteModel, Model, label_str
+from .models import Model, label_str
 from .syntax import (
     Sig,
     SqmvError,
@@ -222,75 +223,9 @@ class CheckReport:
 # Valuation spaces (vectorised representations)
 
 
-def _middle_out(d: int) -> list[int]:
-    out = [0]
-    for i in range(1, d + 1):
-        out.extend((i, -i))
-    return out
-
-
-def _grid_points(m: Model, d: int) -> tuple[list, int]:
-    """Grid sample points as numerators over lcm(2, d), smallest first."""
-    D = lcm(2, d)
-    step = D // d
-    firsts = [i * step for i in _middle_out(d)]
-    if m.pair:
-        seconds = [0, D // 2, -(D // 2)]
-        pts = [(a, b) for a in firsts for b in seconds]
-        if m.kind == "disk":
-            pts = [(a, b) for (a, b) in pts if a * a + b * b <= D * D]
-        return pts, D
-    return firsts, D
-
-
-def _grid_count(m: Model, d: int) -> int:
-    """``len(_grid_points(m, d)[0])``, without building the points: the
-    disk keeps the pairs with b = +-1/2 only where |a| <= sqrt(3)/2."""
-    firsts = 2 * d + 1
-    if m.kind == "disk":
-        return firsts + 2 * (2 * (isqrt(3 * d * d) // 2) + 1)
-    return 3 * firsts if m.pair else firsts
-
-
-def _env_from_grid(m: Model, names: Sequence[str], d: int):
-    k = len(names)
-    total = _grid_count(m, d) ** k
-    if total > _GRID_CAP:
-        raise StrategyError(
-            f"grid of {total} valuations is too large; lower the denominator"
-        )
-    if not k:
-        return {}, lcm(2, d), total
-    pts, D = _grid_points(m, d)
-    if m.pair:
-        a = md.product_axes(np.asarray([p[0] for p in pts], dtype=np.int64), k)
-        b = md.product_axes(np.asarray([p[1] for p in pts], dtype=np.int64), k)
-        return {nm: (x, y) for nm, x, y in zip(names, a, b)}, D, total
-    a = md.product_axes(np.asarray(pts, dtype=np.int64), k)
-    return dict(zip(names, a)), D, total
-
-
 def _env_from_random(m: Model, names: Sequence[str], count: int, seed: int, max_den: int):
     rng = np.random.default_rng(seed)
-    D = max_den
-    env = {}
-    for nm in sorted(names):
-        if isinstance(m, FiniteModel):
-            env[nm] = rng.integers(0, len(m.elements), size=count)
-        elif m.pair:
-            a = rng.integers(-D, D + 1, size=count)
-            b = rng.integers(-D, D + 1, size=count)
-            if m.kind == "disk":  # redraw the points outside it, in index order
-                bad = np.flatnonzero(a * a > D * D - b * b)
-                while bad.size:
-                    a[bad] = rng.integers(-D, D + 1, size=bad.size)
-                    b[bad] = rng.integers(-D, D + 1, size=bad.size)
-                    x, y = a[bad], b[bad]
-                    bad = bad[x * x > D * D - y * y]
-            env[nm] = (a, b)
-        else:
-            env[nm] = rng.integers(-D, D + 1, size=count)
-    return env, D, count
+    return {nm: m.draw(rng, count, max_den) for nm in sorted(names)}, max_den, count
 
 
 def _valuations(m: Model, strategy: Strategy, names: Sequence[str],
@@ -317,7 +252,10 @@ def _valuations(m: Model, strategy: Strategy, names: Sequence[str],
             raise StrategyError("grid sampling targets standard carriers; use exhaustive")
         tag = "oplus" if m.signature is Sig.MV else "impl"
         d = strategy.denominator or sum(count_connective(t, tag) for t in terms) + 2
-        return _env_from_grid(m, names, d)
+        if (total := m.grid_count(d) ** len(names)) > _GRID_CAP:
+            raise StrategyError(f"grid of {total} valuations is too large; lower the denominator")
+        values, D = m.grid(d, len(names))
+        return dict(zip(names, values)), D, total
     if isinstance(strategy, RandomSampling):
         if seed < 0:
             raise StrategyError(
@@ -334,8 +272,8 @@ def _valuations(m: Model, strategy: Strategy, names: Sequence[str],
 # Batch evaluation
 
 
-def _vec_neq(m: Model, v1, v2) -> np.ndarray:
-    if m.pair:
+def _vec_neq(v1, v2) -> np.ndarray:
+    if isinstance(v1, tuple):
         return np.not_equal(v1[0], v2[0]) | np.not_equal(v1[1], v2[1])
     return np.not_equal(v1, v2)
 
@@ -394,16 +332,7 @@ def _valuation_at(m: Model, env: dict, D: int, i: int) -> dict:
     the element of each array is read, nothing is broadcast."""
     shape = _env_shape(env)
     coords = np.unravel_index(i, shape) if shape else ()
-    out = {}
-    for nm, rep in env.items():
-        v = _take(rep, coords)
-        if isinstance(m, FiniteModel):
-            out[nm] = m.elements[int(v)]
-        elif m.pair:
-            out[nm] = (Fraction(int(v[0]), D), Fraction(int(v[1]), D))
-        else:
-            out[nm] = Fraction(int(v), D)
-    return out
+    return {nm: m.element(_take(rep, coords), D) for nm, rep in env.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +363,7 @@ def _check(terms: Sequence[Term], m: Model, strategy: Strategy, seed: int,
 def check_equation(lhs: Term, rhs: Term, m: Model, strategy: Strategy,
                    seed: int = 0) -> CheckReport:
     """Decide / sample the equation lhs = rhs over ``m``."""
-    return _check((lhs, rhs), m, strategy, seed, lambda v: _vec_neq(m, *v),
+    return _check((lhs, rhs), m, strategy, seed, lambda v: _vec_neq(*v),
                   lambda v: v if v[0] != v[1] else None)
 
 
@@ -444,9 +373,10 @@ def check_equation(lhs: Term, rhs: Term, m: Model, strategy: Strategy,
 
 @dataclass(frozen=True)
 class DesignatedSet:
-    """Membership in the designated set of one model."""
+    """Membership in the designated set of ``model``: its ``elements`` on a
+    finite model, the fixpoints of its own ``pos`` otherwise."""
 
-    kind: str  # "finite", "pair", "flat" or "interval"
+    model: Model = field(compare=False, repr=False)
     elements: tuple | None = None  # finite models only
     # finite models only: read-only membership flags by carrier index
     table: np.ndarray | None = field(default=None, compare=False, repr=False)
@@ -454,40 +384,31 @@ class DesignatedSet:
     def contains(self, el) -> bool:
         if self.elements is not None:
             return el in self.elements
-        if self.kind == "pair":
-            return el[1] == 0 and 0 <= el[0] <= 1
-        if self.kind == "flat":
-            return el == 0
-        return 0 <= el <= 1
+        return self.model.apply("pos", el) == el
 
     def vec_contains(self, rep) -> np.ndarray:
         if self.table is not None:
             return self.table[rep]
-        if self.kind == "pair":
-            return (np.asarray(rep[1]) == 0) & (np.asarray(rep[0]) >= 0)
-        if self.kind == "flat":
-            return np.asarray(rep) == 0
-        return np.asarray(rep) >= 0
+        # pos reads no denominator
+        return ~_vec_neq(self.model.vec_apply("pos", [rep], 1), rep)
 
 
 def designated_set(m: Model) -> DesignatedSet:
-    """Elements of the shape (c -> 1) -> 1.
-
-    A standard model's set is its closed form: the pairs <a,0> with a in
-    [0,1] on the square and the disk, 0 on flat-standard, and [0,1] on the
-    interval.  The test suite checks it against the exact ``apply`` at every
-    point of the k/D grids.  A finite model's set is read off its impl table.
-    """
+    """Elements of the shape (c -> 1) -> 1.  On a standard model that is c^+
+    (by QW*5a, QW*5b and the strong law), so the set is the fixpoints of the
+    model's own ``pos``, checked by the test suite against the exact ``apply``
+    at every point of the k/D grids.  A finite model need not be strong: its
+    set is the image in its impl table."""
     if m.signature is not Sig.W:
         raise SemanticsError("designated elements live in the implicational signature")
-    if not isinstance(m, FiniteModel):
-        return DesignatedSet("pair" if m.pair else "flat" if m.flat else "interval")
+    if not m.finite:
+        return DesignatedSet(m)
     t, one = m.tables["impl"], m.consts["one"]
     table = np.zeros(len(m.elements), dtype=bool)
     table[t[t[:, one], one]] = True
     table.flags.writeable = False
     els = tuple(sorted((m.elements[i] for i in np.flatnonzero(table)), key=label_str))
-    return DesignatedSet("finite", els, table)
+    return DesignatedSet(m, els, table)
 
 
 def check_entailment(premises: Sequence[Term], conclusion: Term, m: Model,

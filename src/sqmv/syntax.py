@@ -393,7 +393,8 @@ def _formula(text: str, tokens: list[str], least: int, sig: Sig, groups: tuple |
         prefixes.append(cls)
     if tok == "(":
         end = groups[1].get(len(tokens)) if groups else None
-        if end is not None and (t := groups[0].get(key := tuple(tokens[end:]))) is not None:
+        if (end is not None and (t := groups[0].get(key := tuple(tokens[end:]))) is not None
+                and t._needs in (None, sig)):
             del tokens[end:]
         else:
             t = _formula(text, tokens, _LEVEL_INFIX, sig, groups)
@@ -428,7 +429,8 @@ def _formula(text: str, tokens: list[str], least: int, sig: Sig, groups: tuple |
 
 def parse(text: str, sig: Sig, memo: dict | None = None) -> Term:
     """Parse ``text`` as a single formula of the given signature.  Calls that
-    share a ``memo`` dict, and the signature, read each parenthesised group once."""
+    share a ``memo`` dict read each parenthesised group once; a stored group
+    whose node needs the other signature is read afresh."""
     return _formulas(text, sig, False, memo)[0]
 
 

@@ -65,6 +65,23 @@ class TestExitCodes:
         code, _, err = run(capsys, "check-eq", "--model", "square", "x (+)", "x")
         assert code == 2
 
+    def test_closed_stdout_exits_141_quietly(self):
+        # the read end is closed before the process starts, so the first
+        # write to stdout fails, as when a reader such as ``head`` has quit
+        read, write = os.pipe()
+        os.close(read)
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "sqmv.cli", "check-eq", "--model", "square",
+                 "--strategy", "grid:2", "x (+) y", "y (+) x"],
+                stdout=write, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path),
+                timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, b"")
+
     def test_proof_accept_reject_io(self, capsys, tmp_path):
         good = FIXTURES / "derived" / "05_refl.sqlp"
         code, out, _ = run(capsys, "check-proof", str(good))
@@ -591,6 +608,23 @@ class TestErrorTaxonomy:
     def test_zero_denominator_in_let(self, capsys):
         code, out, err = run(capsys, "eval", "--model", "square", "--let", "x=1/0,0", "--", "x")
         assert (code, out, err) == (2, "", "error: cannot read element '1/0'\n")
+
+    @pytest.mark.parametrize("argv, code, out, err", [
+        (argv, *want) for argv, want in zip(cli_transcript.READER_ARGV, [
+            (2, "", "error: cannot split product operands in 'chain:1'\n"),
+            # product operands split at the first top-level comma
+            (2, "", "error: bad chain size in 'chain:1,chain:1'\n"),
+            (2, "", "error: square@w is already in the implicational signature\n"),
+            (2, "", "error: flatten needs a base and an element: 'flatten:0'\n"),
+            (2, "", "error: flattening is available for finite bases only\n"),
+            (2, "", "error: product is available for finite factors only\n"),
+            (2, "", "error: k* is not in the carrier of chain:2\n"),
+            (0, "<<1,0>,<-1,0>>\n", ""),
+        ], strict=True)
+    ], ids=["product-unsplit", "product-first-comma", "w-twice", "flatten-no-base",
+            "flatten-standard", "product-standard", "adjoined-not-in-chain", "nested-tuple"])
+    def test_catalog_names_and_element_literals(self, capsys, argv, code, out, err):
+        assert run(capsys, *argv) == (code, out, err)
 
     def test_undecodable_script_exits_two(self, capsys, tmp_path):
         path = tmp_path / "binary.sqlp"

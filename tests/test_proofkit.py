@@ -123,6 +123,25 @@ class TestScriptFormat:
         with pytest.raises(ScriptError, match=r"^line 2: expected a formula"):
             parse_script("system: sqL*\n1. p -> ( ; AX Q10\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("system: sqL*\n1. p ; RULE MP " + "1" * 4301 + "\n", "line 2: bad premise list "),
+        ("system: sqL*\n1. p ; AX Q1 1\n", "line 2: axiom lines take no premises"),
+        ("system: sqL*\n1. p ; HYP 1 2\n", "line 2: hypothesis lines take no premises"),
+        ("system: sqL*\n1. p ; HYP one\n", "line 2: bad hypothesis index 'one'"),
+        ("system: sqL*\nsystem: sqL*\n", "line 2: duplicate system header"),
+        ("system: sqL*\n1. p ; AX Q1\nhyp: p\n", "line 3: hypotheses must precede proof lines"),
+        ("# no header\n", "missing system header"),
+        ("system: sqL*\nhyp: p\n", "proof script has no lines"),
+    ], ids=["premise-digits", "axiom-premises", "hyp-premises", "hyp-index", "two-headers",
+            "late-hyp", "no-header", "no-lines"])
+    def test_reader_rejections(self, text, message):
+        with pytest.raises(ScriptError, match=f"^{re.escape(message)}"):
+            parse_script(text)
+
+    def test_empty_script_has_no_conclusion(self):
+        with pytest.raises(ScriptError, match="^empty proof script$"):
+            ProofScript(SQL, (), ()).conclusion
+
     def test_programming_error_is_not_a_script_error(self, monkeypatch):
         import sqmv.proofkit.script as script_mod
 
@@ -246,6 +265,13 @@ class TestScriptLines:
 
 
 class TestChecker:
+    @pytest.mark.parametrize("index", [0, 2])
+    def test_no_such_hypothesis(self, index):
+        s = parse_script(f"system: sqL*\nhyp: p\n1. p ; HYP {index}\n")
+        report = check_proof(s)
+        assert (report.accepted, report.failure_line) == (False, 1)
+        assert report.failure_reason == f"NoSuchHypothesis: {index}"
+
     def test_lstar_one_liner(self):
         s = parse_script("system: L*\n1. p -> 1 ; AX P4\n")
         assert check_proof(s).accepted
@@ -370,6 +396,17 @@ class TestRegistry:
         reg = Registry()
         with pytest.raises(CertificationFailed):
             reg.register("refl", parse_script(certs["refl"]))  # cites chain
+
+    @pytest.mark.parametrize("rule_id, text, message", [
+        ("contra", None, "lemma id 'contra' is already registered"),
+        ("mp", "system: L*\n1. p -> 1 ; AX P4\n", "derived rules must be certified in sqL*"),
+    ], ids=["duplicate", "lstar"])
+    def test_rejection_messages(self, rule_id, text, message):
+        certs = dict(packaged_certificates())
+        reg = Registry()
+        reg.register("contra", parse_script(certs["contra"]))
+        with pytest.raises(CertificationFailed, match=f"^{re.escape(message)}$"):
+            reg.register(rule_id, parse_script(text or certs[rule_id]))
 
     def test_duplicate_id_rejected(self):
         certs = dict(packaged_certificates())
@@ -558,6 +595,15 @@ class TestDeregularize:
         src = lift_lstar_proof(load("lstar/hyp_mp.sqlp"))
         with pytest.raises(NotRegular):
             deregularize_proof(src)
+
+    @pytest.mark.parametrize("text, message", [
+        ("system: L*\n1. p -> 1 ; AX P4\n", "the source script is not an sqL* proof"),
+        ("system: sqL*\n1. p -> q ; AX Q10\n",
+         "source does not check: REJECT at line 1: NoMatchingAxiomInstance: Q10"),
+    ], ids=["lstar", "unchecked"])
+    def test_rejected_sources(self, text, message):
+        with pytest.raises(SourceProofInvalid, match=f"^{re.escape(message)}$"):
+            deregularize_proof(parse_script(text))
 
     def test_unprefixed_source_refused(self):
         s = parse_script("system: sqL*\n1. p -> 1 ; AX Q10\n")

@@ -894,7 +894,8 @@ class TestStrategyParsing:
         # an oversized grid is refused on this count, before any point is built
         m = resolve(kind)
         for d in range(1, 200):
-            assert semantics._grid_count(m, d) == len(semantics._grid_points(m, d)[0]), d
+            (values,), _ = m.grid(d, 1)
+            assert semantics._env_shape({"x": values}) == (m.grid_count(d),), d
 
 
 def _disk_draw_reference(rng, D, count):

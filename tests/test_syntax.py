@@ -295,16 +295,26 @@ def test_parser_agrees_with_the_reference_parser(text):
 
 
 @given(_texts(), _texts())
+@example("(x (+) y) (+) z", "(x (+) y) -> z")  # a group read in MV is no W group
 @settings(max_examples=200, deadline=None)
 def test_a_shared_memo_changes_no_outcome(before, text):
     # ``before`` leaves its groups in the memo, then ``text`` is read twice:
-    # the second time every group that parsed is a hit
+    # the second time every group that parsed is a hit; one memo serves both
+    # signatures
+    memo = {}
     for sig in Sig:
-        memo = {}
         _outcome(lambda t, s: parse(t, s, memo), before, sig)
         want = _outcome(reference_parse, text, sig)
         for _ in range(2):
             assert _outcome(lambda t, s: parse(t, s, memo), text, sig) == want
+
+
+def test_a_memo_hit_needing_the_other_signature_is_a_miss():
+    memo = {}
+    parse("(x (+) y) (+) z", Sig.MV, memo)
+    shared = _outcome(lambda t, s: parse(t, s, memo), "(x (+) y) -> z", Sig.W)
+    assert shared == _outcome(parse, "(x (+) y) -> z", Sig.W) == (
+        SignatureError, "'(+)' is not part of the W-STAR language", None)
 
 
 class TestExpand:

@@ -19,7 +19,7 @@ from sqmv.models import (
     FINITE_CATALOG,
     FiniteModel,
     _build,
-    _split_product_args,
+    _split_top,
     _strip_parens,
     classify,
     compile,
@@ -101,7 +101,7 @@ def ref_catalog(name):
         base, _, k = rest.rpartition(":")
         return ref_flattening(ref_catalog(base), F(k))
     if kind == "product":
-        left, right = _split_product_args(rest)
+        left, right = _split_top(rest, "()", 1)
         return ref_product(ref_catalog(_strip_parens(left)),
                            ref_catalog(_strip_parens(right)), name)
     return resolve(name)  # ex32-grid, built from its operations already

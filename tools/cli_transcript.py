@@ -2,8 +2,10 @@
 """Print what the documented CLI commands write, so that refactors can be compared.
 
 The commands are every ``sqmv`` line of the example block under README's
-``## CLI`` heading, pipes included, and the argument lists of the CLI
-determinism tests (``DETERMINISM_ARGV``).  Each runs as ``python -m
+``## CLI`` heading, pipes included, the argument lists of the CLI
+determinism tests (``DETERMINISM_ARGV``), the grid and seeded checks of each
+standard model (``SAMPLING_ARGV``), and catalog names and element literals
+that the readers accept or refuse (``READER_ARGV``).  Each runs as ``python -m
 sqmv.cli`` from the repository root, with ``src/`` first on the import path.
 A pipe runs its stages one after another, each reading the previous stage's
 output; it reports the last stage's exit code and stdout, and the stderr of
@@ -40,6 +42,36 @@ DETERMINISM_ARGV = [
     ("audit-axioms", "--model", "disk", "--strategy", "random:500", "--seed", "1"),
 ]
 
+STANDARD = ("square", "disk", "interval", "flat-standard")
+
+# plain and explicit grids and seeded draws on each standard model, for an
+# equation that holds and one refuted on all but the interval; then an
+# entailment that holds and one refuted on each standard view
+SAMPLING_ARGV = [
+    ("check-eq", "--model", model, "--strategy", *strategy, *equation)
+    for model in STANDARD
+    for strategy in (("grid",), ("grid:3",), ("random:500", "--seed", "3"))
+    for equation in (("x (+) y", "y (+) x"), ("x (+) 0", "x"))
+] + [
+    ("check-entail", "--model", model + "@w", "--strategy", "random:300", *entailment)
+    for model in STANDARD
+    for entailment in (("--premise", "p", "(x -> x) -> p"), ("--premise", "p -> q", "q"))
+]
+
+PRODUCT_81 = "product:(product:chain:1,flatten:chain:1:0),(product:chain:1,flatten:chain:1:0)"
+
+# catalog names and element literals; tests/test_cli.py pins what each prints
+READER_ARGV = [
+    ("classify", "--model", "product:chain:1"),
+    ("classify", "--model", "product:chain:1,chain:1,chain:1"),
+    ("classify", "--model", "square@w@w"),
+    ("classify", "--model", "flatten:0"),
+    ("classify", "--model", "flatten:square:0"),
+    ("classify", "--model", "product:square,chain:1"),
+    ("eval", "--model", "chain:2", "--let", "x=k*", "x"),
+    ("eval", "--model", PRODUCT_81, "--let", "x=<<1,0>,<-1,0>>", "x (+) x"),
+]
+
 
 def readme_examples() -> list[tuple[str, str]]:
     """The ``sqmv`` lines of README's CLI example block as ``(command,
@@ -72,7 +104,8 @@ def run(command: str) -> dict:
 
 def transcript() -> dict:
     commands = [command for command, _ in readme_examples()]
-    commands += [shlex.join(("sqmv", *argv)) for argv in DETERMINISM_ARGV]
+    commands += [shlex.join(("sqmv", *argv))
+                 for argv in DETERMINISM_ARGV + SAMPLING_ARGV + READER_ARGV]
     return {command: run(command) for command in commands}
 
 
