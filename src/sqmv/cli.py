@@ -19,6 +19,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from .syntax import (
+    IDENT,
     SqmvError,
     Sig,
     Term,
@@ -139,10 +140,11 @@ def cmd_eval(args) -> int:
     t = parse(args.formula, m.signature)
     valuation = {}
     for binding in args.let or []:
-        name, _, value = binding.partition("=")
-        if not _:
+        name, eq, value = binding.partition("=")
+        name = name.strip()
+        if not (eq and IDENT.fullmatch(name)):
             raise CliError(f"bindings look like x=1/2 or x=1/2,0 (got {binding!r})")
-        valuation[name.strip()] = md.read_element(value)
+        valuation[name] = md.read_element(value)
     try:  # a value computed from printable literals can still be too long
         text = md.label_str(sem.evaluate(t, m, valuation))
     except ValueError:
@@ -201,8 +203,6 @@ def cmd_classify(args) -> int:
     from . import models as md
 
     m = _model(args.model)
-    if not isinstance(m, md.FiniteModel):
-        raise CliError("classification sweeps require a finite model")
     flags = md.classify(m)
     if args.json:
         payload = {

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import axioms
 from .syntax import (
+    CONNECTIVES,
     Const0,
     OPlus,
     Sig,
@@ -71,12 +72,13 @@ def clamp(x: Fraction) -> Fraction:
     return max(-ONE, min(ONE, x))
 
 
-MV_OPS = {"oplus": 2, "uminus": 1, "pos": 1, "npart": 1}
-W_OPS = {"impl": 2, "wneg": 1, "pos": 1, "npart": 1}
+# each signature's operations with their arities, in the node classes' order
+_OPS = {sig: {c.op: len(c._fields) for c in CONNECTIVES.values()
+              if c is not Var and c._fields and c.sig in (None, sig)} for sig in Sig}
 
 
 def ops_for(sig: Sig) -> dict[str, int]:
-    return MV_OPS if sig is Sig.MV else W_OPS
+    return _OPS[sig]
 
 
 def read_fraction(text: str, error: type[Exception], what: str) -> Fraction:
@@ -106,14 +108,17 @@ ADJOINED = "k*"
 
 def read_element(text: str):
     """The element that ``label_str`` writes as ``text``: ``k*``, a rational,
-    or ``<x,y>`` of elements, whose outermost brackets may be left out."""
-    text = text.strip()
+    or ``<x,y>`` of elements, whose outermost brackets may be left out; the
+    brackets must balance."""
+    text = literal = text.strip()
     if text == ADJOINED:
         return ADJOINED
     if text.startswith("<") and text.endswith(">"):
         text = text[1:-1]
     if "," in text:
-        return tuple(map(read_element, _split_top(text, "<>")))
+        if len(parts := _split_top(text, "<>")) < 2:
+            raise DomainError(f"cannot read element {literal!r}")
+        return tuple(map(read_element, parts))
     return read_fraction(text, DomainError, "cannot read element")
 
 
@@ -458,12 +463,14 @@ def ex32_grid() -> FiniteModel:
 
 
 def flattening(base: FiniteModel, k=None) -> FiniteModel:
-    """Flatten ``base`` onto the element ``k``.
+    """Flatten the finite model ``base`` onto the element ``k``.
 
     ``k`` must be a fixpoint of minus inside the regular part; pass ``None``
     to adjoin a fresh element, which is only legal when no such fixpoint
     exists.
     """
+    if not base.finite:
+        raise SpecError("flattening is available for finite bases only")
     if base.signature is not Sig.MV:
         raise SpecError("flattening expects an additive-signature base")
     regs = regular_elements(base)
@@ -496,9 +503,9 @@ def flattening(base: FiniteModel, k=None) -> FiniteModel:
 
 
 def product(m1: FiniteModel, m2: FiniteModel) -> FiniteModel:
-    """Componentwise product; tables assembled on index arrays."""
+    """Componentwise product of two finite models; tables assembled on index arrays."""
     if not (m1.finite and m2.finite):
-        raise SpecError("product is implemented for finite factors only")
+        raise SpecError("product is available for finite factors only")
     if m1.signature is not m2.signature:
         raise SpecError("product factors must share a signature")
     sig = m1.signature
@@ -893,7 +900,7 @@ def _build(name: str) -> Model:
         base = resolve(name[:-2])
         if base.signature is not Sig.MV:
             raise CatalogError(f"{name[:-2]} is already in the implicational signature")
-        if isinstance(base, StandardModel):
+        if not base.finite:
             return StandardModel(base.kind, Sig.W)
         return finite_w_view(base, name)
     if name in STANDARD_CATALOG:
@@ -912,8 +919,6 @@ def _build(name: str) -> Model:
         if not base_name:
             raise CatalogError(f"flatten needs a base and an element: {name!r}")
         base = resolve(base_name)
-        if not isinstance(base, FiniteModel):
-            raise CatalogError("flattening is available for finite bases only")
         if kpart == "new":
             return flattening(base, None)
         return flattening(base, read_fraction(kpart, CatalogError, "bad flattening element"))
@@ -922,8 +927,5 @@ def _build(name: str) -> Model:
         operands = _split_top(body, "()", 1)
         if len(operands) < 2:
             raise CatalogError(f"cannot split product operands in {body!r}")
-        m1, m2 = (resolve(_strip_parens(op)) for op in operands)
-        if not (isinstance(m1, FiniteModel) and isinstance(m2, FiniteModel)):
-            raise CatalogError("product is available for finite factors only")
-        return product(m1, m2)
+        return product(*(resolve(_strip_parens(op)) for op in operands))
     raise CatalogError(f"unknown model name {name!r}")

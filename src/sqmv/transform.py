@@ -15,9 +15,7 @@ import numpy as np
 
 from .models import (
     ClassError,
-    FiniteModel,
     Model,
-    StandardModel,
     finite_mv_view,
     finite_w_view,
     is_strong,
@@ -33,10 +31,8 @@ def _view(m: Model, sig: Sig) -> Model:
         raise ClassError(
             f"{m.name} carries the wrong signature for this translation"
         )
-    if isinstance(m, StandardModel):
+    if not m.finite:
         return resolve(m.kind + ("@w" if sig is Sig.W else ""))
-    if not isinstance(m, FiniteModel):
-        raise ClassError(f"cannot certify strongness of {m.name}")
     if not is_strong(m):
         raise ClassError(f"{m.name} is not a strong model")
     if sig is Sig.W:
@@ -54,8 +50,8 @@ def w_to_mv_model(m: Model) -> Model:
     return _view(m, Sig.MV)
 
 
-def tables_equal(m1: FiniteModel, m2: FiniteModel) -> bool:
-    """Same elements, same constants, same operation tables."""
+def tables_equal(m1: Model, m2: Model) -> bool:
+    """Whether two finite models have the same elements, constants and operation tables."""
     if m1.signature is not m2.signature or m1.elements != m2.elements:
         return False
     for c in set(m1.consts) & set(m2.consts):

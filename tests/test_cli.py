@@ -594,6 +594,8 @@ class TestErrorTaxonomy:
             (("check-eq", "--model", "pentagon", "x", "x"), "error: unknown model"),
             (("translate", "--to", "w", "p -> q"), "error: '->' is not part"),
             (("eval", "--model", "square", "x"), "error: variable 'x' is not bound"),
+            (("eval", "--model", "chain:1", "--let", "=1", "--let", "x=0", "x"),
+             "error: bindings look like x=1/2 or x=1/2,0 (got '=1')"),
             (("classify", "--model", "square"), "error: classification sweeps require"),
             (("check-proof", str(tmp_path / "absent.sqlp")), "error: no such proof script"),
             (("check-proof", str(tmp_path)), "error: [Errno 21] Is a directory"),
@@ -620,9 +622,16 @@ class TestErrorTaxonomy:
             (2, "", "error: product is available for finite factors only\n"),
             (2, "", "error: k* is not in the carrier of chain:2\n"),
             (0, "<<1,0>,<-1,0>>\n", ""),
+            (2, "", "error: classification sweeps require a finite carrier\n"),
+            # the element is read before the base is asked to flatten
+            (2, "", "error: bad flattening element 'abc'\n"),
+            (2, "", "error: cannot read element '<1,0'\n"),
+            (2, "", "error: bindings look like x=1/2 or x=1/2,0 (got 'x y=1')\n"),
         ], strict=True)
     ], ids=["product-unsplit", "product-first-comma", "w-twice", "flatten-no-base",
-            "flatten-standard", "product-standard", "adjoined-not-in-chain", "nested-tuple"])
+            "flatten-standard", "product-standard", "adjoined-not-in-chain", "nested-tuple",
+            "classify-standard", "flatten-standard-bad-element", "unbalanced-element",
+            "binding-not-a-name"])
     def test_catalog_names_and_element_literals(self, capsys, argv, code, out, err):
         assert run(capsys, *argv) == (code, out, err)
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -16,6 +17,7 @@ from sqmv.models import (
     NotCompatible,
     STANDARD_CATALOG,
     SpecError,
+    StandardModel,
     classify,
     embed_into_product,
     finite_chain,
@@ -26,7 +28,9 @@ from sqmv.models import (
     label_str,
     mu_congruence,
     ops_for,
+    product,
     quotient,
+    read_element,
     regular_elements,
     resolve,
     tau_congruence,
@@ -189,6 +193,15 @@ class TestFiniteConstructions:
         assert ADJOINED in fl.elements
         assert fl.const("zero") is ADJOINED
         assert label_str(ADJOINED) == "k*"
+
+    def test_flattening_refuses_a_standard_base(self):
+        with pytest.raises(SpecError, match="^flattening is available for finite bases only$"):
+            flattening(StandardModel("square", Sig.MV), None)
+
+    @pytest.mark.parametrize("names", [("square", "chain:1"), ("chain:1", "square")])
+    def test_product_refuses_a_standard_factor(self, names):
+        with pytest.raises(SpecError, match="^product is available for finite factors only$"):
+            product(*map(resolve, names))
 
     def test_product_componentwise(self):
         pr = resolve("product:chain:1,flatten:chain:1:0")
@@ -432,6 +445,11 @@ class TestCatalog:
             resolve("pentagon")
         with pytest.raises(CatalogError):
             resolve("chain:x")
+
+    @pytest.mark.parametrize("text", ["<1,0", "<<1,0>", ">1,0<"])
+    def test_unbalanced_element_literal(self, text):
+        with pytest.raises(DomainError, match=f"^cannot read element {re.escape(repr(text))}$"):
+            read_element(text)
 
     def test_nested_product_name_round_trip(self):
         name = FINITE_CATALOG[-2]

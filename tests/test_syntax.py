@@ -391,6 +391,10 @@ class TestConnectiveFacts:
             if cls is not Var:
                 consts = resolve("chain:1" if sig is Sig.MV else "chain:1@w").consts
                 assert node.op in ops_for(sig) or node.op in consts
+        # the operations each signature's models carry, in the order their checks report
+        parts = [("pos", 1), ("npart", 1)]
+        assert list(ops_for(Sig.MV).items()) == [("oplus", 2), ("uminus", 1), *parts]
+        assert list(ops_for(Sig.W).items()) == [("impl", 2), ("wneg", 1), *parts]
 
     def test_count_under_every_tag(self):
         mv = parse("-(p (+) 0)^+ (+) (1 (+) -q^-)", Sig.MV)

@@ -70,6 +70,10 @@ READER_ARGV = [
     ("classify", "--model", "product:square,chain:1"),
     ("eval", "--model", "chain:2", "--let", "x=k*", "x"),
     ("eval", "--model", PRODUCT_81, "--let", "x=<<1,0>,<-1,0>>", "x (+) x"),
+    ("classify", "--model", "square"),
+    ("classify", "--model", "flatten:square:abc"),
+    ("eval", "--model", "square", "--let", "x=<1,0", "x"),
+    ("eval", "--model", "chain:1", "--let", "x y=1", "x"),
 ]
 
 
