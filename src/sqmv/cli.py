@@ -24,7 +24,7 @@ from .syntax import (
     Sig,
     Term,
     Var,
-    children,
+    fold,
     mv_to_w_term,
     parse,
     print_term,
@@ -69,14 +69,13 @@ def _strategy(args, m: md.Model | None = None) -> sem.Strategy:
     return strategy
 
 
-def _ast(t: Term) -> dict:
-    # one frame per level of nesting (a comprehension adds one before Python
-    # 3.12), so that building the tree fails no sooner than printing it
+def _ast(t: Term, kids: tuple) -> dict:
+    """The parse-tree node of ``t`` over its children's nodes (see ``fold``)."""
     node = {"node": type(t).__name__}
     if isinstance(t, Var):
         node["name"] = t.name
-    elif kids := children(t):
-        node["children"] = list(map(_ast, kids))
+    elif kids:
+        node["children"] = list(kids)
     return node
 
 
@@ -122,7 +121,7 @@ def _load_script(path: str):
 
 
 def cmd_parse(args) -> int:
-    tree = _ast(parse(args.formula, _sig(args.sig)))
+    tree = fold(parse(args.formula, _sig(args.sig)), _ast, {})
     print(json.dumps(tree, sort_keys=True) if args.json else _ast_text(tree))
     return 0
 
@@ -144,6 +143,8 @@ def cmd_eval(args) -> int:
         name = name.strip()
         if not (eq and IDENT.fullmatch(name)):
             raise CliError(f"bindings look like x=1/2 or x=1/2,0 (got {binding!r})")
+        if name in valuation:
+            raise CliError(f"variable {name!r} is bound twice")
         valuation[name] = md.read_element(value)
     try:  # a value computed from printable literals can still be too long
         text = md.label_str(sem.evaluate(t, m, valuation))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
 from math import prod
 from typing import Iterable, Sequence
 
@@ -29,8 +30,8 @@ from .syntax import (
     Term,
     Var,
     check_signature,
-    children,
     count_connective,
+    fold,
 )
 
 
@@ -68,23 +69,20 @@ _MAX_DENOMINATOR = 2**31
 
 
 def evaluate(t: Term, m: Model, valuation: dict):
-    """Homomorphic evaluation of ``t`` in ``m`` under ``valuation`` (exact)."""
+    """Homomorphic evaluation of ``t`` in ``m`` under ``valuation`` (exact),
+    once per distinct subterm."""
     check_signature(t, m.signature)
-    return _evaluate(t, m, valuation)
+    return fold(t, partial(_value, m, valuation), {})
 
 
-# Plain recursion, not a nested closure: a closure that calls itself sits in a
-# reference cycle with the valuation, which then lives until the cyclic
-# collector runs.
-def _evaluate(s: Term, m: Model, valuation: dict):
-    if isinstance(s, Var):
+def _value(m: Model, valuation: dict, s: Term, args: tuple):
+    if type(s) is Var:
         try:
             el = valuation[s.name]
         except KeyError:
             raise UnboundVariable(f"variable {s.name!r} is not bound") from None
         m.check_member(el)
         return el
-    args = [_evaluate(c, m, valuation) for c in children(s)]
     return m.apply(s.op, *args) if args else m.const(s.op)
 
 

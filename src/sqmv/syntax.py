@@ -13,6 +13,7 @@ import enum
 import re
 import threading
 import weakref
+from functools import partial
 from _weakref import _remove_dead_weakref
 from itertools import compress, repeat
 from typing import Iterator
@@ -194,6 +195,17 @@ def rebuild(t: Term, new_children: tuple[Term, ...]) -> Term:
     return t if new_children == children(t) else type(t)(*new_children)
 
 
+def fold(t: Term, f, memo: dict):
+    """``f(t, the values of t's children)``, bottom-up once per distinct node,
+    children left to right (so leaves in preorder); ``memo`` keeps each value
+    and may be seeded.  Recursion through ``map`` takes one frame per level, and
+    unlike a closure calling itself leaves no reference cycle."""
+    if t not in memo:
+        kids = children(t)
+        memo[t] = f(t, tuple(map(fold, kids, repeat(f), repeat(memo))) if kids else ())
+    return memo[t]
+
+
 ZERO = Const0()
 ONE = Const1()
 
@@ -268,27 +280,21 @@ def expand_abbreviations(t: Term, sig: Sig) -> Term:
     return _expand(t, sig)
 
 
-# The recursive helpers below are module-level functions, not nested closures (a
-# closure that calls itself sits in a reference cycle, garbage after each call);
-# they recurse through ``map``, which unlike a comprehension adds no frame.
 def _expand(s: Term, sig: Sig) -> Term:
-    # memoised on the node, never as itself: a node with parts expands to one without
+    # recurses like ``fold``, but memoised on the node across calls, and never as
+    # itself: a node with parts expands to one without
     memo = s._expanded
     if memo is None:
         return s
     if sig not in memo:
-        memo[sig] = _apply(s, _PARTS[sig], tuple(map(_expand, children(s), repeat(sig))))
+        memo[sig] = _apply(_PARTS[sig], s, tuple(map(_expand, children(s), repeat(sig))))
     return memo[sig]
 
 
-def _apply(s: Term, rules: dict, kids: tuple[Term, ...]) -> Term:
+def _apply(rules: dict, s: Term, kids: tuple[Term, ...]) -> Term:
     """The rule for ``s``'s class applied to the rewritten ``kids``, or else ``s`` over them."""
     rule = rules.get(type(s))
     return rule(*kids) if rule else rebuild(s, kids)
-
-
-def _rewrite(s: Term, rules: dict) -> Term:
-    return _apply(s, rules, tuple(map(_rewrite, children(s), repeat(rules))))
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +307,13 @@ _W_TO_MV = {Impl: lambda a, b: OPlus(UMinus(a), b), Neg: UMinus}
 def mv_to_w_term(t: Term) -> Term:
     """Rewrite an additive-signature term into the implicational signature."""
     check_signature(t, Sig.MV)
-    return _rewrite(t, _MV_TO_W)
+    return fold(t, partial(_apply, _MV_TO_W), {})
 
 
 def w_to_mv_term(t: Term) -> Term:
     """Rewrite an implicational-signature term into the additive signature."""
     check_signature(t, Sig.W)
-    return _rewrite(t, _W_TO_MV)
+    return fold(t, partial(_apply, _W_TO_MV), {})
 
 
 # ---------------------------------------------------------------------------
@@ -499,16 +505,10 @@ def substitute(pattern: Term, assignment: dict[str, Term], sig: Sig | None = Non
     if sig is not None:
         for name, image in assignment.items():
             check_signature(image, sig)
-    result = _substitute(pattern, {Var(name): image for name, image in assignment.items()})
+    images = {Var(name): image for name, image in assignment.items()}
+    result = fold(pattern, rebuild, images)  # an unbound metavariable is its own image
+    if unbound := [s.name for s in images if type(s) is Var and s.name not in assignment]:
+        raise MissingBinding(f"no binding for metavariable {unbound[0]!r}")  # preorder first
     if sig is not None:
         check_signature(result, sig)
     return result
-
-
-def _substitute(s: Term, images: dict[Term, Term]) -> Term:
-    # ``images`` maps each bound metavariable, and each node this call rebuilt, to its image
-    if (image := images.get(s)) is None:
-        if type(s) is Var:
-            raise MissingBinding(f"no binding for metavariable {s.name!r}")
-        image = images[s] = rebuild(s, tuple(map(_substitute, children(s), repeat(images))))
-    return image

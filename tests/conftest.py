@@ -1,8 +1,9 @@
 """Shared helpers: seeded random terms/valuations, hypothesis terms, an independent
 reference evaluator written straight from the model definitions, a reference
 parser (the library's previous parser, one method call per token), a reference
-substitution (a tree walk), and the carrier restriction and valuation
-projection that only tests use."""
+substitution (a tree walk), the carrier restriction and valuation
+projection that only tests use, and one check of batch values against the
+exact evaluator."""
 
 from __future__ import annotations
 
@@ -10,11 +11,13 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from sqmv import syntax
-from sqmv.models import FiniteModel, Model, finite_model_from_ops, ops_for
+from sqmv.models import FiniteModel, Model, compile, finite_model_from_ops, ops_for, run
+from sqmv.semantics import RandomSampling, _valuation_at, _valuations, evaluate
 from sqmv.syntax import (
     Const0,
     Const1,
@@ -289,6 +292,16 @@ def reference_parse_iff(text: str, sig: Sig) -> tuple[Term, ...]:
     return ReferenceParser(text, sig).formulas(allow_iff=True)
 
 
+def nested_join_text(depth: int) -> str:
+    """``y{depth-1} \\/ (... \\/ (y0 \\/ x))``: as a tree a join holds its right
+    operand twice, so the tree doubles with each level while the distinct
+    subterms grow by a few."""
+    text = "x"
+    for i in range(depth):
+        text = f"y{i} \\/ ({text})"
+    return text
+
+
 def reference_substitute(s: Term, assignment: dict[str, Term]) -> Term:
     """The library's previous substitution: it rebuilds every occurrence of a
     shared node and raises at the first unbound metavariable in preorder."""
@@ -318,6 +331,29 @@ def zero_second_coordinates(valuation: dict) -> dict:
     """Project every pair binding onto the first-coordinate slice."""
     return {k: (v[0], F(0)) if isinstance(v, tuple) and len(v) == 2 else v
             for k, v in valuation.items()}
+
+
+def assert_batch_matches_exact(m: Model, strategy, terms, seed: int = 0) -> None:
+    """Run ``terms`` as one tape on the valuations ``strategy`` gives on ``m``
+    and compare every batch value with ``evaluate`` at the same valuation: a
+    carrier element on finite models, exact fractions over ``D`` otherwise."""
+    tape = compile(terms, m.signature)
+    env, D, total = _valuations(m, strategy, tape.names, terms, seed)
+    shape = np.broadcast_shapes(*(np.shape(a) for rep in env.values()
+                                  for a in (rep if isinstance(rep, tuple) else (rep,))))
+    cells = int(np.prod(shape))
+    # random sampling counts its draws even without variables; the batch then has one cell
+    assert cells == total or not tape.names and isinstance(strategy, RandomSampling)
+    for t, got in zip(terms, run(tape, m, env, D)):
+        pair = isinstance(got, tuple)
+        cols = [np.broadcast_to(c, shape).ravel() for c in (got if pair else (got,))]
+        for i in range(cells):
+            exact = evaluate(t, m, _valuation_at(m, env, D, i))
+            if m.finite:
+                assert m.elements[int(cols[0][i])] == exact, (m.name, t, i)
+            else:
+                batch = tuple(F(int(c[i]), D) for c in cols)
+                assert batch == (exact if pair else (exact,)), (m.name, t, i)
 
 
 @pytest.fixture

@@ -607,6 +607,18 @@ class TestErrorTaxonomy:
             assert (code, out) == (2, ""), argv
             assert err.startswith(start), (argv, err)
 
+    @pytest.mark.parametrize("argv, text", [
+        (("check-entail", "--model", "square", "p"),
+         "entailment needs a Wajsberg view; pick a model with @w"),
+        (("find-countermodel", "--models", ",", "x", "x"), "no models given"),
+        (("classify", "--model", "chain:0"), "chain parameter must be >= 1"),
+        (("classify", "--model", "flatten:chain:1:new"),
+         "minus has a fixpoint over the regular part; flatten onto it (e.g. 0) "
+         "instead of adjoining a fresh element"),
+    ], ids=["entail-on-mv", "no-models", "chain-0", "flatten-new"])
+    def test_refusals_keep_their_text(self, capsys, argv, text):
+        assert run(capsys, *argv) == (2, "", f"error: {text}\n")
+
     def test_zero_denominator_in_let(self, capsys):
         code, out, err = run(capsys, "eval", "--model", "square", "--let", "x=1/0,0", "--", "x")
         assert (code, out, err) == (2, "", "error: cannot read element '1/0'\n")
@@ -627,11 +639,12 @@ class TestErrorTaxonomy:
             (2, "", "error: bad flattening element 'abc'\n"),
             (2, "", "error: cannot read element '<1,0'\n"),
             (2, "", "error: bindings look like x=1/2 or x=1/2,0 (got 'x y=1')\n"),
+            (2, "", "error: variable 'x' is bound twice\n"),
         ], strict=True)
     ], ids=["product-unsplit", "product-first-comma", "w-twice", "flatten-no-base",
             "flatten-standard", "product-standard", "adjoined-not-in-chain", "nested-tuple",
             "classify-standard", "flatten-standard-bad-element", "unbalanced-element",
-            "binding-not-a-name"])
+            "binding-not-a-name", "binding-repeated"])
     def test_catalog_names_and_element_literals(self, capsys, argv, code, out, err):
         assert run(capsys, *argv) == (code, out, err)
 

@@ -33,6 +33,7 @@ from sqmv.models import (
     read_element,
     regular_elements,
     resolve,
+    _from_relation,
     tau_congruence,
 )
 from sqmv import axioms
@@ -456,3 +457,70 @@ class TestCatalog:
         m = resolve(name)
         assert len(m.elements) == 81
         assert m.name == name
+
+
+class TestRefusals:
+    """Each refusal of a model constructor or operation, with its text."""
+
+    def test_chain_needs_a_positive_size(self):
+        with pytest.raises(SpecError, match="^chain parameter must be >= 1$"):
+            resolve("chain:0")
+
+    def test_catalog_flattening_onto_a_fresh_element(self):
+        with pytest.raises(SpecError, match=re.escape(
+                "minus has a fixpoint over the regular part; flatten onto it (e.g. 0) "
+                "instead of adjoining a fresh element")):
+            resolve("flatten:chain:1:new")
+
+    def test_flattening_needs_an_additive_base(self):
+        with pytest.raises(SpecError, match="^flattening expects an additive-signature base$"):
+            flattening(resolve("chain:1@w"), None)
+
+    def test_product_factors_share_a_signature(self):
+        with pytest.raises(SpecError, match="^product factors must share a signature$"):
+            product(resolve("chain:1"), resolve("chain:1@w"))
+
+    @pytest.mark.parametrize("name, op, el", [
+        ("chain:1", "impl", F(0)), ("chain:1@w", "oplus", F(0)),
+        ("square", "impl", (F(0), F(0))), ("interval@w", "oplus", F(0)),
+    ])
+    def test_apply_of_a_missing_operation(self, name, op, el):
+        with pytest.raises(DomainError, match=f"^operation '{op}' is not available on {name}$"):
+            resolve(name).apply(op, el, el)
+
+    def test_duplicate_carrier_elements(self):
+        with pytest.raises(SpecError, match="^duplicate elements in finite carrier$"):
+            FiniteModel("twice", Sig.MV, (F(0), F(0)), {}, {})
+
+    def test_constant_outside_the_carrier(self):
+        ops = {op: (lambda *args: args[0]) for op in ops_for(Sig.MV)}
+        with pytest.raises(ClosureError, match="^point: constant one = 1 not in carrier$"):
+            finite_model_from_ops("point", Sig.MV, (F(0),), ops, {"zero": F(0), "one": F(1)})
+
+    @pytest.mark.parametrize("el", [(F(0),), (F(0), F(0), F(0)), F(0), [F(0), F(0)]], ids=repr)
+    @pytest.mark.parametrize("name", ["square", "disk"])
+    def test_pair_carriers_refuse_other_shapes(self, name, el):
+        m = resolve(name)
+        assert not m.contains(el)
+        with pytest.raises(DomainError, match="is not in the carrier of"):
+            m.check_member(el)
+
+    def test_relation_must_be_reflexive(self):
+        m = resolve("chain:1")
+        with pytest.raises(NotCompatible, match="^relation is not reflexive$"):
+            _from_relation(m, np.zeros((3, 3), dtype=bool))
+
+    def test_compatibility_on_the_right(self):
+        # x (+) y is a function of y that splits the class {a, b}: each row of
+        # the table is the same, so only the right operand shows it
+        ident = [0, 1, 2]
+        m = FiniteModel("right", Sig.MV, ("a", "b", "c"),
+                        {"oplus": [[0, 2, 2]] * 3, "uminus": ident, "pos": ident, "npart": ident},
+                        {"zero": 0, "one": 0})
+        cong = Congruence(m, (frozenset("ab"), frozenset("c")))
+        with pytest.raises(NotCompatible, match="^oplus is not compatible on the right$"):
+            quotient(m, cong)
+
+    def test_quotient_by_another_models_congruence(self):
+        with pytest.raises(NotCompatible, match="^congruence belongs to a different model$"):
+            quotient(resolve("chain:1"), mu_congruence(resolve("chain:2")))

@@ -360,6 +360,11 @@ class TestChecker:
         report = check_proof(parse_script(text), standard_registry() if registry else None)
         assert (report.failure_line, report.failure_reason) == (line, reason)
 
+    def test_unknown_axiom_rejects_at_its_line(self):
+        report = check_proof(parse_script("system: sqL*\n1. p -> 1 ; AX Q99\n"))
+        assert not report.accepted
+        assert (report.failure_line, report.failure_reason) == (1, "UnknownAxiom: Q99")
+
     def test_unknown_justification_rejects_at_its_line(self):
         # a justification without premises that is no AX, HYP, RULE or LEM
         # object is a verdict, not an AttributeError
@@ -651,6 +656,17 @@ class TestReplacement:
         equiv = _hyp_equiv(Var("a"), Var("b"))
         with pytest.raises(PathMismatch, match=r"subterm at \(0,\) is c, not a"):
             replacement_proof(w("c -> 1"), (0,), equiv)
+
+    @pytest.mark.parametrize("lines", [
+        (ProofLine(w("a -> b"), HypRef(1)),),  # one implication
+        (ProofLine(w("a -> b"), HypRef(1)), ProofLine(w("b -> c"), HypRef(2))),  # not converse
+        (ProofLine(w("a -> b"), HypRef(1)), ProofLine(w("~a"), HypRef(2))),  # not an implication
+    ], ids=["one", "not-converse", "not-implication"])
+    def test_equivalence_must_end_in_two_implications(self, lines):
+        equiv = ProofScript(SQL, tuple(line.formula for line in lines), lines)
+        with pytest.raises(PathMismatch,
+                           match="^equivalence script must end with the two implications$"):
+            replacement_proof(w("a -> c"), (0,), equiv)
 
     @pytest.mark.parametrize("path", [(0, 0), (5,), (-1,)])
     def test_path_off_the_target_is_a_mismatch(self, path):

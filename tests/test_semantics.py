@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    assert_batch_matches_exact,
+    nested_join_text,
     oracle_interval,
     oracle_pair,
     random_disk_valuation,
@@ -26,12 +28,12 @@ from sqmv import corpus, semantics
 from sqmv.models import (
     FINITE_CATALOG,
     STANDARD_CATALOG,
+    DomainError,
     StandardModel,
     compile,
     finite_w_view,
     label_str,
     resolve,
-    run,
 )
 from sqmv.semantics import (
     Exhaustive,
@@ -42,8 +44,6 @@ from sqmv.semantics import (
     UnboundVariable,
     Verdict,
     Witness,
-    _valuation_at,
-    _valuations,
     check_entailment,
     check_equation,
     designated_set,
@@ -71,6 +71,7 @@ from sqmv.syntax import (
     is_regular,
     parse,
     substitute,
+    subterms,
     variables,
 )
 from sqmv.transform import mv_to_w_model
@@ -112,6 +113,20 @@ class TestEvaluate:
     def test_signature_mismatch(self):
         with pytest.raises(SignatureError):
             evaluate(mv("p (+) q"), resolve("square@w"), {})
+
+    def test_applies_once_per_distinct_subterm(self, apply_calls):
+        # about 2^16 copies of x as a tree, a few hundred distinct subterms
+        t = mv(nested_join_text(16))
+        valuation = {"x": F(1, 3), **{f"y{i}": F(-1, i + 2) for i in range(16)}}
+        assert evaluate(t, resolve("interval"), valuation) == F(1, 3)
+        assert apply_calls.n == sum(1 for s in set(subterms(t)) if children(s))
+
+    def test_variable_errors_in_preorder(self):
+        sq, zero = resolve("square"), (F(0), F(0))
+        with pytest.raises(UnboundVariable, match="^variable 'q' is not bound$"):
+            evaluate(mv("(p (+) -q) (+) (r (+) q)"), sq, {"p": zero})
+        with pytest.raises(DomainError, match="^1/2 is not in the carrier of square$"):
+            evaluate(mv("(p (+) q) (+) r"), sq, {"p": zero, "q": F(1, 2)})
 
     def test_matches_reference_evaluator(self, rng):
         sq, dk = resolve("square"), resolve("disk")
@@ -177,33 +192,7 @@ class TestBatchAgreesWithScalar:
         m = resolve(name)
         for seed in range(40):
             t = random_term(rng, m.signature, 5)
-            env, D, total = _valuations(
-                m, RandomSampling(50), sorted(variables(t)), (t,), seed
-            )
-            got = run(compile((t,), m.signature), m, env, D)[0]
-            pair = isinstance(got, tuple)
-            cols = [np.broadcast_to(c, (total,)) for c in (got if pair else (got,))]
-            for i in range(total):
-                batch = tuple(F(int(c[i]), D) for c in cols)
-                exact = evaluate(t, m, _valuation_at(m, env, D, i))
-                assert batch == (exact if pair else (exact,)), (name, t, i)
-
-    @staticmethod
-    def assert_batch_matches_scalar(m, strategy, t):
-        env, D, total = _valuations(m, strategy, sorted(variables(t)), (t,), 0)
-        got = run(compile((t,), m.signature), m, env, D)[0]
-        arrays = [a for rep in env.values() for a in (rep if isinstance(rep, tuple) else (rep,))]
-        shape = np.broadcast_shapes(*(np.shape(a) for a in arrays))
-        assert int(np.prod(shape)) == total
-        pair = isinstance(got, tuple)
-        cols = [np.broadcast_to(c, shape).ravel() for c in (got if pair else (got,))]
-        for i in range(total):
-            exact = evaluate(t, m, _valuation_at(m, env, D, i))
-            if m.finite:
-                assert m.elements[int(cols[0][i])] == exact, (m.name, t, i)
-            else:
-                batch = tuple(F(int(c[i]), D) for c in cols)
-                assert batch == (exact if pair else (exact,)), (m.name, t, i)
+            assert_batch_matches_exact(m, RandomSampling(50), (t,), seed)
 
     @pytest.mark.parametrize("name", FINITE_VIEWS)
     def test_exhaustive_batch_matches_scalar_at_every_index(self, rng, name):
@@ -213,7 +202,7 @@ class TestBatchAgreesWithScalar:
         k = 3 if len(m.elements) ** 3 <= 1000 else 2
         for _ in range(3):
             t = random_term(rng, m.signature, 4, var_names=("x", "y", "z")[:k])
-            self.assert_batch_matches_scalar(m, Exhaustive(), t)
+            assert_batch_matches_exact(m, Exhaustive(), (t,))
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("name", STANDARD_VIEWS)
@@ -222,7 +211,7 @@ class TestBatchAgreesWithScalar:
         k = 2 if m.pair else 3
         for _ in range(3):
             t = random_term(rng, m.signature, 4, var_names=("x", "y", "z")[:k])
-            self.assert_batch_matches_scalar(m, Grid(d), t)
+            assert_batch_matches_exact(m, Grid(d), (t,))
 
 
 class TestBatchModels:

@@ -6,20 +6,23 @@ import re
 import sys
 import threading
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    nested_join_text,
     random_term,
     random_terms,
     reference_parse,
     reference_parse_iff,
     reference_substitute,
 )
-from sqmv import models, syntax
+from sqmv import cli, models, syntax
 from sqmv.models import ops_for, resolve
+from sqmv.semantics import evaluate
 from sqmv.transform import mv_to_w_term, w_to_mv_term
 from sqmv.syntax import (
     CONNECTIVES,
@@ -35,12 +38,14 @@ from sqmv.syntax import (
     PosPart,
     Sig,
     SignatureError,
+    Term,
     UMinus,
     Var,
     check_signature,
     children,
     count_connective,
     expand_abbreviations,
+    fold,
     is_regular,
     join_term,
     match_schema,
@@ -372,6 +377,16 @@ class TestCount:
 NOT_IN = {Sig.MV: {Impl, Neg}, Sig.W: {Const0, OPlus, UMinus}}
 
 
+@pytest.mark.parametrize("cls, fields, message", [
+    (OPlus, (p,), "OPlus takes 2 operands, not 1"),
+    (Neg, (p, q), "Neg takes 1 operands, not 2"),
+    (Const1, (p,), "Const1 takes 0 operands, not 1"),
+])
+def test_node_arity_is_checked(cls, fields, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        cls(*fields)
+
+
 class TestConnectiveFacts:
     @pytest.mark.parametrize(
         "node",
@@ -480,11 +495,47 @@ class TestPaths:
         assert variables(t) == ("p", "q")
 
 
+def _constructions(monkeypatch) -> list:
+    """The class of each node construction from now on, of a live node or a new one."""
+    calls, new = [], Term.__new__
+    monkeypatch.setattr(Term, "__new__",
+                        staticmethod(lambda cls, *fields: calls.append(cls) or new(cls, *fields)))
+    return calls
+
+
+class TestFold:
+    def test_once_per_distinct_node_with_leaves_in_preorder(self):
+        t = parse("(p -> q) -> ((p -> q) -> r)", Sig.W)
+        seen = []
+        assert fold(t, lambda s, kids: seen.append(s) or len(seen), {r: 0}) == 5
+        assert seen == [p, q, Impl(p, q), Impl(Impl(p, q), r), t]
+
+    def test_substitute_rebuilds_each_distinct_node_once(self, monkeypatch):
+        pattern = parse(nested_join_text(16), Sig.MV)
+        assignment = {"x": parse("x (+) 1", Sig.MV), **{f"y{i}": Var(f"z{i}") for i in range(16)}}
+        calls = _constructions(monkeypatch)
+        substitute(pattern, assignment, Sig.MV)
+        built = [c for c in calls if c is not Var]  # the metavariables' own nodes aside
+        assert len(built) == sum(1 for s in set(subterms(pattern)) if children(s))
+
+    def test_translations_build_each_distinct_node_once(self, monkeypatch):
+        # about 2^16 copies of x as a tree; a rule builds at most two nodes,
+        # as OPlus(a, b) -> Impl(Neg(a), b) and Impl(a, b) -> OPlus(UMinus(a), b) do
+        t = parse(nested_join_text(16), Sig.MV)
+        calls = _constructions(monkeypatch)
+        tw = mv_to_w_term(t)
+        assert 0 < len(calls) <= 2 * len(set(subterms(t)))
+        calls.clear()
+        w_to_mv_term(tw)
+        assert 0 < len(calls) <= 2 * len(set(subterms(tw)))
+
+
 def test_term_walks_leave_no_garbage():
     """The recursive walks keep no reference cycle alive after they return."""
     t = parse("x (+) y", Sig.MV)
     tw = parse("x^+ -> y^-", Sig.W)
     pattern = parse("p (+) q", Sig.MV)
+    interval, valuation = resolve("interval"), {"x": Fraction(1, 2), "y": Fraction(-1, 3)}
     gc.collect()
     gc.disable()
     try:
@@ -495,6 +546,8 @@ def test_term_walks_leave_no_garbage():
             expand_abbreviations(tw, Sig.W)
             mv_to_w_term(t)
             w_to_mv_term(tw)
+            evaluate(t, interval, valuation)
+            fold(t, cli._ast, {})
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -3,14 +3,13 @@ to the exact evaluator at every valuation, the signature error of the
 preorder walk, and the memory of a large sampled entailment."""
 
 import tracemalloc
-from fractions import Fraction as F
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_terms
+from conftest import assert_batch_matches_exact, random_terms
 from sqmv import models, proofkit, semantics
 from sqmv.models import (
     FINITE_CATALOG,
@@ -19,19 +18,15 @@ from sqmv.models import (
     StandardModel,
     compile,
     resolve,
-    run,
 )
 from sqmv.semantics import (
     Exhaustive,
     Grid,
     RandomSampling,
     Verdict,
-    _valuation_at,
-    _valuations,
     check_entailment,
     check_equation,
     designated_set,
-    evaluate,
 )
 from sqmv.syntax import (
     Neg,
@@ -71,34 +66,13 @@ def q8_instance():
     return substitute(form, sigma, Sig.W)
 
 
-def assert_tape_matches_evaluate(m, strategy, terms):
-    tape = compile(terms, m.signature)
-    env, D, total = _valuations(m, strategy, tape.names, terms, 0)
-    values = run(tape, m, env, D)
-    shape = np.broadcast_shapes(*(np.shape(a) for rep in env.values()
-                                  for a in (rep if isinstance(rep, tuple) else (rep,))))
-    assert int(np.prod(shape)) == total
-    for t, got in zip(terms, values):
-        cols = [np.broadcast_to(c, shape).ravel()
-                for c in (got if isinstance(got, tuple) else (got,))]
-        for i in range(total):
-            exact = evaluate(t, m, _valuation_at(m, env, D, i))
-            if m.finite:
-                batch = m.elements[int(cols[0][i])]
-            elif m.pair:
-                batch = (F(int(cols[0][i]), D), F(int(cols[1][i]), D))
-            else:
-                batch = F(int(cols[0][i]), D)
-            assert batch == exact, (m.name, t, i)
-
-
 class TestValues:
     @pytest.mark.parametrize("strategy", [RandomSampling(50), Grid(2)], ids=str)
     @pytest.mark.parametrize("name", STANDARD_VIEWS)
     def test_standard_views(self, name, strategy):
         m = resolve(name)
         k = 2 if m.pair and isinstance(strategy, Grid) else 3
-        assert_tape_matches_evaluate(m, strategy, nested_joins(m.signature, k))
+        assert_batch_matches_exact(m, strategy, nested_joins(m.signature, k))
 
     @pytest.mark.parametrize("name", FINITE_VIEWS)
     def test_finite_views_exhaustive(self, name):
@@ -106,7 +80,7 @@ class TestValues:
         # variables where the sweep stays small, fewer on the larger carriers
         m = resolve(name)
         k = max(j for j in (1, 2, 3) if j == 1 or len(m.elements) ** j <= 400)
-        assert_tape_matches_evaluate(m, Exhaustive(), nested_joins(m.signature, k))
+        assert_batch_matches_exact(m, Exhaustive(), nested_joins(m.signature, k))
 
     @pytest.mark.parametrize("sa, sb", [
         ((13, 1, 1), (141, 141)), ((13, 141, 1), (141,)),  # rows, then columns
@@ -140,7 +114,7 @@ def test_tape_matches_evaluate_on_random_terms(name, strategy, data):
     m = resolve(name)
     terms = data.draw(st.lists(random_terms(m.signature), min_size=1, max_size=3)
                       .filter(lambda ts: any(map(variables, ts))))
-    assert_tape_matches_evaluate(m, strategy, terms)
+    assert_batch_matches_exact(m, strategy, terms)
 
 
 class TestSharing:

@@ -13,6 +13,8 @@ from sqmv.models import (
     ClassError,
     FINITE_CATALOG,
     STANDARD_CATALOG,
+    FiniteModel,
+    embed_into_product,
     finite_model_from_ops,
     resolve,
 )
@@ -162,26 +164,21 @@ class TestModelRoundTrips:
         assert tables_equal(mv_to_w_model(w_to_mv_model(grid)), grid)
 
     def test_non_strong_model_rejected(self):
-        # half-square variant whose parts do not absorb adding zero
-        els = [(F(a, 2), F(b, 2)) for a in range(-2, 3) for b in range(0, 3)]
-
-        def clamp(x):
-            return max(F(-1), min(F(1), x))
-
-        broken = finite_model_from_ops(
-            "broken-grid",
-            Sig.MV,
-            els,
-            {
-                "oplus": lambda x, y: (clamp(x[0] + y[0]), F(1, 2)),
-                "uminus": lambda x: (-x[0], 1 - x[1]),
-                "pos": lambda x: (max(F(0), x[0]), F(0)),
-                "npart": lambda x: (min(F(0), x[0]), F(0)),
-            },
-            {"zero": (F(0), F(1, 2)), "one": (F(1), F(1, 2))},
-        )
         with pytest.raises(ClassError):
-            mv_to_w_model(broken)
+            mv_to_w_model(broken_grid())
+
+    def test_non_strong_model_has_no_embedding(self):
+        with pytest.raises(ClassError,
+                           match="^broken-grid is not strong; the embedding is not defined$"):
+            embed_into_product(broken_grid())
+
+    def test_tables_differ_in_signature_or_carrier(self):
+        m = resolve("chain:1")
+        # -1 renamed: the same tables and constants on another carrier
+        relabelled = FiniteModel("m01", Sig.MV, ("m",) + m.elements[1:], m.tables, m.consts)
+        assert tables_equal(m, m) and tables_equal(relabelled, relabelled)
+        assert not tables_equal(m, resolve("chain:1@w"))
+        assert not tables_equal(m, relabelled)
 
     @pytest.mark.parametrize("kind", STANDARD_CATALOG)
     def test_standard_views_are_the_catalog_models(self, kind):
@@ -193,3 +190,24 @@ class TestModelRoundTrips:
             mv_to_w_model(resolve("square@w"))
         with pytest.raises(ClassError):
             w_to_mv_model(resolve("square"))
+
+
+def broken_grid():
+    """A half-square variant whose parts do not absorb adding zero: not strong."""
+    els = [(F(a, 2), F(b, 2)) for a in range(-2, 3) for b in range(0, 3)]
+
+    def clamp(x):
+        return max(F(-1), min(F(1), x))
+
+    return finite_model_from_ops(
+        "broken-grid",
+        Sig.MV,
+        els,
+        {
+            "oplus": lambda x, y: (clamp(x[0] + y[0]), F(1, 2)),
+            "uminus": lambda x: (-x[0], 1 - x[1]),
+            "pos": lambda x: (max(F(0), x[0]), F(0)),
+            "npart": lambda x: (min(F(0), x[0]), F(0)),
+        },
+        {"zero": (F(0), F(1, 2)), "one": (F(1), F(1, 2))},
+    )

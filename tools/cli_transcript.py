@@ -4,8 +4,10 @@
 The commands are every ``sqmv`` line of the example block under README's
 ``## CLI`` heading, pipes included, the argument lists of the CLI
 determinism tests (``DETERMINISM_ARGV``), the grid and seeded checks of each
-standard model (``SAMPLING_ARGV``), and catalog names and element literals
-that the readers accept or refuse (``READER_ARGV``).  Each runs as ``python -m
+standard model (``SAMPLING_ARGV``), an exact evaluation and a witness
+re-check on a deeply nested join (``DEPTH_ARGV``), and catalog names,
+element literals and bindings that the readers accept or refuse
+(``READER_ARGV``).  Each runs as ``python -m
 sqmv.cli`` from the repository root, with ``src/`` first on the import path.
 A pipe runs its stages one after another, each reading the previous stage's
 output; it reports the last stage's exit code and stdout, and the stderr of
@@ -58,6 +60,17 @@ SAMPLING_ARGV = [
     for entailment in (("--premise", "p", "(x -> x) -> p"), ("--premise", "p -> q", "q"))
 ]
 
+# y \/ (y \/ ... (y \/ x)), 12 joins deep: as a tree each join holds its
+# right operand twice, so the tree has 2^12 copies of x
+NESTED_JOIN = "y \\/ (" * 12 + "x" + ")" * 12
+
+# the exact value of the join, then an equation refuted on the grid, whose
+# witness the exact evaluator re-checks
+DEPTH_ARGV = [
+    ("eval", "--model", "interval", "--let", "x=1/3", "--let", "y=-1/2", NESTED_JOIN),
+    ("check-eq", "--model", "interval", "--strategy", "grid:2", NESTED_JOIN, "x"),
+]
+
 PRODUCT_81 = "product:(product:chain:1,flatten:chain:1:0),(product:chain:1,flatten:chain:1:0)"
 
 # catalog names and element literals; tests/test_cli.py pins what each prints
@@ -74,6 +87,7 @@ READER_ARGV = [
     ("classify", "--model", "flatten:square:abc"),
     ("eval", "--model", "square", "--let", "x=<1,0", "x"),
     ("eval", "--model", "chain:1", "--let", "x y=1", "x"),
+    ("eval", "--model", "chain:1", "--let", "x=0", "--let", "x=1", "x"),
 ]
 
 
@@ -109,7 +123,7 @@ def run(command: str) -> dict:
 def transcript() -> dict:
     commands = [command for command, _ in readme_examples()]
     commands += [shlex.join(("sqmv", *argv))
-                 for argv in DETERMINISM_ARGV + SAMPLING_ARGV + READER_ARGV]
+                 for argv in DETERMINISM_ARGV + SAMPLING_ARGV + DEPTH_ARGV + READER_ARGV]
     return {command: run(command) for command in commands}
 
 
