@@ -179,11 +179,15 @@ def cmd_check_entail(args) -> int:
 
 
 def cmd_find_countermodel(args) -> int:
+    from . import models as md
     from . import semantics as sem
 
-    names = [n.strip() for n in args.models.split(",") if n.strip()]
-    if not names:
+    # cut at the commas outside parentheses, so that a member may be a product
+    names = [md._strip_parens(n.strip()) for n in md._split_top(args.models, "()")]
+    if not any(names):
         raise CliError("no models given")
+    if not all(names):
+        raise CliError(f"empty model name in {args.models!r}")
     first = _model(names[0])
     lhs = parse(args.lhs, first.signature)
     rhs = parse(args.rhs, first.signature)

@@ -12,6 +12,7 @@ model builds its own batch values and reads them back.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -345,8 +346,11 @@ class FiniteModel(Model):
     def vec_const(self, name: str, D: int):
         return self.index_dtype.type(self.consts[name])
 
-    def vec_apply(self, op: str, args, D: int):
-        t, a, b = self.tables[op], args[0], args[-1]
+    def vec_apply(self, op, args, D: int):
+        """``op`` (an operation's name or a table, see ``compose``) at the
+        carrier indices ``args``."""
+        t = self.tables[op] if isinstance(op, str) else op
+        a, b = args[0], args[-1]
         if len(args) == 2 and a.size * b.size > 2**14:  # below, the flat take is as fast
             # operands on disjoint axes, as in a sweep: look up rows, then columns of those
             ka, kb = ([i for i, d in enumerate(x.shape, -x.ndim) if d > 1] for x in args)
@@ -570,13 +574,23 @@ def product_axes(values: np.ndarray, k: int) -> list[np.ndarray]:
 @dataclass(frozen=True)
 class Tape:
     """Formulas as a post-order program, one step ``("var", name)`` or ``(op,
-    argument steps)`` per distinct subterm.  ``last_use[i]`` is the last step
-    reading step i, past the end for the formulas' ``outputs``."""
+    argument steps)`` per distinct subterm, ``op`` an operation's name (or,
+    once ``compose`` has run, a finite model's table).  ``last_use[i]`` is
+    the last step reading step i, past the end for the formulas'
+    ``outputs``."""
 
     steps: tuple[tuple, ...]
     names: tuple[str, ...]
     outputs: tuple[int, ...]
     last_use: tuple[int, ...]
+
+
+def _tape(steps: list[tuple], outputs: tuple[int, ...]) -> Tape:
+    """The tape of ``steps``; a variable's step is the one whose arguments are a name."""
+    last = {j: i for i, (_, args) in enumerate(steps) if type(args) is not str for j in args}
+    last.update(dict.fromkeys(outputs, len(steps)))
+    names = tuple(sorted(args for _, args in steps if type(args) is str))
+    return Tape(tuple(steps), names, outputs, tuple(last[j] for j in range(len(steps))))
 
 
 def compile(terms: Sequence[Term], sig: Sig) -> Tape:
@@ -604,18 +618,70 @@ def compile(terms: Sequence[Term], sig: Sig) -> Tape:
                 step = ("var", s.name) if isinstance(s, Var) else (s.op, ())
             seen[s] = len(steps)
             steps.append(step)
-    outputs = tuple(seen[t] for t in terms)
-    last = {j: i for i, (op, args) in enumerate(steps) if op != "var" for j in args}
-    last.update(dict.fromkeys(outputs, len(steps)))
-    names = tuple(sorted(arg for op, arg in steps if op == "var"))
-    return Tape(tuple(steps), names, outputs, tuple(last[j] for j in range(len(steps))))
+    return _tape(steps, tuple(seen[t] for t in terms))
+
+
+def compose(tape: Tape, m: FiniteModel) -> Tape:
+    """``tape`` on ``m`` with its operations as tables and its unary steps
+    folded into them, so that ``run`` makes fewer gathers: a binary step with
+    a constant argument becomes a unary table (``t[c, :]``, ``t[:, c]``); a
+    unary step composes into the table of an argument that nothing else reads
+    (``u[t]``); and a unary argument that nothing else reads composes into
+    its binary step's table (``t[u, :]``, ``t[:, u]``).  A step with no
+    variable below it stays as it is, and the steps that no output needs any
+    more are dropped.  Each table built has at most n*n cells."""
+    if all(type(args) is str or len(args) == 2 for _, args in tape.steps):
+        return tape  # no constant and no unary step: nothing to fold
+    steps = [(op if type(args) is str or not args else m.tables[op], args)
+             for op, args in tape.steps]
+    # how often each step is read, by steps and as an output
+    readers = Counter(itertools.chain(tape.outputs, *(a for _, a in steps if type(a) is not str)))
+    const: dict[int, int] = {}  # step with no variable below it -> its carrier index
+    for i, (t, args) in enumerate(steps):
+        if type(args) is str:
+            continue
+        if all(j in const for j in args):
+            const[i] = int(t[tuple(const[j] for j in args)]) if args else m.consts[t]
+            continue
+        if len(args) == 2:
+            a, b = args
+            if a in const:
+                t, args = t[const[a]], (b,)
+            elif b in const:
+                t, args = np.ascontiguousarray(t[:, const[b]]), (a,)
+        if len(args) == 1:
+            u, inner = steps[args[0]]
+            if readers[args[0]] == 1 and type(inner) is not str:
+                t, args = t[u], inner
+        else:
+            a, b = args
+            u, inner = steps[a]
+            if readers[a] == 1 and type(inner) is not str and len(inner) == 1:
+                t, a = t[u, :], inner[0]
+            u, inner = steps[b]
+            if readers[b] == 1 and type(inner) is not str and len(inner) == 1:
+                t, b = t[:, u], inner[0]
+            args = (a, b)
+        steps[i] = (t, args)
+    # renumber the steps that an output still reads, in order
+    need = [False] * len(steps)
+    for j in tape.outputs:
+        need[j] = True
+    for i in reversed(range(len(steps))):
+        if need[i] and type(args := steps[i][1]) is not str:
+            for j in args:
+                need[j] = True
+    new = list(itertools.accumulate(need, initial=0))  # step -> its place among those kept
+    kept = [(t, args if type(args) is str else tuple(new[j] for j in args))
+            for (t, args), keep in zip(steps, need) if keep]
+    return _tape(kept, tuple(new[j] for j in tape.outputs))
 
 
 def run(tape: Tape, m: Model, env: dict, D: int) -> list:
     """The formulas' batch values: each step once, freed after its last use."""
     vals: list = [None] * len(tape.steps)
     for i, (op, args) in enumerate(tape.steps):
-        if op == "var":
+        if type(args) is str:
             vals[i] = env[args]
         elif not args:
             vals[i] = m.vec_const(op, D)

@@ -15,6 +15,7 @@ This module decides how to sample; ``models`` owns what the values look like
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass, field
 from functools import partial
 from math import prod
@@ -320,8 +321,9 @@ def _first_witness(env: dict, bad_in) -> int | None:
     calling thread, and the sweep stops at the first block with a witness."""
     for offset, index, block in _blocks(_env_shape(env)):
         mask = bad_in({nm: _take(rep, index) for nm, rep in env.items()} if index else env)
-        if (hits := np.flatnonzero(np.broadcast_to(mask, block))).size:
-            return offset + int(hits[0])
+        hit = np.broadcast_to(mask, block).ravel()
+        if hit[i := int(hit.argmax())]:  # argmax stops at the first True
+            return offset + i
     return None
 
 
@@ -337,14 +339,34 @@ def _valuation_at(m: Model, env: dict, D: int, i: int) -> dict:
 # The check driver and equation checking
 
 
+# The tape of each formula tuple whose formulas are all alive, by the ids of the
+# signature and of the formulas; a formula's death drops the entry, so an id is
+# never reused in a key.  (Ids hash faster than a Sig.)
+_TAPES: dict[tuple, tuple[md.Tape, list]] = {}
+
+
+def _tape(terms: Sequence[Term], sig: Sig) -> md.Tape:
+    """``models.compile(terms, sig)``, once for as long as ``terms`` live."""
+    key = (id(sig), *map(id, terms))
+    if (entry := _TAPES.get(key)) is None:
+        tape = md.compile(terms, sig)
+        drop = lambda ref: _TAPES.pop(key, None)  # noqa: E731
+        entry = _TAPES[key] = (tape, [weakref.ref(t, drop) for t in terms])
+    return entry[0]
+
+
 def _check(terms: Sequence[Term], m: Model, strategy: Strategy, seed: int,
            bad, exact) -> CheckReport:
     """Sweep the valuations of ``strategy`` for the first where the mask
     ``bad(tape outputs)`` holds and re-evaluate ``terms`` there through
     ``evaluate``: ``exact(values)`` gives the witness's ``(lhs, rhs)``, or
     None where the exact values refute it, which raises."""
-    tape = md.compile(terms, m.signature)
+    tape = _tape(terms, m.signature)
     env, D, total = _valuations(m, strategy, tape.names, terms, seed)
+    # a composed table costs its n*n cells once and saves a gather per block:
+    # compose when the sweep outnumbers a table's cells and a table fits a block
+    if m.finite and (cells := len(m.elements) ** 2) < total and cells <= _SLICE:
+        tape = md.compose(tape, m)
     i = _first_witness(env, lambda part: bad(md.run(tape, m, part, D)))
     if i is None:
         exhaustive = isinstance(strategy, Exhaustive)

@@ -210,29 +210,46 @@ ZERO = Const0()
 ONE = Const1()
 
 
-def subterms(t: Term) -> Iterator[Term]:
-    stack = [t]
+def _walk(t: Term) -> Iterator[tuple[Term, tuple | None]]:
+    """Each distinct node of ``t`` twice, by an explicit stack: ``(node,
+    None)`` when first met in preorder, a node met again being skipped with
+    its subtree, and ``(node, its children)`` once they are done.  The first
+    meetings come in the order of first occurrences in the full preorder."""
+    seen = set()
+    stack: list = [(t, None)]
     while stack:
-        s = stack.pop()
-        yield s
-        stack.extend(reversed(children(s)))
+        item = stack.pop()
+        if item[1] is None:
+            if (s := item[0]) in seen:
+                continue
+            seen.add(s)
+            kids = children(s)
+            stack.append((s, kids))
+            stack.extend((c, None) for c in reversed(kids))
+        yield item
 
 
 def variables(t: Term) -> tuple[str, ...]:
     """Variable names in order of first occurrence."""
-    return tuple(dict.fromkeys(s.name for s in subterms(t) if isinstance(s, Var)))
+    return tuple(s.name for s, kids in _walk(t) if kids is None and type(s) is Var)
 
 
 def count_connective(t: Term, tag: str | type) -> int:
+    """Occurrences of the connective ``tag`` in the tree of ``t``, counted
+    once per distinct node: a node's count is its own plus its children's."""
     cls = CONNECTIVES[tag] if isinstance(tag, str) else tag
-    return sum(1 for s in subterms(t) if isinstance(s, cls))
+    counts: dict[Term, int] = {}
+    for s, kids in _walk(t):
+        if kids is not None:
+            counts[s] = isinstance(s, cls) + sum(map(counts.__getitem__, kids))
+    return counts[t]
 
 
 def check_signature(t: Term, sig: Sig) -> None:
     if t._needs in (None, sig):  # walk only to find the first foreign node
         return
-    for s in subterms(t):
-        if s.sig is not None and s.sig is not sig:
+    for s, kids in _walk(t):
+        if kids is None and s.sig is not None and s.sig is not sig:
             raise SignatureError(
                 f"connective {type(s).__name__} is not part of the "
                 f"{sig.value.upper()}-STAR language"

@@ -1,7 +1,7 @@
 """Shared helpers: seeded random terms/valuations, hypothesis terms, an independent
 reference evaluator written straight from the model definitions, a reference
 parser (the library's previous parser, one method call per token), a reference
-substitution (a tree walk), the carrier restriction and valuation
+substitution (a tree walk), the occurrence walk ``subterms``, the carrier restriction and valuation
 projection that only tests use, and one check of batch values against the
 exact evaluator."""
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -44,6 +45,21 @@ def clamp1(x: Fraction) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# The occurrence walk
+
+
+def subterms(t: Term) -> Iterator[Term]:
+    """Every occurrence of a subterm of ``t`` in preorder, shared nodes as
+    often as the tree holds them: the reference for the library's walks over
+    distinct nodes."""
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        yield s
+        stack.extend(reversed(syntax.children(s)))
+
+
+# ---------------------------------------------------------------------------
 # Random generation
 
 
@@ -68,8 +84,6 @@ def random_term(
 
 
 def _contains(t: Term, cls) -> bool:
-    from sqmv.syntax import subterms
-
     return any(isinstance(s, cls) for s in subterms(t))
 
 

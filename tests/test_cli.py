@@ -611,13 +611,24 @@ class TestErrorTaxonomy:
         (("check-entail", "--model", "square", "p"),
          "entailment needs a Wajsberg view; pick a model with @w"),
         (("find-countermodel", "--models", ",", "x", "x"), "no models given"),
+        (("find-countermodel", "--models", "chain:1, ", "x", "x"),
+         "empty model name in 'chain:1, '"),
         (("classify", "--model", "chain:0"), "chain parameter must be >= 1"),
         (("classify", "--model", "flatten:chain:1:new"),
          "minus has a fixpoint over the regular part; flatten onto it (e.g. 0) "
          "instead of adjoining a fresh element"),
-    ], ids=["entail-on-mv", "no-models", "chain-0", "flatten-new"])
+    ], ids=["entail-on-mv", "no-models", "empty-last-member", "chain-0", "flatten-new"])
     def test_refusals_keep_their_text(self, capsys, argv, text):
         assert run(capsys, *argv) == (2, "", f"error: {text}\n")
+
+    def test_a_parenthesised_product_is_one_family_member(self, capsys):
+        # the commas inside the parentheses do not cut the list
+        code, out, err = run(capsys, "find-countermodel", "--models",
+                             "chain:2,(product:chain:1,flatten:chain:1:0)", "x (+) y", "y (+) x")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:3] == [
+            "verdict: NO_COUNTEREXAMPLE_FOUND", "samples: 106",
+            "strategy: chain:2:exhaustive+product:chain:1,flatten:chain:1:0:exhaustive"]
 
     def test_zero_denominator_in_let(self, capsys):
         code, out, err = run(capsys, "eval", "--model", "square", "--let", "x=1/0,0", "--", "x")
@@ -640,11 +651,18 @@ class TestErrorTaxonomy:
             (2, "", "error: cannot read element '<1,0'\n"),
             (2, "", "error: bindings look like x=1/2 or x=1/2,0 (got 'x y=1')\n"),
             (2, "", "error: variable 'x' is bound twice\n"),
+            # the product, searched first, refutes x (+) 0 = x
+            (1, "verdict: COUNTERMODEL\nsamples: 1\n"
+                "strategy: product:chain:1,flatten:chain:1:0:exhaustive\nseed: 0\n"
+                "model: product:chain:1,flatten:chain:1:0\n"
+                "  x = <-1,-1>\n  lhs = <-1,0>\n  rhs = <-1,-1>\n", ""),
+            (2, "", "error: empty model name in 'chain:1,,square'\n"),
         ], strict=True)
     ], ids=["product-unsplit", "product-first-comma", "w-twice", "flatten-no-base",
             "flatten-standard", "product-standard", "adjoined-not-in-chain", "nested-tuple",
             "classify-standard", "flatten-standard-bad-element", "unbalanced-element",
-            "binding-not-a-name", "binding-repeated"])
+            "binding-not-a-name", "binding-repeated", "models-parenthesised-product",
+            "models-empty-member"])
     def test_catalog_names_and_element_literals(self, capsys, argv, code, out, err):
         assert run(capsys, *argv) == (code, out, err)
 

@@ -22,6 +22,7 @@ from conftest import (
     random_square_valuation,
     random_term,
     random_terms,
+    subterms,
     zero_second_coordinates,
 )
 from sqmv import corpus, semantics
@@ -71,7 +72,6 @@ from sqmv.syntax import (
     is_regular,
     parse,
     substitute,
-    subterms,
     variables,
 )
 from sqmv.transform import mv_to_w_model

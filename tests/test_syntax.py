@@ -19,6 +19,7 @@ from conftest import (
     reference_parse,
     reference_parse_iff,
     reference_substitute,
+    subterms,
 )
 from sqmv import cli, models, syntax
 from sqmv.models import ops_for, resolve
@@ -53,7 +54,6 @@ from sqmv.syntax import (
     parse_iff,
     print_term,
     substitute,
-    subterms,
     variables,
 )
 
@@ -583,6 +583,58 @@ class TestWalks:
             t = PosPart(t)
         with pytest.raises(SignatureError, match="^connective UMinus is not part of the W-STAR"):
             check_signature(t, Sig.W)
+
+    @staticmethod
+    def count_visits(monkeypatch) -> dict:
+        """Each node's calls of ``syntax.children`` from here on, by identity."""
+        visits: dict[int, int] = {}
+
+        def counted(t, _children=syntax.children):
+            visits[id(t)] = visits.get(id(t), 0) + 1
+            return _children(t)
+
+        monkeypatch.setattr(syntax, "children", counted)
+        return visits
+
+    def test_walks_agree_with_the_occurrence_walk(self, rng):
+        # counts with multiplicity, variables in first-occurrence order, and
+        # the first foreign node in preorder, on shared and random terms
+        terms = [parse(nested_join_text(d), Sig.MV) for d in range(1, 9)]
+        terms += [random_term(rng, sig, 6) for sig in Sig for _ in range(100)]
+        for t in terms:
+            occurrences = list(subterms(t))
+            assert variables(t) == tuple(dict.fromkeys(
+                s.name for s in occurrences if type(s) is Var))
+            for cls in (OPlus, Impl, UMinus, Neg, PosPart, NegPart, Var, Const1):
+                assert count_connective(t, cls) == sum(isinstance(s, cls) for s in occurrences)
+            for sig in Sig:
+                foreign = [s for s in occurrences if s.sig not in (None, sig)]
+                if foreign:
+                    with pytest.raises(SignatureError, match=f"connective {type(foreign[0]).__name__} "):
+                        check_signature(t, sig)
+                else:
+                    check_signature(t, sig)
+
+    def test_walks_visit_each_distinct_node_once(self, monkeypatch):
+        # a 24-deep nested join holds about 2^24 occurrences of x as a tree
+        # and a few hundred distinct nodes; a foreign ~ sits at the bottom
+        t = parse(nested_join_text(24), Sig.MV)
+        bad = substitute(t, {**{n: Var(n) for n in variables(t)}, "x": Neg(Var("x"))})
+        fold(bad, lambda s, kids: None, nodes := {})
+        distinct = len(nodes)
+        assert distinct < 1000
+        for call in (lambda: count_connective(t, OPlus), lambda: variables(t),
+                     lambda: check_signature(bad, Sig.MV)):
+            visits = self.count_visits(monkeypatch)
+            try:
+                call()
+            except SignatureError as exc:
+                assert str(exc) == "connective Neg is not part of the MV-STAR language"
+            monkeypatch.undo()
+            assert visits and max(visits.values()) == 1 and len(visits) <= distinct
+        assert variables(t) == (*(f"y{i}" for i in range(23, -1, -1)), "x")
+        # each join holds five (+) of its own and its right operand twice
+        assert count_connective(t, OPlus) == 5 * (2**24 - 1)
 
     def test_deep_patterns_match_and_long_texts_parse(self):
         # a schema three times the default recursion limit deep matches; a

@@ -1,7 +1,9 @@
 """The shared-subterm tape: one step per distinct subterm, batch values equal
 to the exact evaluator at every valuation, the signature error of the
-preorder walk, and the memory of a large sampled entailment."""
+preorder walk, the composed tables of finite sweeps, the tape cache, and the
+memory of a large sampled entailment."""
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -9,15 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_batch_matches_exact, random_terms
-from sqmv import models, proofkit, semantics
+from conftest import assert_batch_matches_exact, random_terms, subterms
+from sqmv import axioms, models, proofkit, semantics
 from sqmv.models import (
     FINITE_CATALOG,
     STANDARD_CATALOG,
     FiniteModel,
     StandardModel,
     compile,
+    compose,
     resolve,
+    run,
 )
 from sqmv.semantics import (
     Exhaustive,
@@ -29,6 +33,8 @@ from sqmv.semantics import (
     designated_set,
 )
 from sqmv.syntax import (
+    ONE,
+    Impl,
     Neg,
     OPlus,
     Sig,
@@ -38,7 +44,6 @@ from sqmv.syntax import (
     join_term,
     parse,
     substitute,
-    subterms,
     variables,
 )
 
@@ -179,7 +184,10 @@ class TestSharing:
         compound = {s for s in subterms(lhs)} | {s for s in subterms(rhs)}
         compound = {s for s in compound if s.op != "var"}
         assert len(compound) == 9
-        assert calls["vec_apply"] == 9 * calls["run"]
+        # 81**4 valuations outnumber the 81**2 cells of a table, so the tape
+        # is composed: x^-^+ and y^-^+ fold into the (+) that reads them,
+        # which leaves w (+) w, (.) (+) z, w (+) z and the two outer sums
+        assert calls["vec_apply"] == 5 * calls["run"]
 
     def test_once_per_run_of_whole_rows(self, monkeypatch):
         # a valid 4-variable sweep of chain:40 runs the tape on 169 blocks of
@@ -191,6 +199,130 @@ class TestSharing:
                                 resolve("chain:40"), Exhaustive())
         assert (report.verdict, report.samples_tried) == (Verdict.VALID_EXHAUSTIVE, 81**4)
         assert calls["run"] == 169
+
+
+PRODUCT_81 = "product:(product:chain:1,flatten:chain:1:0),(product:chain:1,flatten:chain:1:0)"
+
+
+def first_block(m, strategy, tape, terms):
+    """The first block of the valuations ``strategy`` gives on ``m``, its
+    shape, and ``D``; the sweep must outnumber a table's cells."""
+    env, D, total = semantics._valuations(m, strategy, tape.names, terms, 0)
+    assert len(m.elements) ** 2 < total
+    _, index, shape = next(semantics._blocks(semantics._env_shape(env)))
+    return {nm: semantics._take(rep, index) for nm, rep in env.items()}, shape, D
+
+
+class TestCompose:
+    @pytest.mark.parametrize("name, strategy", [
+        *((name, Exhaustive()) for name in FINITE_VIEWS),
+        ("chain:3@w", RandomSampling(500)),
+    ], ids=lambda v: str(v) if isinstance(v, str) else v.describe())
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_composed_tables_give_the_same_values(self, name, strategy, data):
+        # random terms beside a term over x, y, z, so that the sweep has
+        # more valuations than a table has cells; the first block of the
+        # sweep through the tape as compiled and as composed
+        m = resolve(name)
+        binary = OPlus if m.signature is Sig.MV else Impl
+        terms = [*data.draw(st.lists(random_terms(m.signature), min_size=1, max_size=3)),
+                 binary(x, binary(y, z))]
+        tape = compile(terms, m.signature)
+        part, shape, D = first_block(m, strategy, tape, terms)
+        composed = compose(tape, m)
+        assert composed.names == tape.names and len(composed.outputs) == len(terms)
+        for want, got in zip(run(tape, m, part, D), run(composed, m, part, D)):
+            assert np.array_equal(np.broadcast_to(want, shape), np.broadcast_to(got, shape))
+
+    @pytest.mark.parametrize("name, law, gathers, steps, composed", [
+        (PRODUCT_81, "MV*11", 18, 63, 30), (PRODUCT_81, "QMV*13", 14, 44, 30),
+        (PRODUCT_81 + "@w", "W*10", 18, 66, 28), (PRODUCT_81 + "@w", "QW*11", 14, 44, 28),
+    ])
+    def test_full_width_gathers_per_block(self, monkeypatch, name, law, gathers, steps,
+                                          composed):
+        # the join laws in three variables: the steps that read all three
+        # gather the whole block, 10 of them per block once composed, and
+        # the gathers of a block, these and the narrower ones, go from
+        # ``steps`` to ``composed``
+        m = resolve(name)
+        eq, = (e for e in axioms.quasi_axioms(m.signature) + axioms.star_axioms(m.signature)
+               if e.name == law)
+        sizes = []
+
+        def counted_apply(self, op, args, D, _apply=FiniteModel.vec_apply):
+            out = _apply(self, op, args, D)
+            sizes[-1].append(np.size(out))
+            return out
+
+        def counted_run(*args, _run=models.run):
+            sizes.append([])
+            return _run(*args)
+
+        monkeypatch.setattr(FiniteModel, "vec_apply", counted_apply)
+        monkeypatch.setattr(models, "run", counted_run)
+        report = check_equation(eq.lhs, eq.rhs, m, Exhaustive())
+        starts = [offset for offset, _, _ in semantics._blocks((81,) * 3)]
+        assert len(sizes) == sum(1 for s in starts if s < report.samples_tried)
+        blocks = [*np.diff(starts), 81**3 - starts[-1]]
+        assert [out.count(cells) for out, cells in zip(sizes, blocks)] == [10] * len(sizes)
+        assert list(map(len, sizes)) == [composed] * len(sizes)
+        # the same sweep on the tape as compiled
+        tape = compile((eq.lhs, eq.rhs), m.signature)
+        sizes.append([])
+        part, shape, D = first_block(m, Exhaustive(), tape, (eq.lhs, eq.rhs))
+        models.run(tape, m, part, D)
+        assert (sizes[-1].count(np.prod(shape)), len(sizes[-1])) == (gathers, steps)
+
+
+class TestTapeCache:
+    @pytest.fixture
+    def tapes(self, monkeypatch):
+        """An empty tape cache for the test, and the ids of the formula
+        tuples compiled (the formulas themselves would be kept alive)."""
+        monkeypatch.setattr(semantics, "_TAPES", {})
+        compiled = []
+
+        def counted(terms, sig, _compile=models.compile):
+            compiled.append(tuple(map(id, terms)))
+            return _compile(terms, sig)
+
+        monkeypatch.setattr(models, "compile", counted)
+        return compiled
+
+    def test_classify_compiles_each_battery_equation_once(self, tapes):
+        for sig in Sig:
+            # two fresh models of one signature, so that nothing else is cached
+            chains = [models.finite_chain(2), models.finite_chain(3)]
+            for m in chains if sig is Sig.MV else map(models.finite_w_view, chains):
+                models.classify(m)
+            equations = {(id(eq.lhs), id(eq.rhs)) for battery in models._BATTERIES.values()
+                         for eq in battery(sig)}
+            assert len(tapes) == len(set(tapes)) and set(tapes) == equations
+            tapes.clear()
+
+    def test_an_entry_lives_as_long_as_its_formulas(self, tapes):
+        # x and ONE outlive the test, and keep no entry alive
+        t, w = OPlus(Var("cache_a"), UMinus(Var("cache_b"))), Neg(Var("cache_c"))
+        m = resolve("chain:2")
+        check_equation(t, ONE, m, Exhaustive())
+        check_equation(x, t, m, Exhaustive())
+        check_equation(t, x, m, Exhaustive())
+        check_entailment([x], w, resolve("chain:2@w"), Exhaustive())
+        check_equation(t, ONE, m, Exhaustive())
+        assert len(semantics._TAPES) == len(tapes) == 4
+        del t, w
+        gc.collect()
+        assert semantics._TAPES == {}
+
+    def test_a_refused_compile_is_not_cached(self, tapes):
+        # the tape of the implicational signature does not serve the other
+        w = parse("x -> y", Sig.W)
+        check_equation(w, x, resolve("chain:2@w"), Exhaustive())
+        for _ in range(2):
+            with pytest.raises(SignatureError, match="connective Impl is not part of the MV"):
+                check_equation(w, x, resolve("chain:2"), Exhaustive())
+        assert len(tapes) == 3 and len(semantics._TAPES) == 1
 
 
 def test_deep_terms_compile_and_run():

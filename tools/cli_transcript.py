@@ -5,9 +5,10 @@ The commands are every ``sqmv`` line of the example block under README's
 ``## CLI`` heading, pipes included, the argument lists of the CLI
 determinism tests (``DETERMINISM_ARGV``), the grid and seeded checks of each
 standard model (``SAMPLING_ARGV``), an exact evaluation and a witness
-re-check on a deeply nested join (``DEPTH_ARGV``), and catalog names,
-element literals and bindings that the readers accept or refuse
-(``READER_ARGV``).  Each runs as ``python -m
+re-check on a deeply nested join and a default grid refused on a deeper one
+(``DEPTH_ARGV``), catalog names, element literals, bindings and model lists
+that the readers accept or refuse (``READER_ARGV``), and the classification
+of the 81-element product in both signatures (``FOLD_ARGV``).  Each runs as ``python -m
 sqmv.cli`` from the repository root, with ``src/`` first on the import path.
 A pipe runs its stages one after another, each reading the previous stage's
 output; it reports the last stage's exit code and stdout, and the stderr of
@@ -60,15 +61,23 @@ SAMPLING_ARGV = [
     for entailment in (("--premise", "p", "(x -> x) -> p"), ("--premise", "p -> q", "q"))
 ]
 
-# y \/ (y \/ ... (y \/ x)), 12 joins deep: as a tree each join holds its
-# right operand twice, so the tree has 2^12 copies of x
-NESTED_JOIN = "y \\/ (" * 12 + "x" + ")" * 12
+
+
+def nested_join(depth: int) -> str:
+    """y \\/ (y \\/ ... (y \\/ x)), ``depth`` joins deep: as a tree each join
+    holds its right operand twice, so the tree has 2^depth copies of x."""
+    return "y \\/ (" * depth + "x" + ")" * depth
+
+
+NESTED_JOIN = nested_join(12)
 
 # the exact value of the join, then an equation refuted on the grid, whose
-# witness the exact evaluator re-checks
+# witness the exact evaluator re-checks; then the default grid of an 18-deep
+# join, whose denominator counts the (+) of every occurrence, so it is refused
 DEPTH_ARGV = [
     ("eval", "--model", "interval", "--let", "x=1/3", "--let", "y=-1/2", NESTED_JOIN),
     ("check-eq", "--model", "interval", "--strategy", "grid:2", NESTED_JOIN, "x"),
+    ("check-eq", "--model", "interval", "--strategy", "grid", nested_join(18), "x"),
 ]
 
 PRODUCT_81 = "product:(product:chain:1,flatten:chain:1:0),(product:chain:1,flatten:chain:1:0)"
@@ -88,6 +97,16 @@ READER_ARGV = [
     ("eval", "--model", "square", "--let", "x=<1,0", "x"),
     ("eval", "--model", "chain:1", "--let", "x y=1", "x"),
     ("eval", "--model", "chain:1", "--let", "x=0", "--let", "x=1", "x"),
+    ("find-countermodel", "--models", "(product:chain:1,flatten:chain:1:0),chain:2",
+     "x (+) 0", "x"),
+    ("find-countermodel", "--models", "chain:1,,square", "x (+) 0", "x"),
+]
+
+# classifications whose 3-variable sweeps outnumber a table's cells, so that
+# their checks run on composed tables
+FOLD_ARGV = [
+    ("classify", "--model", PRODUCT_81),
+    ("classify", "--model", PRODUCT_81 + "@w"),
 ]
 
 
@@ -123,7 +142,8 @@ def run(command: str) -> dict:
 def transcript() -> dict:
     commands = [command for command, _ in readme_examples()]
     commands += [shlex.join(("sqmv", *argv))
-                 for argv in DETERMINISM_ARGV + SAMPLING_ARGV + DEPTH_ARGV + READER_ARGV]
+                 for argv in DETERMINISM_ARGV + SAMPLING_ARGV + DEPTH_ARGV + READER_ARGV
+                 + FOLD_ARGV]
     return {command: run(command) for command in commands}
 
 
