@@ -31,7 +31,7 @@ from .syntax import (
     Term,
     Var,
     check_signature,
-    children,
+    fold,
     join_term,
 )
 
@@ -594,31 +594,18 @@ def _tape(steps: list[tuple], outputs: tuple[int, ...]) -> Tape:
 
 
 def compile(terms: Sequence[Term], sig: Sig) -> Tape:
-    """One preorder walk over ``terms``; a node met again is skipped, and equal
-    subterms are one node, so one step each."""
+    """One step per distinct subterm of ``terms``, numbered in the order one
+    ``fold`` over all of them finishes the nodes: each after its arguments."""
     for t in terms:
         check_signature(t, sig)
     steps: list[tuple] = []
-    seen: dict[Term, int] = {}  # walked node -> its step
-    for t in terms:
-        stack = [t]
-        while stack:
-            s = stack.pop()
-            if type(s) is tuple:  # (node, arguments) once the arguments have steps
-                s, kids = s
-                step = (s.op, tuple(map(seen.__getitem__, kids)))
-            elif s in seen:
-                continue
-            else:
-                kids = children(s)
-                if kids:
-                    stack.append((s, kids))
-                    stack.extend(reversed(kids))
-                    continue
-                step = ("var", s.name) if isinstance(s, Var) else (s.op, ())
-            seen[s] = len(steps)
-            steps.append(step)
-    return _tape(steps, tuple(seen[t] for t in terms))
+
+    def step(s: Term, args: tuple[int, ...]) -> int:
+        steps.append(("var", s.name) if type(s) is Var else (s.op, args))
+        return len(steps) - 1
+
+    memo: dict[Term, int] = {}
+    return _tape(steps, tuple(fold(t, step, memo) for t in terms))
 
 
 def compose(tape: Tape, m: FiniteModel) -> Tape:

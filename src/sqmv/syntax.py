@@ -16,7 +16,6 @@ import weakref
 from functools import partial
 from _weakref import _remove_dead_weakref
 from itertools import compress, repeat
-from typing import Iterator
 
 
 class Sig(enum.Enum):
@@ -197,12 +196,26 @@ def rebuild(t: Term, new_children: tuple[Term, ...]) -> Term:
 
 def fold(t: Term, f, memo: dict):
     """``f(t, the values of t's children)``, bottom-up once per distinct node,
-    children left to right (so leaves in preorder); ``memo`` keeps each value
-    and may be seeded.  Recursion through ``map`` takes one frame per level, and
-    unlike a closure calling itself leaves no reference cycle."""
-    if t not in memo:
-        kids = children(t)
-        memo[t] = f(t, tuple(map(fold, kids, repeat(f), repeat(memo))) if kids else ())
+    children left to right (so leaves in preorder); ``memo`` keeps each value,
+    in the order the nodes are folded, and may be seeded.  An explicit stack
+    holds a node as ``(node, its children)`` above its children, and folds it
+    once they have values, so a term of any depth folds."""
+    if t in memo:
+        return memo[t]
+    stack = [t]
+    pop, push, extend = stack.pop, stack.append, stack.extend
+    value, kids_of = memo.__getitem__, children
+    while stack:
+        s = pop()
+        if type(s) is tuple:  # (node, children) once the children have values
+            s, kids = s
+            memo[s] = f(s, tuple(map(value, kids)))
+        elif s not in memo:
+            if kids := kids_of(s):
+                push((s, kids))
+                extend(reversed(kids))
+            else:
+                memo[s] = f(s, ())
     return memo[t]
 
 
@@ -210,50 +223,30 @@ ZERO = Const0()
 ONE = Const1()
 
 
-def _walk(t: Term) -> Iterator[tuple[Term, tuple | None]]:
-    """Each distinct node of ``t`` twice, by an explicit stack: ``(node,
-    None)`` when first met in preorder, a node met again being skipped with
-    its subtree, and ``(node, its children)`` once they are done.  The first
-    meetings come in the order of first occurrences in the full preorder."""
-    seen = set()
-    stack: list = [(t, None)]
-    while stack:
-        item = stack.pop()
-        if item[1] is None:
-            if (s := item[0]) in seen:
-                continue
-            seen.add(s)
-            kids = children(s)
-            stack.append((s, kids))
-            stack.extend((c, None) for c in reversed(kids))
-        yield item
-
-
 def variables(t: Term) -> tuple[str, ...]:
     """Variable names in order of first occurrence."""
-    return tuple(s.name for s, kids in _walk(t) if kids is None and type(s) is Var)
+    fold(t, lambda s, kids: None, nodes := {})  # leaves enter the memo in preorder
+    return tuple(s.name for s in nodes if type(s) is Var)
 
 
 def count_connective(t: Term, tag: str | type) -> int:
     """Occurrences of the connective ``tag`` in the tree of ``t``, counted
     once per distinct node: a node's count is its own plus its children's."""
     cls = CONNECTIVES[tag] if isinstance(tag, str) else tag
-    counts: dict[Term, int] = {}
-    for s, kids in _walk(t):
-        if kids is not None:
-            counts[s] = isinstance(s, cls) + sum(map(counts.__getitem__, kids))
-    return counts[t]
+    return fold(t, lambda s, kids: isinstance(s, cls) + sum(kids), {})
 
 
 def check_signature(t: Term, sig: Sig) -> None:
-    if t._needs in (None, sig):  # walk only to find the first foreign node
-        return
-    for s, kids in _walk(t):
-        if kids is None and s.sig is not None and s.sig is not sig:
+    """Raise at the first node of ``t`` in preorder that is foreign to ``sig``:
+    from the root, step into the leftmost child whose tree needs a foreign
+    connective, until the node itself is foreign."""
+    while t._needs not in (None, sig):
+        if t.sig not in (None, sig):
             raise SignatureError(
-                f"connective {type(s).__name__} is not part of the "
+                f"connective {type(t).__name__} is not part of the "
                 f"{sig.value.upper()}-STAR language"
             )
+        t = next(c for c in children(t) if c._needs not in (None, sig))
 
 
 def is_regular(t: Term) -> bool:
@@ -298,8 +291,8 @@ def expand_abbreviations(t: Term, sig: Sig) -> Term:
 
 
 def _expand(s: Term, sig: Sig) -> Term:
-    # recurses like ``fold``, but memoised on the node across calls, and never as
-    # itself: a node with parts expands to one without
+    # recurses once per level, memoised on the node across calls, and never
+    # below a node without parts: it expands to itself
     memo = s._expanded
     if memo is None:
         return s

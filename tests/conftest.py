@@ -347,10 +347,13 @@ def zero_second_coordinates(valuation: dict) -> dict:
             for k, v in valuation.items()}
 
 
-def assert_batch_matches_exact(m: Model, strategy, terms, seed: int = 0) -> None:
+def assert_batch_matches_exact(m: Model, strategy, terms, seed: int = 0, oracle=None) -> None:
     """Run ``terms`` as one tape on the valuations ``strategy`` gives on ``m``
     and compare every batch value with ``evaluate`` at the same valuation: a
-    carrier element on finite models, exact fractions over ``D`` otherwise."""
+    carrier element on finite models, exact fractions over ``D`` otherwise.
+    ``oracle(t, valuation)``, if given, is a third side: the tape and
+    ``evaluate`` share ``syntax.fold``, the reference evaluators above share
+    no code with either."""
     tape = compile(terms, m.signature)
     env, D, total = _valuations(m, strategy, tape.names, terms, seed)
     shape = np.broadcast_shapes(*(np.shape(a) for rep in env.values()
@@ -362,7 +365,8 @@ def assert_batch_matches_exact(m: Model, strategy, terms, seed: int = 0) -> None
         pair = isinstance(got, tuple)
         cols = [np.broadcast_to(c, shape).ravel() for c in (got if pair else (got,))]
         for i in range(cells):
-            exact = evaluate(t, m, _valuation_at(m, env, D, i))
+            exact = evaluate(t, m, v := _valuation_at(m, env, D, i))
+            assert oracle is None or oracle(t, v) == exact, (m.name, t, i)
             if m.finite:
                 assert m.elements[int(cols[0][i])] == exact, (m.name, t, i)
             else:

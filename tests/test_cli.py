@@ -678,6 +678,14 @@ class TestErrorTaxonomy:
         code, out, err = run(capsys, verb, "(" * 1000 + "x" + ")" * 1000)
         assert (code, out, err) == (2, "", "error: formula nests too deeply\n")
 
+    def test_deep_chain_evaluates(self, capsys):
+        # three times the default recursion limit: parsed, folded and re-checked
+        code, out, err = run(capsys, "eval", "--model", "chain:1@w", "--let", "x=1", "~" * 3000 + "x")
+        assert (code, out, err) == (0, "1\n", "")
+        code, out, err = run(capsys, "check-eq", "--model", "chain:1@w", "~" * 3001 + "x", "x")
+        assert (code, out, err) == (1, "verdict: COUNTERMODEL\nsamples: 1\nstrategy: exhaustive\n"
+                                    "seed: 0\nmodel: chain:1@w\n  x = -1\n  lhs = 1\n  rhs = -1\n", "")
+
     def test_long_left_nested_sum_exits_two(self, capsys):
         # parses fine; printing it recurses once per (+)
         code, out, err = run(capsys, "print", " (+) ".join(["x"] * 800))

@@ -36,6 +36,7 @@ from sqmv.syntax import (
     FormulaError,
     Impl,
     Neg,
+    NegPart,
     PosPart,
     Sig,
     Var,
@@ -424,6 +425,15 @@ class TestRegistry:
         reg = Registry()
         with pytest.raises(CertificationFailed):
             reg.register("mp", parse_script("system: L*\n1. p -> 1 ; AX P4\n"))
+
+    def test_lemma_over_a_part_does_not_apply_to_the_other_part(self):
+        # built in code: parse_script expands the parts away
+        p, x = Var("p"), Var("x")
+        reg = Registry()
+        reg.register("pos", ProofScript(SQL, (PosPart(p),), (ProofLine(PosPart(p), HypRef(1)),)))
+        use = ProofScript(SQL, (PosPart(x),), (ProofLine(PosPart(x), HypRef(1)),
+                                               ProofLine(NegPart(x), LemmaRef("pos", (1,)))))
+        assert check_proof(use, reg).summary() == "REJECT at line 2: NoMatchingLemmaInstance: pos"
 
 
 def _prefix_interchangeable(rule_name: str, old_f, new_f) -> bool:

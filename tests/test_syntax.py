@@ -438,6 +438,11 @@ class TestSchema:
         ground = parse("x -> ((y -> y) -> x)", Sig.W)
         assert match_schema(schema, ground) == {"p": Var("x"), "q": Var("y")}
 
+    def test_parts_do_not_match_each_other(self):
+        x = Var("x")
+        assert match_schema(PosPart(p), NegPart(x)) is None
+        assert match_schema(NegPart(p), PosPart(x)) is None
+
     def test_substitute_examples(self):
         t = substitute(Impl(p, q), {"p": Const1(), "q": Neg(Const1())}, Sig.W)
         assert t == parse("1 -> ~1", Sig.W)
@@ -531,7 +536,7 @@ class TestFold:
 
 
 def test_term_walks_leave_no_garbage():
-    """The recursive walks keep no reference cycle alive after they return."""
+    """The term walks keep no reference cycle alive after they return."""
     t = parse("x (+) y", Sig.MV)
     tw = parse("x^+ -> y^-", Sig.W)
     pattern = parse("p (+) q", Sig.MV)
@@ -548,6 +553,9 @@ def test_term_walks_leave_no_garbage():
             w_to_mv_term(tw)
             evaluate(t, interval, valuation)
             fold(t, cli._ast, {})
+            models.compile((t,), Sig.MV)
+            count_connective(t, OPlus)
+            variables(t)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -577,6 +585,13 @@ class TestWalks:
         check_signature(t, Sig.W)
         with pytest.raises(SignatureError, match="^connective Neg is not part of the MV-STAR"):
             check_signature(t, Sig.MV)
+        # the folds: an even number of negations is the identity on chain:2
+        assert evaluate(t, resolve("chain:2@w"), {"p": Fraction(-1, 2)}) == Fraction(-1, 2)
+        image = want = Impl(q, r)
+        for _ in range(3000):
+            want = Neg(want)
+        assert substitute(t, {"p": image}) is want
+        assert mv_to_w_term(w_to_mv_term(t)) is t
         # the foreign connective at the bottom of the chain is found
         t = UMinus(q)
         for _ in range(3000):

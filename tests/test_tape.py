@@ -5,13 +5,20 @@ memory of a large sampled entailment."""
 
 import gc
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_batch_matches_exact, random_terms, subterms
+from conftest import (
+    assert_batch_matches_exact,
+    oracle_interval,
+    oracle_pair,
+    random_terms,
+    subterms,
+)
 from sqmv import axioms, models, proofkit, semantics
 from sqmv.models import (
     FINITE_CATALOG,
@@ -105,6 +112,11 @@ class TestValues:
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
+# the recursive reference evaluators of the standard models
+ORACLES = {"square": oracle_pair, "interval@w": oracle_interval,
+           "flat-standard": partial(oracle_interval, flat=True)}
+
+
 @pytest.mark.parametrize("name, strategy", [
     ("product:chain:1,flatten:chain:1:0@w", Exhaustive()),
     ("square", RandomSampling(20)),
@@ -119,7 +131,7 @@ def test_tape_matches_evaluate_on_random_terms(name, strategy, data):
     m = resolve(name)
     terms = data.draw(st.lists(random_terms(m.signature), min_size=1, max_size=3)
                       .filter(lambda ts: any(map(variables, ts))))
-    assert_batch_matches_exact(m, strategy, terms)
+    assert_batch_matches_exact(m, strategy, terms, oracle=ORACLES.get(name))
 
 
 class TestSharing:

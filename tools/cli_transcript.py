@@ -5,11 +5,12 @@ The commands are every ``sqmv`` line of the example block under README's
 ``## CLI`` heading, pipes included, the argument lists of the CLI
 determinism tests (``DETERMINISM_ARGV``), the grid and seeded checks of each
 standard model (``SAMPLING_ARGV``), an exact evaluation and a witness
-re-check on a deeply nested join and a default grid refused on a deeper one
-(``DEPTH_ARGV``), catalog names, element literals, bindings and model lists
-that the readers accept or refuse (``READER_ARGV``), and the classification
-of the 81-element product in both signatures (``FOLD_ARGV``).  Each runs as ``python -m
-sqmv.cli`` from the repository root, with ``src/`` first on the import path.
+re-check on a deeply nested join and on a 3000-deep negation chain, and a
+default grid refused on a deeper join (``DEPTH_ARGV``), catalog names,
+element literals, bindings and model lists that the readers accept or refuse
+(``READER_ARGV``), and the classification of the 81-element product in both
+signatures (``FOLD_ARGV``).  Each runs as ``python -m sqmv.cli`` from the
+repository root, with ``src/`` first on the import path.
 A pipe runs its stages one after another, each reading the previous stage's
 output; it reports the last stage's exit code and stdout, and the stderr of
 every stage.  Run from anywhere, with no options:
@@ -73,11 +74,15 @@ NESTED_JOIN = nested_join(12)
 
 # the exact value of the join, then an equation refuted on the grid, whose
 # witness the exact evaluator re-checks; then the default grid of an 18-deep
-# join, whose denominator counts the (+) of every occurrence, so it is refused
+# join, whose denominator counts the (+) of every occurrence, so it is refused;
+# then the value of a 3000-deep negation chain and the re-checked witness of a
+# 3001-deep one, three times the default recursion limit
 DEPTH_ARGV = [
     ("eval", "--model", "interval", "--let", "x=1/3", "--let", "y=-1/2", NESTED_JOIN),
     ("check-eq", "--model", "interval", "--strategy", "grid:2", NESTED_JOIN, "x"),
     ("check-eq", "--model", "interval", "--strategy", "grid", nested_join(18), "x"),
+    ("eval", "--model", "chain:1@w", "--let", "x=1", "~" * 3000 + "x"),
+    ("check-eq", "--model", "chain:1@w", "~" * 3001 + "x", "x"),
 ]
 
 PRODUCT_81 = "product:(product:chain:1,flatten:chain:1:0),(product:chain:1,flatten:chain:1:0)"
