@@ -12,7 +12,6 @@ model builds its own batch values and reads them back.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -343,15 +342,17 @@ class FiniteModel(Model):
             self.check_member(x)
         return self.elements[self.tables[op][tuple(self.index[x] for x in args)]]
 
-    def vec_const(self, name: str, D: int):
-        return self.index_dtype.type(self.consts[name])
+    def vec_const(self, name, D: int):
+        """The carrier index of the constant ``name`` (its name or, see
+        ``compose``, that index)."""
+        return self.index_dtype.type(self.consts[name] if isinstance(name, str) else name)
 
     def vec_apply(self, op, args, D: int):
         """``op`` (an operation's name or a table, see ``compose``) at the
         carrier indices ``args``."""
         t = self.tables[op] if isinstance(op, str) else op
         a, b = args[0], args[-1]
-        if len(args) == 2 and a.size * b.size > 2**14:  # below, the flat take is as fast
+        if len(args) == 2 and a.size * b.size > WIDE:  # below, the flat take is as fast
             # operands on disjoint axes, as in a sweep: look up rows, then columns of those
             ka, kb = ([i for i, d in enumerate(x.shape, -x.ndim) if d > 1] for x in args)
             if ka and kb and (ka[-1] < kb[0] or kb[-1] < ka[0]):
@@ -383,6 +384,11 @@ class FiniteModel(Model):
                     lines.append(f"{op} {x} -> {labels[tbl[i]]}")
         return "\n".join(lines) + "\n"
 
+
+# A batch of more than this many values is wide: a binary table gathers its
+# rows and then their columns, and a finite sweep composes its tape (below
+# it, the flat take and the tape as compiled are as fast).
+WIDE = 2**14
 
 # Larger finite carriers are refused before their tables are built; this bounds
 # a binary table at 2^24 cells.
@@ -575,7 +581,8 @@ def product_axes(values: np.ndarray, k: int) -> list[np.ndarray]:
 class Tape:
     """Formulas as a post-order program, one step ``("var", name)`` or ``(op,
     argument steps)`` per distinct subterm, ``op`` an operation's name (or,
-    once ``compose`` has run, a finite model's table).  ``last_use[i]`` is
+    once ``compose`` has run, a finite model's table, or a constant's carrier
+    index).  ``last_use[i]`` is
     the last step reading step i, past the end for the formulas'
     ``outputs``."""
 
@@ -608,60 +615,78 @@ def compile(terms: Sequence[Term], sig: Sig) -> Tape:
     return _tape(steps, tuple(fold(t, step, memo) for t in terms))
 
 
+def _along(t: np.ndarray, basis: tuple, axes: tuple) -> np.ndarray:
+    """The table ``t`` over ``basis`` as an array over ``axes`` (which hold
+    ``basis``), a one-step table along its own axis."""
+    if len(basis) == len(axes):
+        return t if basis == axes else t.T
+    return t[:, None] if basis[0] == axes[0] else t
+
+
 def compose(tape: Tape, m: FiniteModel) -> Tape:
-    """``tape`` on ``m`` with its operations as tables and its unary steps
-    folded into them, so that ``run`` makes fewer gathers: a binary step with
-    a constant argument becomes a unary table (``t[c, :]``, ``t[:, c]``); a
-    unary step composes into the table of an argument that nothing else reads
-    (``u[t]``); and a unary argument that nothing else reads composes into
-    its binary step's table (``t[u, :]``, ``t[:, u]``).  A step with no
-    variable below it stays as it is, and the steps that no output needs any
-    more are dropped.  Each table built has at most n*n cells."""
+    """``tape`` on ``m`` with each step one table over at most two kept
+    steps, its basis, so that ``run`` gathers only at the kept steps.  A
+    variable is kept and is its own basis; a step with no variable below it
+    is a carrier index; a unary step, or a binary step with a constant
+    argument, is a unary table on its operand's basis and remembers its
+    root, the nearest binary or variable step down that chain.  A binary
+    step whose operands span at most two kept steps is tabulated over them
+    (one n*n gather here, none per block); where they span more, the wider
+    operand is cut: its root is kept, once, and read by every later step
+    on that root.  The outputs are kept.  Each table has at most n*n cells
+    and is dropped after its last reader.  A tape of variables and binary
+    steps alone comes back as it is."""
     if all(type(args) is str or len(args) == 2 for _, args in tape.steps):
-        return tape  # no constant and no unary step: nothing to fold
-    steps = [(op if type(args) is str or not args else m.tables[op], args)
-             for op, args in tape.steps]
-    # how often each step is read, by steps and as an output
-    readers = Counter(itertools.chain(tape.outputs, *(a for _, a in steps if type(a) is not str)))
+        # such a tape keeps every step but where a subterm repeats a
+        # variable, as x (+) (x (+) y): not worth the walk
+        return tape
+    ident = np.arange(len(m.elements), dtype=m.index_dtype)
+    steps: list[tuple] = []     # the composed tape
+    kept: dict[int, int] = {}   # step -> its composed step
     const: dict[int, int] = {}  # step with no variable below it -> its carrier index
-    for i, (t, args) in enumerate(steps):
+    # step -> (table, basis, root, table on the root's value); a root is
+    # (its step, its table, its basis), which a cut keeps
+    info: list = [None] * len(tape.steps)
+
+    def read(j: int) -> tuple:
+        t, basis, root, u = info[j]
+        return (u, (kept[root[0]],)) if root[0] in kept else (t, basis)
+
+    def keep(j: int, step: tuple) -> None:
+        kept[j] = len(steps)
+        steps.append(step)
+
+    for i, (op, args) in enumerate(tape.steps):
         if type(args) is str:
+            keep(i, (op, args))
+            basis = (kept[i],)
+            info[i] = (ident, basis, (i, ident, basis), ident)
             continue
         if all(j in const for j in args):
-            const[i] = int(t[tuple(const[j] for j in args)]) if args else m.consts[t]
+            const[i] = int(m.tables[op][tuple(const[j] for j in args)]) if args else m.consts[op]
             continue
-        if len(args) == 2:
-            a, b = args
-            if a in const:
-                t, args = t[const[a]], (b,)
-            elif b in const:
-                t, args = np.ascontiguousarray(t[:, const[b]]), (a,)
-        if len(args) == 1:
-            u, inner = steps[args[0]]
-            if readers[args[0]] == 1 and type(inner) is not str:
-                t, args = t[u], inner
+        t, a, b = m.tables[op], args[0], args[-1]
+        if a in const or b in const:
+            t, a = (t[const[a]], b) if a in const else (t[:, const[b]], a)
+        ta, ba = read(a)
+        if t.ndim == 1:  # a unary table
+            info[i] = (t[ta], ba, info[a][2], t[info[a][3]])
         else:
-            a, b = args
-            u, inner = steps[a]
-            if readers[a] == 1 and type(inner) is not str and len(inner) == 1:
-                t, a = t[u, :], inner[0]
-            u, inner = steps[b]
-            if readers[b] == 1 and type(inner) is not str and len(inner) == 1:
-                t, b = t[:, u], inner[0]
-            args = (a, b)
-        steps[i] = (t, args)
-    # renumber the steps that an output still reads, in order
-    need = [False] * len(steps)
+            tb, bb = read(b)
+            while len(basis := tuple(dict.fromkeys(ba + bb))) > 2:
+                r, rt, rb = info[a if len(ba) >= len(bb) else b][2]  # the wider's root
+                keep(r, (rt, rb))
+                (ta, ba), (tb, bb) = read(a), read(b)
+            if not (len(basis) == 2 and ta is ident and tb is ident):  # else t is the table
+                t = t[_along(ta, ba, basis), _along(tb, bb, basis)]
+            info[i] = (t, basis, (i, t, basis), ident)
+        for j in args:
+            if tape.last_use[j] == i:
+                info[j] = None
     for j in tape.outputs:
-        need[j] = True
-    for i in reversed(range(len(steps))):
-        if need[i] and type(args := steps[i][1]) is not str:
-            for j in args:
-                need[j] = True
-    new = list(itertools.accumulate(need, initial=0))  # step -> its place among those kept
-    kept = [(t, args if type(args) is str else tuple(new[j] for j in args))
-            for (t, args), keep in zip(steps, need) if keep]
-    return _tape(kept, tuple(new[j] for j in tape.outputs))
+        if j not in kept:
+            keep(j, (const[j], ()) if j in const else read(j))
+    return _tape(steps, tuple(kept[j] for j in tape.outputs))
 
 
 def run(tape: Tape, m: Model, env: dict, D: int) -> list:

@@ -363,9 +363,10 @@ def _check(terms: Sequence[Term], m: Model, strategy: Strategy, seed: int,
     None where the exact values refute it, which raises."""
     tape = _tape(terms, m.signature)
     env, D, total = _valuations(m, strategy, tape.names, terms, seed)
-    # a composed table costs its n*n cells once and saves a gather per block:
-    # compose when the sweep outnumbers a table's cells and a table fits a block
-    if m.finite and (cells := len(m.elements) ** 2) < total and cells <= _SLICE:
+    # a composed tape gathers only at its kept steps, from tables of n*n
+    # cells built once per check: compose when the sweep is wide, outnumbers
+    # a table's cells and a table fits a block
+    if m.finite and max(md.WIDE, cells := len(m.elements) ** 2) < total and cells <= _SLICE:
         tape = md.compose(tape, m)
     i = _first_witness(env, lambda part: bad(md.run(tape, m, part, D)))
     if i is None:

@@ -19,12 +19,14 @@ from conftest import (
     random_terms,
     subterms,
 )
-from sqmv import axioms, models, proofkit, semantics
+from sqmv import models, proofkit, semantics
 from sqmv.models import (
     FINITE_CATALOG,
     STANDARD_CATALOG,
     FiniteModel,
     StandardModel,
+    _build,
+    classify,
     compile,
     compose,
     resolve,
@@ -196,10 +198,12 @@ class TestSharing:
         compound = {s for s in subterms(lhs)} | {s for s in subterms(rhs)}
         compound = {s for s in compound if s.op != "var"}
         assert len(compound) == 9
-        # 81**4 valuations outnumber the 81**2 cells of a table, so the tape
-        # is composed: x^-^+ and y^-^+ fold into the (+) that reads them,
-        # which leaves w (+) w, (.) (+) z, w (+) z and the two outer sums
-        assert calls["vec_apply"] == 5 * calls["run"]
+        # 81**4 valuations outnumber 2**14 and the 81**2 cells of a table,
+        # so the tape is composed: w (+) w folds into (.) (+) z, and x^-^+
+        # and y^-^+ into the outer sums, which leaves (w (+) w) (+) z and
+        # w (+) z (each cut where an outer sum would read three kept
+        # steps) and the two outer sums
+        assert calls["vec_apply"] == 4 * calls["run"]
 
     def test_once_per_run_of_whole_rows(self, monkeypatch):
         # a valid 4-variable sweep of chain:40 runs the tape on 169 blocks of
@@ -216,11 +220,23 @@ class TestSharing:
 PRODUCT_81 = "product:(product:chain:1,flatten:chain:1:0),(product:chain:1,flatten:chain:1:0)"
 
 
+# The join laws (commutativity and associativity) and the distributive laws of
+# each signature.
+JOIN_LAWS = {
+    Sig.MV: ("QMV*12", "QMV*13", "QMV*14", "MV*10", "MV*11", "MV*12"),
+    Sig.W: ("QW*10", "QW*11", "QW*12", "W*9", "W*10", "W*11"),
+}
+
+
+def battery(sig):
+    """Every equation of every classification battery of ``sig``, by name."""
+    return {e.name: e for make in models._BATTERIES.values() for e in make(sig)}
+
+
 def first_block(m, strategy, tape, terms):
     """The first block of the valuations ``strategy`` gives on ``m``, its
-    shape, and ``D``; the sweep must outnumber a table's cells."""
-    env, D, total = semantics._valuations(m, strategy, tape.names, terms, 0)
-    assert len(m.elements) ** 2 < total
+    shape, and ``D``."""
+    env, D, _ = semantics._valuations(m, strategy, tape.names, terms, 0)
     _, index, shape = next(semantics._blocks(semantics._env_shape(env)))
     return {nm: semantics._take(rep, index) for nm, rep in env.items()}, shape, D
 
@@ -233,13 +249,24 @@ class TestCompose:
     @given(data=st.data())
     @settings(max_examples=10, deadline=None)
     def test_composed_tables_give_the_same_values(self, name, strategy, data):
-        # random terms beside a term over x, y, z, so that the sweep has
-        # more valuations than a table has cells; the first block of the
-        # sweep through the tape as compiled and as composed
+        # random terms, and a join or distributive law with random terms
+        # for its variables (so that its binary steps are cut, their roots
+        # read again and their operands met in either order), beside a term
+        # over x, y, z, so that the sweep has more valuations than a table
+        # has cells; the first block of the sweep through the tape as
+        # compiled and as composed
         m = resolve(name)
-        binary = OPlus if m.signature is Sig.MV else Impl
-        terms = [*data.draw(st.lists(random_terms(m.signature), min_size=1, max_size=3)),
+        sig = m.signature
+        binary = OPlus if sig is Sig.MV else Impl
+        law = battery(sig)[data.draw(st.sampled_from(JOIN_LAWS[sig]))]
+        sigma = dict(zip("xyz", data.draw(st.tuples(*[random_terms(sig)] * 3))))
+        terms = [*data.draw(st.lists(random_terms(sig), min_size=1, max_size=3)),
+                 substitute(law.lhs, sigma, sig), substitute(law.rhs, sigma, sig),
                  binary(x, binary(y, z))]
+        self.assert_composed_matches(m, strategy, terms)
+
+    @staticmethod
+    def assert_composed_matches(m, strategy, terms):
         tape = compile(terms, m.signature)
         part, shape, D = first_block(m, strategy, tape, terms)
         composed = compose(tape, m)
@@ -247,19 +274,61 @@ class TestCompose:
         for want, got in zip(run(tape, m, part, D), run(composed, m, part, D)):
             assert np.array_equal(np.broadcast_to(want, shape), np.broadcast_to(got, shape))
 
+    @pytest.mark.parametrize("name", FINITE_VIEWS)
+    def test_every_battery_law_composes(self, name):
+        # each equation of the four batteries on the first block of its
+        # exhaustive sweep, also where the sweep is too small to compose
+        m = resolve(name)
+        for eq in battery(m.signature).values():
+            self.assert_composed_matches(m, Exhaustive(), (eq.lhs, eq.rhs))
+
+    @pytest.mark.parametrize("name, composes", [
+        ("chain:1", False), ("ex32-grid", False), (PRODUCT_81, True), (PRODUCT_81 + "@w", True),
+    ])
+    def test_only_wide_sweeps_compose(self, monkeypatch, name, composes):
+        # a sweep of at most models.WIDE valuations runs its tape as
+        # compiled: 15**3 < WIDE < 81**3
+        calls = []
+
+        def counted_compose(tape, m, _compose=compose):
+            calls.append(tape)
+            return _compose(tape, m)
+
+        monkeypatch.setattr(models, "compose", counted_compose)
+        classify(_build(name))
+        assert bool(calls) is composes
+
+    @pytest.mark.parametrize("name, law", [("chain:255", "MV*11"), ("chain:255@w", "W*10")])
+    def test_tables_go_after_their_last_reader(self, name, law):
+        # 511 elements, so a table of n*n int32 cells takes 1 MB: keeping
+        # every table peaked at 41 MB on MV*11, composing by the three
+        # earlier folds at 22 MB, and dropping each table after its last
+        # reader at 7 MB
+        m = resolve(name)
+        eq = battery(m.signature)[law]
+        tape = compile((eq.lhs, eq.rhs), m.signature)
+        tracemalloc.start()
+        try:
+            compose(tape, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 22 * 2**20
+
     @pytest.mark.parametrize("name, law, gathers, steps, composed", [
-        (PRODUCT_81, "MV*11", 18, 63, 30), (PRODUCT_81, "QMV*13", 14, 44, 30),
-        (PRODUCT_81 + "@w", "W*10", 18, 66, 28), (PRODUCT_81 + "@w", "QW*11", 14, 44, 28),
+        (PRODUCT_81, "MV*11", 18, 63, 4), (PRODUCT_81, "QMV*13", 14, 44, 4),
+        (PRODUCT_81, "QMV*14", 8, 29, 5), (PRODUCT_81, "MV*12", 10, 42, 5),
+        (PRODUCT_81 + "@w", "W*10", 18, 66, 4), (PRODUCT_81 + "@w", "QW*11", 14, 44, 4),
+        (PRODUCT_81 + "@w", "QW*12", 8, 29, 5), (PRODUCT_81 + "@w", "W*11", 10, 44, 5),
     ])
     def test_full_width_gathers_per_block(self, monkeypatch, name, law, gathers, steps,
                                           composed):
-        # the join laws in three variables: the steps that read all three
-        # gather the whole block, 10 of them per block once composed, and
-        # the gathers of a block, these and the narrower ones, go from
-        # ``steps`` to ``composed``
+        # the join and distributive laws in three variables: the steps that
+        # read all three gather the whole block, 2 of them per block once
+        # composed (the two sides), and the gathers of a block, these and
+        # the narrower ones, go from ``steps`` to ``composed``
         m = resolve(name)
-        eq, = (e for e in axioms.quasi_axioms(m.signature) + axioms.star_axioms(m.signature)
-               if e.name == law)
+        eq = battery(m.signature)[law]
         sizes = []
 
         def counted_apply(self, op, args, D, _apply=FiniteModel.vec_apply):
@@ -277,7 +346,7 @@ class TestCompose:
         starts = [offset for offset, _, _ in semantics._blocks((81,) * 3)]
         assert len(sizes) == sum(1 for s in starts if s < report.samples_tried)
         blocks = [*np.diff(starts), 81**3 - starts[-1]]
-        assert [out.count(cells) for out, cells in zip(sizes, blocks)] == [10] * len(sizes)
+        assert [out.count(cells) for out, cells in zip(sizes, blocks)] == [2] * len(sizes)
         assert list(map(len, sizes)) == [composed] * len(sizes)
         # the same sweep on the tape as compiled
         tape = compile((eq.lhs, eq.rhs), m.signature)

@@ -107,8 +107,8 @@ READER_ARGV = [
     ("find-countermodel", "--models", "chain:1,,square", "x (+) 0", "x"),
 ]
 
-# classifications whose 3-variable sweeps outnumber a table's cells, so that
-# their checks run on composed tables
+# classifications whose 3-variable sweeps are wide enough (more than 2^14
+# valuations, more than a table's cells) to run on composed tapes
 FOLD_ARGV = [
     ("classify", "--model", PRODUCT_81),
     ("classify", "--model", PRODUCT_81 + "@w"),
