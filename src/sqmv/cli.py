@@ -108,7 +108,7 @@ def _resolve_script_path(path: str) -> str:
 def _load_script(path: str):
     from .proofkit import parse_script
 
-    with open(_resolve_script_path(path), encoding="utf-8") as fh:
+    with open(_resolve_script_path(path), encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

@@ -964,13 +964,13 @@ def _strip_parens(s: str) -> str:
 
 
 def resolve(name: str) -> Model:
-    """Look a model up by its catalog name; ``@w`` selects the Wajsberg view."""
+    """Look a model up by its catalog name; ``@w`` selects the Wajsberg view.
+    Spellings of one model (``chain:1_0``, ``chain:10``) give one object."""
     name = name.strip()
-    if name in _CACHE:
-        return _CACHE[name]
-    m = _build(name)
-    _CACHE[name] = m
-    return m
+    if name not in _CACHE:
+        m = _build(name)
+        _CACHE[name] = _CACHE.setdefault(m.name, m)
+    return _CACHE[name]
 
 
 def _build(name: str) -> Model:
@@ -980,7 +980,7 @@ def _build(name: str) -> Model:
             raise CatalogError(f"{name[:-2]} is already in the implicational signature")
         if not base.finite:
             return StandardModel(base.kind, Sig.W)
-        return finite_w_view(base, name)
+        return finite_w_view(base)
     if name in STANDARD_CATALOG:
         return StandardModel(name, Sig.MV)
     if name == "ex32-grid":

@@ -15,7 +15,7 @@ import threading
 import weakref
 from functools import partial
 from _weakref import _remove_dead_weakref
-from itertools import compress, repeat
+from itertools import compress
 
 
 class Sig(enum.Enum):
@@ -78,9 +78,9 @@ class Term:
     model operation or constant it denotes, ``sig`` the one signature it
     belongs to (None: both), ``level``/``symbol`` its print and parse form.  A
     node records the signature its tree needs (``_needs``: None, a ``Sig`` or
-    ``_BOTH``) and its expansions (``_expanded``; None when it has no parts)."""
+    ``_BOTH``) and whether its tree holds a part (``_parts``)."""
 
-    __slots__ = ("_needs", "_expanded", "__weakref__")
+    __slots__ = ("_needs", "_parts", "__weakref__")
     _fields: tuple[str, ...] = ()
     sig = None
     level = _LEVEL_ATOM
@@ -119,9 +119,9 @@ def _make(cls: type, fields: tuple) -> Term:
     for c in children(node):
         if c._needs not in (None, needs):
             needs = c._needs if needs is None else _BOTH
-        parts = parts or c._expanded is not None
+        parts = parts or c._parts
     object.__setattr__(node, "_needs", needs)
-    object.__setattr__(node, "_expanded", {} if parts else None)
+    object.__setattr__(node, "_parts", parts)
     return node
 
 
@@ -285,20 +285,10 @@ _PARTS = {Sig.W: {PosPart: lambda a: Impl(Impl(a, ONE), ONE),
 
 def expand_abbreviations(t: Term, sig: Sig) -> Term:
     """Rewrite ``^+`` / ``^-`` into the defining terms that are valid in strong
-    algebras: (x->1)->1 resp. 1(+)(-1(+)x) and duals."""
+    algebras: (x->1)->1 resp. 1(+)(-1(+)x) and duals.  A term without parts
+    is its own expansion."""
     check_signature(t, sig)
-    return _expand(t, sig)
-
-
-def _expand(s: Term, sig: Sig) -> Term:
-    # recurses once per level, memoised on the node across calls, and never
-    # below a node without parts: it expands to itself
-    memo = s._expanded
-    if memo is None:
-        return s
-    if sig not in memo:
-        memo[sig] = _apply(_PARTS[sig], s, tuple(map(_expand, children(s), repeat(sig))))
-    return memo[sig]
+    return fold(t, partial(_apply, _PARTS[sig]), {}) if t._parts else t
 
 
 def _apply(rules: dict, s: Term, kids: tuple[Term, ...]) -> Term:
@@ -462,24 +452,23 @@ def parse_iff(text: str, sig: Sig = Sig.W) -> tuple[Term, ...]:
 # ---------------------------------------------------------------------------
 # Printer
 
-def _paren(s: Term, minimum: int) -> str:
-    text = print_term(s)
-    if s.level < minimum:
-        return f"({text})"
-    return text
+def print_term(t: Term) -> str:
+    """Render ``t`` with minimal parentheses; ``parse(print_term(t))`` is ``t``."""
+    return fold(t, _print, {})
 
 
-def print_term(s: Term) -> str:
-    """Render ``s`` with minimal parentheses; ``parse(print_term(s))`` is ``s``."""
+def _print(s: Term, texts: tuple[str, ...]) -> str:
+    """``s`` over its operands' ``texts``, each in parentheses when the operand
+    is below its slot's level."""
     if isinstance(s, Binary):
-        left, right = s.operand_levels
-        return f"{_paren(s.left, left)} {s.symbol} {_paren(s.right, right)}"
+        (left, right), (left_level, right_level) = texts, s.operand_levels
+        left = left if s.left.level >= left_level else f"({left})"
+        right = right if s.right.level >= right_level else f"({right})"
+        return f"{left} {s.symbol} {right}"
     if isinstance(s, Unary):
-        arg = _paren(s.arg, s.level)
+        arg = texts[0] if s.arg.level >= s.level else f"({texts[0]})"
         return s.symbol + arg if s.level == _LEVEL_PREFIX else arg + s.symbol
-    if isinstance(s, Var):
-        return s.name
-    return s.symbol
+    return s.name if type(s) is Var else s.symbol
 
 
 # ---------------------------------------------------------------------------

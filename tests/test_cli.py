@@ -673,6 +673,11 @@ class TestErrorTaxonomy:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot decode proof script {path}: 'utf-8' codec")
 
+    def test_script_with_a_byte_order_mark_accepts(self, capsys, tmp_path):
+        path = tmp_path / "bom.sqlp"
+        path.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "derived" / "05_refl.sqlp").read_bytes())
+        assert run(capsys, "check-proof", str(path)) == (0, "ACCEPT (4 lines)\n", "")
+
     @pytest.mark.parametrize("verb", ["parse", "print"])
     def test_deep_nesting_exits_two(self, capsys, verb):
         code, out, err = run(capsys, verb, "(" * 1000 + "x" + ")" * 1000)
@@ -686,10 +691,14 @@ class TestErrorTaxonomy:
         assert (code, out, err) == (1, "verdict: COUNTERMODEL\nsamples: 1\nstrategy: exhaustive\n"
                                     "seed: 0\nmodel: chain:1@w\n  x = -1\n  lhs = 1\n  rhs = -1\n", "")
 
-    def test_long_left_nested_sum_exits_two(self, capsys):
-        # parses fine; printing it recurses once per (+)
-        code, out, err = run(capsys, "print", " (+) ".join(["x"] * 800))
-        assert (code, out, err) == (2, "", "error: formula nests too deeply\n")
+    def test_long_left_nested_sum_prints_and_translates(self, capsys):
+        # 800 levels deep: printed and translated by folds, not by recursion
+        text = " (+) ".join(["x"] * 800)
+        code, out, err = run(capsys, "print", text)
+        assert (code, out, err) == (0, text + "\n", "") and len(out) == 4796
+        code, out, err = run(capsys, "translate", "--to", "w", text)
+        want = "~(" * 798 + "~x -> x" + ") -> x" * 798 + "\n"
+        assert (code, out, err) == (0, want, "") and len(out) == 6392
 
     def test_moderate_nesting_still_prints(self, capsys):
         code, out, _ = run(capsys, "print", "(" * 150 + "x" + ")" * 150)

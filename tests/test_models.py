@@ -452,6 +452,16 @@ class TestCatalog:
         with pytest.raises(DomainError, match=f"^cannot read element {re.escape(repr(text))}$"):
             read_element(text)
 
+    @pytest.mark.parametrize("spelling, name", [
+        ("chain:1_0", "chain:10"),
+        ("product:(chain:1),chain:1", "product:chain:1,chain:1"),
+        ("chain:1_0@w", "chain:10@w"),
+    ])
+    def test_spellings_of_one_model_are_one_object(self, spelling, name):
+        m = resolve(spelling)
+        assert m.name == name and resolve(name) is m
+        assert quotient(m, mu_congruence(resolve(name))).name == name + "/~"
+
     def test_nested_product_name_round_trip(self):
         name = FINITE_CATALOG[-2]
         m = resolve(name)

@@ -273,6 +273,12 @@ class TestChecker:
         assert (report.accepted, report.failure_line) == (False, 1)
         assert report.failure_reason == f"NoSuchHypothesis: {index}"
 
+    def test_long_join_hypothesis_accepts(self):
+        # a 300-operand left-nested join is about 1500 levels deep, and more once expanded
+        chain = " \\/ ".join(f"p{i}" for i in range(300))
+        s = parse_script(f"system: sqL*\nhyp: {chain}\n1. {chain} ; HYP 1\n")
+        assert check_proof(s).summary() == "ACCEPT (1 lines)"
+
     def test_lstar_one_liner(self):
         s = parse_script("system: L*\n1. p -> 1 ; AX P4\n")
         assert check_proof(s).accepted

@@ -138,6 +138,9 @@ class TestPrint:
         assert print_term(PosPart(UMinus(p))) == "(-p)^+"
         assert print_term(OPlus(p, OPlus(q, r))) == "p (+) (q (+) r)"
         assert print_term(Impl(Impl(p, q), r)) == "(p -> q) -> r"
+        # the loosest operand each slot takes bare
+        assert print_term(OPlus(OPlus(p, q), r)) == "p (+) q (+) r"
+        assert print_term(Impl(p, Impl(q, r))) == "p -> q -> r"
 
     def test_round_trip_bulk(self):
         rng, gaps = random.Random(7), random.Random(8)
@@ -592,6 +595,16 @@ class TestWalks:
             want = Neg(want)
         assert substitute(t, {"p": image}) is want
         assert mv_to_w_term(w_to_mv_term(t)) is t
+        text = print_term(t)
+        assert text == "~" * 3000 + "p" and parse(text, Sig.W) is t
+        # the parts of a 3000-deep chain expand into two binary nodes each
+        t = p
+        for _ in range(3000):
+            t = PosPart(t)
+        for sig, cls in ((Sig.W, Impl), (Sig.MV, OPlus)):
+            out = expand_abbreviations(t, sig)
+            assert count_connective(out, PosPart) == count_connective(out, NegPart) == 0
+            assert count_connective(out, cls) == 6000 and variables(out) == ("p",)
         # the foreign connective at the bottom of the chain is found
         t = UMinus(q)
         for _ in range(3000):
@@ -647,6 +660,26 @@ class TestWalks:
                 assert str(exc) == "connective Neg is not part of the MV-STAR language"
             monkeypatch.undo()
             assert visits and max(visits.values()) == 1 and len(visits) <= distinct
+        # expansion applies its rules once per distinct node
+        applied = []
+
+        def counted(rules, s, kids, _apply=syntax._apply):
+            applied.append(id(s))
+            return _apply(rules, s, kids)
+
+        monkeypatch.setattr(syntax, "_apply", counted)
+        expanded = expand_abbreviations(t, Sig.MV)
+        monkeypatch.undo()
+        assert applied and len(set(applied)) == len(applied) <= distinct
+        assert count_connective(expanded, PosPart) == count_connective(expanded, NegPart) == 0
+        # printing a 12-deep join, about 2^12 copies of x as text, reads each node once
+        small = parse(nested_join_text(12), Sig.MV)
+        fold(small, lambda s, kids: None, nodes := {})
+        visits = self.count_visits(monkeypatch)
+        text = print_term(small)
+        monkeypatch.undo()
+        assert visits and max(visits.values()) == 1 and len(visits) <= len(nodes)
+        assert parse(text, Sig.MV) is small
         assert variables(t) == (*(f"y{i}" for i in range(23, -1, -1)), "x")
         # each join holds five (+) of its own and its right operand twice
         assert count_connective(t, OPlus) == 5 * (2**24 - 1)

@@ -5,8 +5,9 @@ The commands are every ``sqmv`` line of the example block under README's
 ``## CLI`` heading, pipes included, the argument lists of the CLI
 determinism tests (``DETERMINISM_ARGV``), the grid and seeded checks of each
 standard model (``SAMPLING_ARGV``), an exact evaluation and a witness
-re-check on a deeply nested join and on a 3000-deep negation chain, and a
-default grid refused on a deeper join (``DEPTH_ARGV``), catalog names,
+re-check on a deeply nested join and on a 3000-deep negation chain, a
+default grid refused on a deeper join, and the printed and translated forms
+of an 800-operand sum and of the join (``DEPTH_ARGV``), catalog names,
 element literals, bindings and model lists that the readers accept or refuse
 (``READER_ARGV``), and the classification of the 81-element product in both
 signatures (``FOLD_ARGV``).  Each runs as ``python -m sqmv.cli`` from the
@@ -76,13 +77,18 @@ NESTED_JOIN = nested_join(12)
 # witness the exact evaluator re-checks; then the default grid of an 18-deep
 # join, whose denominator counts the (+) of every occurrence, so it is refused;
 # then the value of a 3000-deep negation chain and the re-checked witness of a
-# 3001-deep one, three times the default recursion limit
+# 3001-deep one, three times the default recursion limit; then an 800-operand
+# sum printed and translated, and the translated join, about 2^12 copies of x
+LONG_SUM = " (+) ".join(["x"] * 800)
 DEPTH_ARGV = [
     ("eval", "--model", "interval", "--let", "x=1/3", "--let", "y=-1/2", NESTED_JOIN),
     ("check-eq", "--model", "interval", "--strategy", "grid:2", NESTED_JOIN, "x"),
     ("check-eq", "--model", "interval", "--strategy", "grid", nested_join(18), "x"),
     ("eval", "--model", "chain:1@w", "--let", "x=1", "~" * 3000 + "x"),
     ("check-eq", "--model", "chain:1@w", "~" * 3001 + "x", "x"),
+    ("print", LONG_SUM),
+    ("translate", "--to", "w", LONG_SUM),
+    ("translate", "--to", "w", NESTED_JOIN),
 ]
 
 PRODUCT_81 = "product:(product:chain:1,flatten:chain:1:0),(product:chain:1,flatten:chain:1:0)"

@@ -2,14 +2,14 @@
 """Time the syntax layer on the packaged proof scripts.
 
 - ``parse`` runs on every formula line (hypotheses and numbered lines) of the
-  packaged certificates and L* fixtures;
+  packaged certificates and L* fixtures, and ``print_term`` on each line's term;
 - ``match_schema`` runs on every (schema, formula, bindings) call that
   ``check_proof`` makes while checking those scripts;
 - ``parse_script`` runs on each whole script.
 
-Each ``parse`` and ``match_schema`` call is timed on its own (best of
-``REPEAT`` rounds of ``NUMBER`` runs). The output is one JSON object: per
-function, the number of calls, the median and the 90th percentile of the
+Each ``parse``, ``print_term`` and ``match_schema`` call is timed on its own
+(best of ``REPEAT`` rounds of ``NUMBER`` runs). The output is one JSON object:
+per function, the number of calls, the median and the 90th percentile of the
 per-call times in microseconds, and their sum in milliseconds (one pass over
 all the calls). Under ``parse_script`` it gives, per script, the median of
 ``FRESH`` first parses (``first_ms``: the script's first ``parse_script``
@@ -37,7 +37,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from sqmv.proofkit import checker, parse_script, standard_registry  # noqa: E402
-from sqmv.syntax import Sig, match_schema, parse  # noqa: E402
+from sqmv.syntax import Sig, match_schema, parse, print_term  # noqa: E402
 
 FIXTURES = ROOT / "src" / "sqmv" / "fixtures"
 # the formula of a hypothesis or of a numbered proof line
@@ -116,11 +116,12 @@ def main() -> int:
     lines = [(m[1], Sig.W) for text in texts
              for m in map(_FORMULA.match, text.splitlines()) if m]
     matches = match_calls(texts)
-    kept = [parse(*line) for line in lines]  # noqa: F841  live nodes, as while a script is checked
+    kept = [parse(*line) for line in lines]  # live nodes, as while a script is checked
     report = {
         "python": platform.python_version(),
         "scripts": len(texts),
         "parse": per_call_us(parse, lines),
+        "print_term": per_call_us(print_term, [(t,) for t in kept]),
         "match_schema": per_call_us(match_schema, matches),
         "parse_script": parse_script_ms(),
     }
