@@ -24,7 +24,9 @@ from .syntax import (
     Sig,
     Term,
     Var,
+    children,
     fold,
+    joined,
     mv_to_w_term,
     parse,
     print_term,
@@ -69,20 +71,23 @@ def _strategy(args, m: md.Model | None = None) -> sem.Strategy:
     return strategy
 
 
-def _ast(t: Term, kids: tuple) -> dict:
-    """The parse-tree node of ``t`` over its children's nodes (see ``fold``)."""
-    node = {"node": type(t).__name__}
+def _ast(t: Term, kids: tuple) -> str | tuple:
+    """The parse-tree node of ``t`` as JSON text in pieces over its children's."""
+    node = f'"node": "{type(t).__name__}"}}'
     if isinstance(t, Var):
-        node["name"] = t.name
-    elif kids:
-        node["children"] = list(kids)
-    return node
+        return f'{{"name": {json.dumps(t.name)}, {node}'
+    if not kids:
+        return "{" + node
+    return ('{"children": [', kids[0], *(p for k in kids[1:] for p in (", ", k)), "], " + node)
 
 
-def _ast_text(node: dict, indent: int = 0) -> str:
-    lines = ["  " * indent + node["node"] + (f" {node['name']}" if "name" in node else "")]
-    for c in node.get("children", ()):
-        lines.append(_ast_text(c, indent + 1))
+def _ast_text(t: Term) -> str:
+    """The parse tree of ``t``, one line per occurrence indented by its depth."""
+    lines, stack = [], [(t, 0)]
+    while stack:
+        s, depth = stack.pop()
+        lines.append("  " * depth + type(s).__name__ + (f" {s.name}" if isinstance(s, Var) else ""))
+        stack.extend((c, depth + 1) for c in reversed(children(s)))
     return "\n".join(lines)
 
 
@@ -121,8 +126,8 @@ def _load_script(path: str):
 
 
 def cmd_parse(args) -> int:
-    tree = fold(parse(args.formula, _sig(args.sig)), _ast, {})
-    print(json.dumps(tree, sort_keys=True) if args.json else _ast_text(tree))
+    t = parse(args.formula, _sig(args.sig))
+    print(joined(fold(t, _ast, {})) if args.json else _ast_text(t))
     return 0
 
 

@@ -349,12 +349,20 @@ class FiniteModel(Model):
 
     def vec_apply(self, op, args, D: int):
         """``op`` (an operation's name or a table, see ``compose``) at the
-        carrier indices ``args``."""
+        carrier indices ``args``.  A wide step with an operand along one whole
+        carrier axis that the other does not read gathers whole rows of one n*n
+        table of that operand's columns."""
         t = self.tables[op] if isinstance(op, str) else op
         a, b = args[0], args[-1]
         if len(args) == 2 and a.size * b.size > WIDE:  # below, the flat take is as fast
-            # operands on disjoint axes, as in a sweep: look up rows, then columns of those
             ka, kb = ([i for i, d in enumerate(x.shape, -x.ndim) if d > 1] for x in args)
+            for s, ks, o, ko, u in ((b, kb, a, ka, t), (a, ka, b, kb, t.T)):
+                if len(ks) == 1 and s.shape[ks[0]] == len(self.elements) and ks[0] not in ko:
+                    shape, k = np.broadcast(a, b).shape, ks[0]
+                    r = u.take(s.ravel(), 1).take(o.ravel(), 0)  # rows of o, columns of s
+                    r = r.reshape(shape[:k] + shape[k:][1:] + (-1,))
+                    return r if k == -1 else np.moveaxis(r, -1, k)
+            # operands on disjoint axes, as in a sweep: look up rows, then columns of those
             if ka and kb and (ka[-1] < kb[0] or kb[-1] < ka[0]):
                 t, a, b = (t, a, b) if ka[0] < kb[0] else (t.T, b, a)
                 return t.take(a.ravel(), 0).take(b.ravel(), 1).reshape(np.broadcast(a, b).shape)

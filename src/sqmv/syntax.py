@@ -102,8 +102,7 @@ class Term:
         return type(self), tuple(getattr(self, f) for f in self._fields)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__name__}({fields})"
+        return joined(fold(self, _repr, {}))
 
     def __str__(self) -> str:
         return print_term(self)
@@ -217,6 +216,24 @@ def fold(t: Term, f, memo: dict):
             else:
                 memo[s] = f(s, ())
     return memo[t]
+
+
+def _repr(t: Term, kids: tuple) -> tuple:
+    """``repr(t)`` in pieces over its children's (see ``fold``, ``joined``)."""
+    values = kids or [repr(getattr(t, f)) for f in t._fields]
+    fields = [(", " if i else "") + f + "=" for i, f in enumerate(t._fields)]
+    return (f"{type(t).__name__}(", *(p for pair in zip(fields, values) for p in pair), ")")
+
+
+def joined(pieces) -> str:
+    """``pieces``, a string or a tuple of pieces, written out by an explicit stack."""
+    out, stack = [], [pieces]
+    while stack:
+        if type(p := stack.pop()) is str:
+            out.append(p)
+        else:
+            stack.extend(reversed(p))
+    return "".join(out)
 
 
 ZERO = Const0()

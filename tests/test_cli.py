@@ -691,6 +691,17 @@ class TestErrorTaxonomy:
         assert (code, out, err) == (1, "verdict: COUNTERMODEL\nsamples: 1\nstrategy: exhaustive\n"
                                     "seed: 0\nmodel: chain:1@w\n  x = -1\n  lhs = 1\n  rhs = -1\n", "")
 
+    def test_deep_chain_parses(self, capsys):
+        # the tree as text, by an explicit stack, and as JSON, by a fold
+        text = "~" * 3000 + "x"
+        code, out, err = run(capsys, "parse", "--sig", "w", text)
+        lines = out.splitlines()
+        assert (code, err, len(lines)) == (0, "", 3001)
+        assert lines[0] == "Neg" and lines[-1] == "  " * 3000 + "Var x"
+        code, out, err = run(capsys, "parse", "--sig", "w", "--json", text)
+        want = '{"children": [' * 3000 + '{"name": "x", "node": "Var"}' + '], "node": "Neg"}' * 3000
+        assert (code, out, err) == (0, want + "\n", "")
+
     def test_long_left_nested_sum_prints_and_translates(self, capsys):
         # 800 levels deep: printed and translated by folds, not by recursion
         text = " (+) ".join(["x"] * 800)

@@ -1,5 +1,6 @@
 import copy
 import gc
+import json
 import pickle
 import random
 import re
@@ -555,13 +556,50 @@ def test_term_walks_leave_no_garbage():
             mv_to_w_term(t)
             w_to_mv_term(tw)
             evaluate(t, interval, valuation)
-            fold(t, cli._ast, {})
+            syntax.joined(fold(t, cli._ast, {}))
+            cli._ast_text(t)
+            repr(t)
             models.compile((t,), Sig.MV)
             count_connective(t, OPlus)
             variables(t)
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _tree(t, kids):
+    """The parse tree as nested dicts, which ``parse --json`` writes."""
+    node = {"node": type(t).__name__}
+    if isinstance(t, Var):
+        node["name"] = t.name
+    elif kids:
+        node["children"] = list(kids)
+    return node
+
+
+def _tree_text(node, indent=0):
+    """Reference text of a parse tree: the recursive walk."""
+    lines = ["  " * indent + node["node"] + (f" {node['name']}" if "name" in node else "")]
+    lines += [_tree_text(c, indent + 1) for c in node.get("children", ())]
+    return "\n".join(lines)
+
+
+def _repr(t):
+    """Reference ``repr``: the recursive dataclass form."""
+    fields = ", ".join(f"{f}={_repr(v) if isinstance(v, Term) else repr(v)}" for f in t._fields
+                       for v in [getattr(t, f)])
+    return f"{type(t).__name__}({fields})"
+
+
+@pytest.mark.parametrize("sig", list(Sig))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_parse_tree_and_repr_are_the_recursive_forms(sig, data):
+    t = data.draw(random_terms(sig))
+    tree = fold(t, _tree, {})
+    assert syntax.joined(fold(t, cli._ast, {})) == json.dumps(tree, sort_keys=True)
+    assert cli._ast_text(t) == _tree_text(tree)
+    assert repr(t) == _repr(t)
 
 
 def _preorder(t):
@@ -597,6 +635,7 @@ class TestWalks:
         assert mv_to_w_term(w_to_mv_term(t)) is t
         text = print_term(t)
         assert text == "~" * 3000 + "p" and parse(text, Sig.W) is t
+        assert repr(t) == "Neg(arg=" * 3000 + "Var(name='p')" + ")" * 3000
         # the parts of a 3000-deep chain expand into two binary nodes each
         t = p
         for _ in range(3000):

@@ -4,6 +4,7 @@ preorder walk, the composed tables of finite sweeps, the tape cache, and the
 memory of a large sampled entailment."""
 
 import gc
+import itertools
 import tracemalloc
 from functools import partial
 
@@ -102,16 +103,55 @@ class TestValues:
         ((7, 1, 141), (141, 1)), ((141, 1), (7, 1, 141)),  # interleaved axes
         ((13, 141, 141), (141,)),  # a shared axis
         ((), (13, 141, 141)), ((13, 1), (141,)),  # a constant; a small result
+        ((141, 1, 1), (141, 141)), ((141, 141), (141, 1, 1)),  # a whole first axis
+        ((141, 1), (13, 1, 141)), ((13, 1, 141), (141, 1)),  # a whole middle axis
+        ((141, 1), (141,)), ((141,), (141, 1)),  # two whole axes
+        ((7, 1, 141), (1, 7, 1)), ((1, 7, 1), (7, 1, 141)),  # interleaved, cut short
     ], ids=str)
     def test_finite_lookup_on_any_operand_axes(self, sa, sb):
-        # impl is not commutative, so a swapped row and column shows
+        # impl is not commutative, so a swapped row and column shows; random
+        # indices first, then each whole carrier axis as a sweep's variable
+        # holds it, in order, and as pos of that, which repeats values
         m = resolve("chain:70@w")
         rng = np.random.default_rng(7)
-        a, b = (rng.integers(0, len(m.elements), size=s).astype(m.index_dtype)[()]
-                for s in (sa, sb))
-        got = m.vec_apply("impl", [a, b], 1)
-        want = m.tables["impl"][a, b]
-        assert got.shape == want.shape and np.array_equal(got, want)
+        n, pos = len(m.elements), m.tables["pos"]
+        a, b = (rng.integers(0, n, size=s).astype(m.index_dtype)[()] for s in (sa, sb))
+        var = lambda x: np.arange(n, dtype=m.index_dtype).reshape(x.shape) if x.size == n else x
+        for a, b in ((a, b), (var(a), var(b)), (pos[var(a)], pos[var(b)])):
+            got = m.vec_apply("impl", [a, b], 1)
+            want = m.tables["impl"][a, b]
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [20, 70])
+    def test_sum_permutations_sweep_every_valuation(self, n):
+        # (a (+) b) (+) c = c (+) (b (+) a) in every order of x, y, z, the
+        # inner sum on the right mirrored or not: each whole-axis layout of
+        # the row gather, on a sweep that composes
+        m = resolve(f"chain:{n}")
+        for a, b, c in itertools.permutations("xyz"):
+            for inner in (f"{b} (+) {a}", f"{a} (+) {b}"):
+                lhs = parse(f"({a} (+) {b}) (+) {c}", Sig.MV)
+                rhs = parse(f"{c} (+) ({inner})", Sig.MV)
+                report = check_equation(lhs, rhs, m, Exhaustive())
+                assert report.verdict is Verdict.VALID_EXHAUSTIVE
+                assert report.samples_tried == len(m.elements) ** 3
+
+    @pytest.mark.parametrize("order", list(itertools.permutations("xyz")), ids="".join)
+    def test_associativity_witness_is_the_first_in_row_major_order(self, order):
+        # truncated sums do not associate on chain:66; the witness and count
+        # are those of a walk over ``apply`` in row-major order of x, y, z
+        m = resolve("chain:66")
+        a, b, c = order
+        lhs = parse(f"{a} (+) ({b} (+) {c})", Sig.MV)
+        rhs = parse(f"({a} (+) {b}) (+) {c}", Sig.MV)
+        report = check_equation(lhs, rhs, m, Exhaustive())
+        plus = partial(m.apply, "oplus")
+        for i, values in enumerate(itertools.product(m.elements, repeat=3)):
+            v = dict(zip("xyz", values))
+            if plus(v[a], plus(v[b], v[c])) != plus(plus(v[a], v[b]), v[c]):
+                break
+        assert report.found_countermodel and report.samples_tried == i + 1
+        assert report.witness.valuation == v
 
 
 # the recursive reference evaluators of the standard models

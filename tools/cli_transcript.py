@@ -5,9 +5,10 @@ The commands are every ``sqmv`` line of the example block under README's
 ``## CLI`` heading, pipes included, the argument lists of the CLI
 determinism tests (``DETERMINISM_ARGV``), the grid and seeded checks of each
 standard model (``SAMPLING_ARGV``), an exact evaluation and a witness
-re-check on a deeply nested join and on a 3000-deep negation chain, a
-default grid refused on a deeper join, and the printed and translated forms
-of an 800-operand sum and of the join (``DEPTH_ARGV``), catalog names,
+re-check on a deeply nested join and on a 3000-deep negation chain, that
+chain's parse tree as text and as JSON, a default grid refused on a deeper
+join, and the printed and translated forms of an 800-operand sum and of the
+join (``DEPTH_ARGV``), catalog names,
 element literals, bindings and model lists that the readers accept or refuse
 (``READER_ARGV``), and the classification of the 81-element product in both
 signatures (``FOLD_ARGV``).  Each runs as ``python -m sqmv.cli`` from the
@@ -86,6 +87,8 @@ DEPTH_ARGV = [
     ("check-eq", "--model", "interval", "--strategy", "grid", nested_join(18), "x"),
     ("eval", "--model", "chain:1@w", "--let", "x=1", "~" * 3000 + "x"),
     ("check-eq", "--model", "chain:1@w", "~" * 3001 + "x", "x"),
+    ("parse", "--sig", "w", "~" * 3000 + "x"),
+    ("parse", "--sig", "w", "--json", "~" * 3000 + "x"),
     ("print", LONG_SUM),
     ("translate", "--to", "w", LONG_SUM),
     ("translate", "--to", "w", NESTED_JOIN),
