@@ -12,7 +12,7 @@ model builds its own batch values and reads them back.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import isqrt, lcm
@@ -356,7 +356,9 @@ class FiniteModel(Model):
         a, b = args[0], args[-1]
         if len(args) == 2 and a.size * b.size > WIDE:  # below, the flat take is as fast
             ka, kb = ([i for i, d in enumerate(x.shape, -x.ndim) if d > 1] for x in args)
-            for s, ks, o, ko, u in ((b, kb, a, ka, t), (a, ka, b, kb, t.T)):
+            sides = ((b, kb, a, ka, t), (a, ka, b, kb, t.T))
+            # the operand on the later axis first: the result is then no transposed view
+            for s, ks, o, ko, u in sides[::-1] if ka > kb else sides:
                 if len(ks) == 1 and s.shape[ks[0]] == len(self.elements) and ks[0] not in ko:
                     shape, k = np.broadcast(a, b).shape, ks[0]
                     r = u.take(s.ravel(), 1).take(o.ravel(), 0)  # rows of o, columns of s
@@ -598,6 +600,20 @@ class Tape:
     names: tuple[str, ...]
     outputs: tuple[int, ...]
     last_use: tuple[int, ...]
+    _reading: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def reading(self, groups: tuple[tuple[int, ...], ...]) -> list[list[str]]:
+        """The names that each group of outputs (by position) reads, in
+        ``names`` order; worked out once per tape and ``groups``."""
+        if (owns := self._reading.get(groups)) is None:
+            below: list[set] = []
+            for _, args in self.steps:
+                below.append({args} if type(args) is str
+                             else set().union(*map(below.__getitem__, args)))
+            owns = self._reading[groups] = [
+                [nm for nm in self.names if any(nm in below[self.outputs[j]] for j in g)]
+                for g in groups]
+        return owns
 
 
 def _tape(steps: list[tuple], outputs: tuple[int, ...]) -> Tape:
@@ -755,15 +771,12 @@ def _battery(m: FiniteModel, name: str) -> tuple[bool, dict, dict]:
     done = m._batteries.get(name)
     if done is None:
         # imported here because semantics imports this module
-        from .semantics import Exhaustive, check_equation
+        from .semantics import check_equations
 
-        results: dict[str, bool] = {}
-        witnesses: dict[str, dict] = {}
-        for eq in _BATTERIES[name](m.signature):
-            report = check_equation(eq.lhs, eq.rhs, m, Exhaustive())
-            results[eq.name] = not report.found_countermodel
-            if report.found_countermodel:
-                witnesses[eq.name] = report.witness.valuation
+        eqs = _BATTERIES[name](m.signature)
+        reports = check_equations([(eq.lhs, eq.rhs) for eq in eqs], m)
+        results = {eq.name: not r.found_countermodel for eq, r in zip(eqs, reports)}
+        witnesses = {eq.name: r.witness.valuation for eq, r in zip(eqs, reports) if r.witness}
         done = m._batteries[name] = (all(results.values()), results, witnesses)
     return done
 

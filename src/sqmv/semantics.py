@@ -2,12 +2,13 @@
 
 Infinite carriers get a semi-decision: grid and seeded random sampling, with
 ``NO_COUNTEREXAMPLE_FOUND`` kept distinct from the finite-carrier verdict
-``VALID_EXHAUSTIVE``.  Equations and entailments run through one driver,
-``_check``: one tape, one sweep on integer numerators over a common
-denominator (exact, no floats), and the re-evaluation of the first witness
-through the scalar Fraction path before it is returned.  Entailment reads
-designated values off ``designated_set``: the fixpoints of ``pos`` on the
-standard models, the image of (c -> 1) -> 1 in the impl table on finite ones.
+``VALID_EXHAUSTIVE``.  Equations, small batteries of them and entailments
+run through one driver, ``_check``: one tape, one sweep on integer numerators
+over a common denominator (exact, no floats), and the re-evaluation of the
+first witness through the scalar Fraction path before it is returned.
+Entailment reads designated values off ``designated_set``: the fixpoints of
+``pos`` on the standard models, the image of (c -> 1) -> 1 in the impl table
+on finite ones.
 This module decides how to sample; ``models`` owns what the values look like
 (grid points, seeded draws, the element of a batch value).
 """
@@ -321,7 +322,7 @@ def _first_witness(env: dict, bad_in) -> int | None:
     calling thread, and the sweep stops at the first block with a witness."""
     for offset, index, block in _blocks(_env_shape(env)):
         mask = bad_in({nm: _take(rep, index) for nm, rep in env.items()} if index else env)
-        hit = np.broadcast_to(mask, block).ravel()
+        hit = (mask if mask.shape == block else np.broadcast_to(mask, block)).ravel()
         if hit[i := int(hit.argmax())]:  # argmax stops at the first True
             return offset + i
     return None
@@ -356,11 +357,14 @@ def _tape(terms: Sequence[Term], sig: Sig) -> md.Tape:
 
 
 def _check(terms: Sequence[Term], m: Model, strategy: Strategy, seed: int,
-           bad, exact) -> CheckReport:
-    """Sweep the valuations of ``strategy`` for the first where the mask
-    ``bad(tape outputs)`` holds and re-evaluate ``terms`` there through
-    ``evaluate``: ``exact(values)`` gives the witness's ``(lhs, rhs)``, or
-    None where the exact values refute it, which raises."""
+           bad, exact, groups: Sequence[tuple[int, ...]]) -> list[CheckReport]:
+    """For each group of ``terms`` (by index), sweep the valuations of
+    ``strategy`` for the first where the mask ``bad(*the group's values)``
+    holds and re-evaluate the group there through ``evaluate``:
+    ``exact(*values)`` gives the witness's ``(lhs, rhs)``, or None where the
+    exact values refute it, which raises.  Several groups share one run of the
+    tape over an exhaustive sweep of one block, each read over the axes of its
+    own variables alone: its witness and ``samples`` are its own check's."""
     tape = _tape(terms, m.signature)
     env, D, total = _valuations(m, strategy, tape.names, terms, seed)
     # a composed tape gathers only at its kept steps, from tables of n*n
@@ -368,24 +372,47 @@ def _check(terms: Sequence[Term], m: Model, strategy: Strategy, seed: int,
     # a table's cells and a table fits a block
     if m.finite and max(md.WIDE, cells := len(m.elements) ** 2) < total and cells <= _SLICE:
         tape = md.compose(tape, m)
-    i = _first_witness(env, lambda part: bad(md.run(tape, m, part, D)))
-    if i is None:
-        exhaustive = isinstance(strategy, Exhaustive)
-        verdict = Verdict.VALID_EXHAUSTIVE if exhaustive else Verdict.NO_COUNTEREXAMPLE_FOUND
-        return CheckReport(verdict, total, strategy.describe(), seed)
-    valuation = _valuation_at(m, env, D, i)
-    pair = exact([evaluate(t, m, valuation) for t in terms])
-    if pair is None:
-        raise SemanticsError("batch path disagrees with the exact evaluator")
-    witness = Witness(m.name, valuation, *pair)
-    return CheckReport(Verdict.COUNTERMODEL, i + 1, strategy.describe(), seed, witness)
+    shared = md.run(tape, m, env, D) if len(groups) > 1 else None
+    reports = []
+    for g, own in zip(groups, [tape.names] if shared is None else tape.reading(groups)):
+        part = {nm: env[nm] for nm in own}
+        i = _first_witness(part, lambda p: bad(*map(
+            (shared or md.run(tape, m, p, D)).__getitem__, g)))
+        if i is None:
+            exhaustive = isinstance(strategy, Exhaustive)
+            verdict = Verdict.VALID_EXHAUSTIVE if exhaustive else Verdict.NO_COUNTEREXAMPLE_FOUND
+            count = total if shared is None else len(m.elements) ** len(own)
+            reports.append(CheckReport(verdict, count, strategy.describe(), seed))
+            continue
+        valuation = _valuation_at(m, part, D, i)
+        pair = exact(*[evaluate(terms[j], m, valuation) for j in g])
+        if pair is None:
+            raise SemanticsError("batch path disagrees with the exact evaluator")
+        witness = Witness(m.name, valuation, *pair)
+        reports.append(CheckReport(Verdict.COUNTERMODEL, i + 1, strategy.describe(), seed, witness))
+    return reports
+
+
+def _differ(lhs, rhs):
+    return (lhs, rhs) if lhs != rhs else None
 
 
 def check_equation(lhs: Term, rhs: Term, m: Model, strategy: Strategy,
                    seed: int = 0) -> CheckReport:
     """Decide / sample the equation lhs = rhs over ``m``."""
-    return _check((lhs, rhs), m, strategy, seed, lambda v: _vec_neq(*v),
-                  lambda v: v if v[0] != v[1] else None)
+    return _check((lhs, rhs), m, strategy, seed, _vec_neq, _differ, [(0, 1)])[0]
+
+
+def check_equations(pairs: Sequence[tuple[Term, Term]], m: Model) -> list[CheckReport]:
+    """``check_equation(lhs, rhs, m, Exhaustive())`` of each pair: all in one
+    sweep of one tape where ``m`` is finite and a sweep over all their
+    variables has at most ``models.WIDE`` valuations (one block, nothing
+    composed), one check per pair otherwise."""
+    terms = [t for pair in pairs for t in pair]
+    if not m.finite or len(m.elements) ** len(_tape(terms, m.signature).names) > md.WIDE:
+        return [check_equation(*pair, m, Exhaustive()) for pair in pairs]
+    return _check(terms, m, Exhaustive(), 0, _vec_neq, _differ,
+                  tuple((j, j + 1) for j in range(0, len(terms), 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -439,19 +466,20 @@ def check_entailment(premises: Sequence[Term], conclusion: Term, m: Model,
         raise SemanticsError("entailment is defined over the implicational signature")
     ds = designated_set(m)
 
-    def bad(values):
+    def bad(*values):
         *prems, concl = values
         out = ~ds.vec_contains(concl)
         for v in prems:
             out = out & ds.vec_contains(v)
         return out
 
-    def exact(values):
+    def exact(*values):
         *prems, concl = values
         countermodel = all(map(ds.contains, prems)) and not ds.contains(concl)
         return (concl, None) if countermodel else None
 
-    return _check((*premises, conclusion), m, strategy, seed, bad, exact)
+    return _check((*premises, conclusion), m, strategy, seed, bad, exact,
+                  [range(len(premises) + 1)])[0]
 
 
 # ---------------------------------------------------------------------------

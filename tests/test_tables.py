@@ -9,6 +9,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sqmv.semantics as sem
 from conftest import clamp1, random_term
@@ -17,6 +19,8 @@ from sqmv.cli import main
 from sqmv.models import (
     ADJOINED,
     FINITE_CATALOG,
+    WIDE,
+    _BATTERIES,
     FiniteModel,
     _build,
     _split_top,
@@ -33,7 +37,7 @@ from sqmv.models import (
     run,
 )
 from sqmv.semantics import Exhaustive, check_equation, evaluate
-from sqmv.syntax import Sig, parse
+from sqmv.syntax import NegPart, Sig, parse
 from sqmv.transform import mv_to_w_model, tables_equal, w_to_mv_model
 
 VIEWS = [v for name in FINITE_CATALOG for v in (name, name + "@w")]
@@ -201,21 +205,22 @@ class TestDtypeBoundaries:
 # Batteries on demand
 
 
-def count_checks(monkeypatch):
-    """Record (model, lhs, rhs) of every check_equation call."""
+def count_sweeps(monkeypatch):
+    """Record (model, formulas) of every sweep: each call of the one check
+    driver, which runs a whole battery on a small model."""
     calls = []
-    real = sem.check_equation
+    real = sem._check
 
-    def counting(lhs, rhs, m, *args, **kwargs):
-        calls.append((m.name, lhs, rhs))
-        return real(lhs, rhs, m, *args, **kwargs)
+    def counting(terms, m, *args, **kwargs):
+        calls.append((m.name, tuple(terms)))
+        return real(terms, m, *args, **kwargs)
 
-    monkeypatch.setattr(sem, "check_equation", counting)
+    monkeypatch.setattr(sem, "_check", counting)
     return calls
 
 
-def pairs(eqs):
-    return [(eq.lhs, eq.rhs) for eq in eqs]
+def formulas(eqs):
+    return tuple(t for eq in eqs for t in (eq.lhs, eq.rhs))
 
 
 class TestBatteryCache:
@@ -223,19 +228,21 @@ class TestBatteryCache:
     def test_round_trip_runs_quasi_and_strong_only(self, monkeypatch, name):
         m = _build(name)
         sig, other = m.signature, Sig.W if m.signature is Sig.MV else Sig.MV
-        calls = count_checks(monkeypatch)
+        calls = count_sweeps(monkeypatch)
         there, back = ((mv_to_w_model, w_to_mv_model) if sig is Sig.MV
                        else (w_to_mv_model, mv_to_w_model))
         assert tables_equal(back(there(m)), m)
-        on_m = [(l, r) for nm, l, r in calls if nm == m.name]
-        on_view = [(l, r) for nm, l, r in calls if nm != m.name]
-        assert on_m == pairs(axioms.quasi_axioms(sig) + axioms.strong_axioms(sig))
-        assert on_view == pairs(axioms.quasi_axioms(other) + axioms.strong_axioms(other))
+        # each battery of these small models is one sweep of all its formulas
+        on_m = [terms for nm, terms in calls if nm == m.name]
+        on_view = [terms for nm, terms in calls if nm != m.name]
+        assert on_m == [formulas(axioms.quasi_axioms(sig)), formulas(axioms.strong_axioms(sig))]
+        assert on_view == [formulas(axioms.quasi_axioms(other)),
+                           formulas(axioms.strong_axioms(other))]
 
         calls.clear()
         classify(m)
-        assert [(l, r) for _, l, r in calls] == pairs(
-            [axioms.flat_equation(sig)] + axioms.star_axioms(sig))
+        assert [terms for _, terms in calls] == [
+            formulas([axioms.flat_equation(sig)]), formulas(axioms.star_axioms(sig))]
         calls.clear()
         classify(m)
         is_strong(m)
@@ -260,6 +267,78 @@ class TestBatteryCache:
             assert a == b and a is not b
             a.clear()
             assert battery(sig) == b
+
+
+# ---------------------------------------------------------------------------
+# One sweep per battery against one check per equation
+
+
+SMALL_VIEWS = [v for v in VIEWS if len(resolve(v).elements) <= 25]
+
+
+def per_equation(pairs, m):
+    return [check_equation(lhs, rhs, m, Exhaustive()) for lhs, rhs in pairs]
+
+
+@st.composite
+def table_models(draw, sig):
+    """A model with random tables (not an algebra) on 1..25 elements, each
+    element its own carrier index, whose ``npart`` is the identity."""
+    n = draw(st.sampled_from(range(1, 26)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tables = {op: rng.integers(0, n, (n,) * arity) for op, arity in ops_for(sig).items()}
+    tables["npart"] = np.arange(n)
+    consts = {c: int(rng.integers(0, n)) for c in ("zero", "one")}
+    return FiniteModel(f"random:{n}", sig, tuple(range(n)), tables, consts)
+
+
+class TestBatterySweep:
+    @pytest.mark.parametrize("name", SMALL_VIEWS)
+    def test_classify_equals_one_check_per_equation(self, name):
+        m = _build(name)
+        flags = classify(m)
+        sig = m.signature
+        for battery in _BATTERIES.values():
+            eqs = battery(sig)
+            pairs = [(eq.lhs, eq.rhs) for eq in eqs]
+            want = per_equation(pairs, m)
+            assert sem.check_equations(pairs, m) == want
+            for eq, report in zip(eqs, want):
+                assert flags.axiom_results[eq.name] is not report.found_countermodel
+                assert flags.witnesses.get(eq.name) == (report.witness and report.witness.valuation)
+
+    def test_the_small_views_are_those_that_fit_one_sweep(self):
+        # the quasi and star batteries read three variables
+        assert len(SMALL_VIEWS) == 18
+        assert all((len(resolve(v).elements) ** 3 <= WIDE) is (v in SMALL_VIEWS) for v in VIEWS)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), sig=st.sampled_from(Sig), seed=st.integers(0, 2**32 - 1))
+    def test_random_tables(self, data, sig, seed):
+        m = data.draw(table_models(sig))
+        n, rnd = len(m.elements), random.Random(seed)
+        subset = tuple(rnd.sample("xyz", rnd.randint(1, 2)))
+
+        def term(names):
+            return random_term(rnd, sig, 4, names)
+
+        t = random_term(rnd, sig, 4, subset, allow_parts=False)  # t reads no npart
+        pairs = [
+            (term("xyz"), term("xyz")),
+            (term(subset), term(subset)),   # a strict subset of the variables
+            (term(subset[:1]), term(subset[-1:])),
+            (term(()), term(())),           # no variable at all
+            (NegPart(t), t),                # holds on m, as npart is the identity
+        ]
+        # the same model with npart changed in one entry, the value of t at
+        # the last valuation: there t^- = t fails, and perhaps before
+        tables = {op: tbl.copy() for op, tbl in m.tables.items()}
+        cell = evaluate(t, m, dict.fromkeys(subset, n - 1))
+        tables["npart"][cell] = (cell + 1) % n
+        planted = FiniteModel(f"planted:{n}", sig, m.elements, tables, m.consts)
+        reports = [sem.check_equations(pairs, model) for model in (m, planted)]
+        assert reports == [per_equation(pairs, model) for model in (m, planted)]
+        assert [r[-1].found_countermodel for r in reports] == [False, n > 1]
 
 
 # ---------------------------------------------------------------------------

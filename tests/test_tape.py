@@ -413,12 +413,24 @@ class TestTapeCache:
 
     def test_classify_compiles_each_battery_equation_once(self, tapes):
         for sig in Sig:
-            # two fresh models of one signature, so that nothing else is cached
+            # fresh models of one signature, so that nothing else is cached; a
+            # view of at most 25 elements sweeps each battery through one tape
             chains = [models.finite_chain(2), models.finite_chain(3)]
             for m in chains if sig is Sig.MV else map(models.finite_w_view, chains):
                 models.classify(m)
-            equations = {(id(eq.lhs), id(eq.rhs)) for battery in models._BATTERIES.values()
-                         for eq in battery(sig)}
+            batteries = {name: battery(sig) for name, battery in models._BATTERIES.items()}
+            assert len(tapes) == len(set(tapes)) == len(batteries)
+            assert set(tapes) == {tuple(id(t) for eq in eqs for t in (eq.lhs, eq.rhs))
+                                  for eqs in batteries.values()}
+            tapes.clear()
+            # on the 49- and 81-element views each equation of the 3-variable
+            # batteries is its own tape (the battery's tape above, which
+            # names its variables, is not compiled again); the strong and
+            # flat batteries read one variable or none and sweep as above
+            for name in ("product:chain:3,flatten:chain:3:0", PRODUCT_81):
+                models.classify(_build(name + ("" if sig is Sig.MV else "@w")))
+            equations = {(id(eq.lhs), id(eq.rhs)) for name in ("quasi", "star")
+                         for eq in batteries[name]}
             assert len(tapes) == len(set(tapes)) and set(tapes) == equations
             tapes.clear()
 

@@ -10,8 +10,9 @@ chain's parse tree as text and as JSON, a default grid refused on a deeper
 join, and the printed and translated forms of an 800-operand sum and of the
 join (``DEPTH_ARGV``), catalog names,
 element literals, bindings and model lists that the readers accept or refuse
-(``READER_ARGV``), and the classification of the 81-element product in both
-signatures (``FOLD_ARGV``).  Each runs as ``python -m sqmv.cli`` from the
+(``READER_ARGV``), and ``classify``, ``classify --json`` and ``audit-axioms``
+on every finite catalog view (``FINITE_ARGV``; the 49- and 81-element ones
+sweep composed tapes).  Each runs as ``python -m sqmv.cli`` from the
 repository root, with ``src/`` first on the import path.
 A pipe runs its stages one after another, each reading the previous stage's
 output; it reports the last stage's exit code and stdout, and the stderr of
@@ -20,11 +21,15 @@ every stage.  Run from anywhere, with no options:
     python3 tools/cli_transcript.py > transcript.json
 
 It prints one JSON object that maps each command to its exit code, stdout and
-stderr.  Two checkouts print identical bytes when their CLI output agrees.
+stderr.  An output of at most ``VERBATIM_BYTES`` bytes is recorded as it is,
+a longer one (such as the parse tree of the 3000-deep chain) by its byte count
+and SHA-256, so the transcript stays small enough to diff and still pins every
+byte.  Two checkouts print identical bytes when their CLI output agrees.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pathlib
@@ -35,6 +40,9 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
+sys.path.insert(0, str(ROOT / "src"))
+
+from sqmv.models import FINITE_CATALOG  # noqa: E402
 
 # the argument lists of tests/test_cli.py::TestDeterminism
 DETERMINISM_ARGV = [
@@ -116,12 +124,25 @@ READER_ARGV = [
     ("find-countermodel", "--models", "chain:1,,square", "x (+) 0", "x"),
 ]
 
-# classifications whose 3-variable sweeps are wide enough (more than 2^14
-# valuations, more than a table's cells) to run on composed tapes
-FOLD_ARGV = [
-    ("classify", "--model", PRODUCT_81),
-    ("classify", "--model", PRODUCT_81 + "@w"),
+# every finite catalog view in both signatures
+FINITE_ARGV = [
+    argv
+    for name in FINITE_CATALOG
+    for model in (name, name + "@w")
+    for argv in (("classify", "--model", model), ("classify", "--model", model, "--json"),
+                 ("audit-axioms", "--model", model))
 ]
+
+# longer outputs are recorded by their byte count and SHA-256
+VERBATIM_BYTES = 2**14
+
+
+def recorded(text: str):
+    """``text`` as the transcript records it."""
+    data = text.encode()
+    if len(data) <= VERBATIM_BYTES:
+        return text
+    return {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def readme_examples() -> list[tuple[str, str]]:
@@ -157,8 +178,10 @@ def transcript() -> dict:
     commands = [command for command, _ in readme_examples()]
     commands += [shlex.join(("sqmv", *argv))
                  for argv in DETERMINISM_ARGV + SAMPLING_ARGV + DEPTH_ARGV + READER_ARGV
-                 + FOLD_ARGV]
-    return {command: run(command) for command in commands}
+                 + FINITE_ARGV]
+    return {command: {key: recorded(value) if isinstance(value, str) else value
+                      for key, value in run(command).items()}
+            for command in commands}
 
 
 def main() -> int:

@@ -8,8 +8,12 @@
   ``a (+) (b (+) c) = (a (+) b) (+) c``, which fails at an early witness.
   With k = 2 the orders are those of ``x, y, x``.
 - ``batteries``: each of the four classification batteries (quasi, strong,
-  flat, star) on the 81-element product model, in both signatures, as
-  ``classify`` runs them: one exhaustive ``check_equation`` per equation.
+  flat, star) on each catalog view of at most 25 elements and on the
+  81-element product model in both signatures, as ``classify`` runs them
+  (``models._battery`` with the model's battery cache emptied before each
+  run): one sweep of one tape per battery where a sweep over all its
+  variables has at most ``models.WIDE`` valuations, and one exhaustive
+  ``check_equation`` per equation otherwise.
 
 Each entry is the median over ``REPEAT`` runs, in milliseconds. The formulas
 are parsed once and kept alive, so their tapes are compiled once and every
@@ -81,13 +85,17 @@ def sweeps() -> dict:
 
 
 def batteries() -> dict:
-    m = models.resolve(PRODUCT_81)
+    views = [v for name in models.FINITE_CATALOG for v in (name, name + "@w")
+             if len(models.resolve(v).elements) <= 25]
     report = {}
-    for view in (m, models.resolve(PRODUCT_81 + "@w")):
-        for name, make in models._BATTERIES.items():
-            eqs = make(view.signature)
-            report[f"{view.signature.value} {name}"] = median_ms(
-                lambda: [check_equation(e.lhs, e.rhs, view, Exhaustive()) for e in eqs])
+    for view in views + [PRODUCT_81, PRODUCT_81 + "@w"]:
+        m = models.resolve(view)
+        entry = report[view] = {}
+        for name in models._BATTERIES:
+            def run():
+                m._batteries.pop(name, None)
+                models._battery(m, name)
+            entry[name] = median_ms(run)
     return report
 
 
