@@ -149,6 +149,7 @@ class Model:
     name: str
     signature: Sig
     finite: bool
+    factors: tuple = ()
 
     def check_member(self, el) -> None:
         if not self.contains(el):
@@ -307,12 +308,13 @@ class FiniteModel(Model):
     """``tables[op]`` holds carrier indices in a read-only C-contiguous array
     (2-D for binary, 1-D for unary operations) of ``index_dtype``, so the flat
     lookup ``tbl.take(l * n + r)`` cannot overflow; the constructor copies
-    nested lists or arrays into that form."""
+    nested lists or arrays into that form.  ``factors`` are the models whose
+    componentwise product the tables are (see ``product``), or ``()``."""
 
     finite = True
 
     def __init__(self, name: str, signature: Sig, elements: tuple,
-                 tables: dict, consts: dict):
+                 tables: dict, consts: dict, factors: tuple = ()):
         self.name = name
         self.signature = signature
         self.elements = tuple(elements)
@@ -326,6 +328,7 @@ class FiniteModel(Model):
             arr.flags.writeable = False
             self.tables[op] = arr
         self.consts = consts          # const name -> index
+        self.factors = factors
         # battery name -> (all hold, results, witnesses), filled by _battery
         self._batteries: dict[str, tuple[bool, dict, dict]] = {}
 
@@ -523,7 +526,9 @@ def flattening(base: FiniteModel, k=None) -> FiniteModel:
 
 
 def product(m1: FiniteModel, m2: FiniteModel) -> FiniteModel:
-    """Componentwise product of two finite models; tables assembled on index arrays."""
+    """Componentwise product of two finite models; tables assembled on index
+    arrays.  It keeps ``(m1, m2)`` as its ``factors``: it satisfies exactly
+    the equations that both of them satisfy."""
     if not (m1.finite and m2.finite):
         raise SpecError("product is available for finite factors only")
     if m1.signature is not m2.signature:
@@ -546,7 +551,7 @@ def product(m1: FiniteModel, m2: FiniteModel) -> FiniteModel:
     consts = {}
     for cname in set(m1.consts) & set(m2.consts):
         consts[cname] = m1.consts[cname] * n2 + m2.consts[cname]
-    return FiniteModel(name, sig, els, tables, consts)
+    return FiniteModel(name, sig, els, tables, consts, (m1, m2))
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +560,8 @@ def product(m1: FiniteModel, m2: FiniteModel) -> FiniteModel:
 
 def _signature_view(m: FiniteModel, sig: Sig, name: str) -> FiniteModel:
     """``m`` in the signature ``sig``: x -> y is -x (+) y, x (+) y is ~x -> y,
-    minus is negation, and 0 is 1 -> 1."""
+    minus is negation, and 0 is 1 -> 1.  These are componentwise, so the view
+    of a product is the product of its factors' views, its ``factors``."""
     t, one = m.tables, m.consts["one"]
     if sig is Sig.W:
         tables = {"impl": t["oplus"][t["uminus"]], "wneg": t["uminus"]}
@@ -564,7 +570,8 @@ def _signature_view(m: FiniteModel, sig: Sig, name: str) -> FiniteModel:
         tables = {"oplus": t["impl"][t["wneg"]], "uminus": t["wneg"]}
         zero = int(t["impl"][one, one])
     tables.update(pos=t["pos"], npart=t["npart"])
-    return FiniteModel(name, sig, m.elements, tables, {"one": one, "zero": zero})
+    factors = tuple(_signature_view(f, sig, f"{f.name}@{sig.value}") for f in m.factors)
+    return FiniteModel(name, sig, m.elements, tables, {"one": one, "zero": zero}, factors)
 
 
 def finite_w_view(m: FiniteModel, name: str | None = None) -> FiniteModel:

@@ -407,10 +407,17 @@ def check_equations(pairs: Sequence[tuple[Term, Term]], m: Model) -> list[CheckR
     """``check_equation(lhs, rhs, m, Exhaustive())`` of each pair: all in one
     sweep of one tape where ``m`` is finite and a sweep over all their
     variables has at most ``models.WIDE`` valuations (one block, nothing
-    composed), one check per pair otherwise."""
+    composed), one check per pair otherwise.  There, a pair that holds on
+    every factor of ``m`` (see ``models.product``) holds on ``m`` and is not
+    swept: it reports the product of its factors' ``samples``, which is n^k
+    over its own k variables, since n is the product of their sizes."""
     terms = [t for pair in pairs for t in pair]
     if not m.finite or len(m.elements) ** len(_tape(terms, m.signature).names) > md.WIDE:
-        return [check_equation(*pair, m, Exhaustive()) for pair in pairs]
+        on = [check_equations(pairs, f) for f in m.factors]
+        return [CheckReport(Verdict.VALID_EXHAUSTIVE, prod(rs[j].samples_tried for rs in on),
+                            Exhaustive().describe(), 0)
+                if on and not any(rs[j].found_countermodel for rs in on)
+                else check_equation(*pair, m, Exhaustive()) for j, pair in enumerate(pairs)]
     return _check(terms, m, Exhaustive(), 0, _vec_neq, _differ,
                   tuple((j, j + 1) for j in range(0, len(terms), 2)))
 

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction as F
+from functools import partial
 
 import numpy as np
 import pytest
@@ -29,10 +30,15 @@ from sqmv.models import (
     compile,
     finite_chain,
     finite_model_from_ops,
+    finite_mv_view,
+    finite_w_view,
     flattening,
     is_strong,
+    mu_congruence,
     ops_for,
+    product,
     product_axes,
+    quotient,
     resolve,
     run,
 )
@@ -339,6 +345,74 @@ class TestBatterySweep:
         reports = [sem.check_equations(pairs, model) for model in (m, planted)]
         assert reports == [per_equation(pairs, model) for model in (m, planted)]
         assert [r[-1].found_countermodel for r in reports] == [False, n > 1]
+
+
+# ---------------------------------------------------------------------------
+# A product's valid battery laws read off its factors
+
+
+PRODUCT_81 = "product:(product:chain:1,flatten:chain:1:0),(product:chain:1,flatten:chain:1:0)"
+PRODUCT_49 = "product:chain:3,flatten:chain:3:0"
+UNEQUAL = "product:(product:chain:1,flatten:chain:1:0),chain:2"  # 9 by 5 elements
+PRODUCT_VIEWS = [v for name in (PRODUCT_81, PRODUCT_49, UNEQUAL) for v in (name, name + "@w")]
+
+
+class TestProductBatteries:
+    @pytest.mark.parametrize("name", PRODUCT_VIEWS)
+    def test_batteries_equal_one_check_per_equation(self, monkeypatch, name):
+        m = _build(name)
+        calls = count_sweeps(monkeypatch)
+        for battery_name, battery in _BATTERIES.items():
+            pairs = [(eq.lhs, eq.rhs) for eq in battery(m.signature)]
+            calls.clear()
+            got = sem.check_equations(pairs, m)
+            swept = [terms for nm, terms in calls if nm == m.name]
+            assert got == per_equation(pairs, m)
+            if battery_name in ("quasi", "star"):
+                # three variables over more than 25 elements: only the laws
+                # that fail are swept on the product itself
+                assert swept == [pair for pair, r in zip(pairs, got) if r.found_countermodel]
+
+    @pytest.mark.parametrize("name", PRODUCT_VIEWS)
+    def test_classify_equals_classify_without_factors(self, name):
+        m = _build(name)
+        bare = FiniteModel(m.name, m.signature, m.elements, m.tables, m.consts)
+        assert m.factors and bare.factors == ()
+        flags, want = classify(m), classify(bare)
+        assert flags == want  # flags, results and witnesses
+        assert list(flags.axiom_results) == list(want.axiom_results)
+
+
+FACTOR_PAIRS = [("chain:3", "flatten:chain:3:0"), ("product:chain:1,flatten:chain:1:0", "chain:2"),
+                ("chain:1", "chain:1"), ("ex32-grid", "chain:1")]
+
+
+class TestProductFactors:
+    @pytest.mark.parametrize("a, b", FACTOR_PAIRS)
+    def test_a_view_of_a_product_is_the_product_of_the_views(self, a, b):
+        m1, m2 = resolve(a), resolve(b)
+        m = product(m1, m2)
+        assert m.factors == (m1, m2)
+        w = finite_w_view(m)
+        assert tables_equal(w, product(finite_w_view(m1), finite_w_view(m2)))
+        assert [f.name for f in w.factors] == [a + "@w", b + "@w"]
+        assert all(tables_equal(f, finite_w_view(g)) for f, g in zip(w.factors, m.factors))
+        # and back: the additive view of a product of implicational models
+        w1, w2 = w.factors
+        wp = product(w1, w2)
+        mv = finite_mv_view(wp)
+        assert tables_equal(mv, product(finite_mv_view(w1), finite_mv_view(w2)))
+        assert tables_equal(mv, m)
+        assert all(tables_equal(f, finite_mv_view(g)) for f, g in zip(mv.factors, wp.factors))
+
+    def test_other_constructions_have_no_factors(self):
+        m = resolve("product:chain:1,chain:2")
+        assert flattening(m, (F(0), F(0))).factors == ()
+        assert quotient(m, mu_congruence(m)).factors == ()
+        ops = {op: partial(m.apply, op) for op in ops_for(Sig.MV)}
+        copy = finite_model_from_ops("copy", Sig.MV, m.elements, ops,
+                                     {c: m.const(c) for c in m.consts})
+        assert tables_equal(copy, m) and copy.factors == ()
 
 
 # ---------------------------------------------------------------------------

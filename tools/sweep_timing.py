@@ -8,12 +8,14 @@
   ``a (+) (b (+) c) = (a (+) b) (+) c``, which fails at an early witness.
   With k = 2 the orders are those of ``x, y, x``.
 - ``batteries``: each of the four classification batteries (quasi, strong,
-  flat, star) on each catalog view of at most 25 elements and on the
-  81-element product model in both signatures, as ``classify`` runs them
-  (``models._battery`` with the model's battery cache emptied before each
-  run): one sweep of one tape per battery where a sweep over all its
-  variables has at most ``models.WIDE`` valuations, and one exhaustive
-  ``check_equation`` per equation otherwise.
+  flat, star) on each catalog view of at most 25 elements and on the 49-
+  and 81-element product models in both signatures, as ``classify`` runs
+  them (``models._battery`` with the model's battery cache emptied before
+  each run): one sweep of one tape per battery where a sweep over all its
+  variables has at most ``models.WIDE`` valuations.  Otherwise, on a
+  product, the battery runs on each factor, and one exhaustive
+  ``check_equation`` runs on the product for each equation that fails on a
+  factor; on any other model, one runs per equation.
 
 Each entry is the median over ``REPEAT`` runs, in milliseconds. The formulas
 are parsed once and kept alive, so their tapes are compiled once and every
@@ -50,6 +52,7 @@ SIZES = (20, 40, 70)
 REPEAT = 7  # runs per entry; the median counts
 MALLOC_ENV = {"MALLOC_MMAP_THRESHOLD_": str(32 * 2**20),
               "MALLOC_TRIM_THRESHOLD_": str(2**30)}
+PRODUCT_49 = "product:chain:3,flatten:chain:3:0"
 PRODUCT_81 = "product:(product:chain:1,flatten:chain:1:0),(product:chain:1,flatten:chain:1:0)"
 FORMS = {
     "sum": "({0} (+) {1}) (+) {2} = {2} (+) ({1} (+) {0})",
@@ -88,7 +91,7 @@ def batteries() -> dict:
     views = [v for name in models.FINITE_CATALOG for v in (name, name + "@w")
              if len(models.resolve(v).elements) <= 25]
     report = {}
-    for view in views + [PRODUCT_81, PRODUCT_81 + "@w"]:
+    for view in views + [PRODUCT_49, PRODUCT_49 + "@w", PRODUCT_81, PRODUCT_81 + "@w"]:
         m = models.resolve(view)
         entry = report[view] = {}
         for name in models._BATTERIES:
