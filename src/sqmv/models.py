@@ -345,17 +345,15 @@ class FiniteModel(Model):
             self.check_member(x)
         return self.elements[self.tables[op][tuple(self.index[x] for x in args)]]
 
-    def vec_const(self, name, D: int):
-        """The carrier index of the constant ``name`` (its name or, see
-        ``compose``, that index)."""
-        return self.index_dtype.type(self.consts[name] if isinstance(name, str) else name)
+    def vec_const(self, name: str, D: int):
+        """The carrier index of the constant ``name``."""
+        return self.index_dtype.type(self.consts[name])
 
-    def vec_apply(self, op, args, D: int):
-        """``op`` (an operation's name or a table, see ``compose``) at the
-        carrier indices ``args``.  A wide step with an operand along one whole
-        carrier axis that the other does not read gathers whole rows of one n*n
-        table of that operand's columns."""
-        t = self.tables[op] if isinstance(op, str) else op
+    def vec_apply(self, op: str, args, D: int):
+        """The operation ``op`` at the carrier indices ``args``.  A wide step
+        with an operand along one whole carrier axis that the other does not
+        read gathers whole rows of one n*n table of that operand's columns."""
+        t = self.tables[op]
         a, b = args[0], args[-1]
         if len(args) == 2 and a.size * b.size > WIDE:  # below, the flat take is as fast
             ka, kb = ([i for i, d in enumerate(x.shape, -x.ndim) if d > 1] for x in args)
@@ -399,8 +397,8 @@ class FiniteModel(Model):
 
 
 # A batch of more than this many values is wide: a binary table gathers its
-# rows and then their columns, and a finite sweep composes its tape (below
-# it, the flat take and the tape as compiled are as fast).
+# rows and then their columns (below it, the flat take is as fast); a
+# battery is swept in one run only up to it (``semantics.check_equations``).
 WIDE = 2**14
 
 # Larger finite carriers are refused before their tables are built; this bounds
@@ -561,7 +559,8 @@ def product(m1: FiniteModel, m2: FiniteModel) -> FiniteModel:
 def _signature_view(m: FiniteModel, sig: Sig, name: str) -> FiniteModel:
     """``m`` in the signature ``sig``: x -> y is -x (+) y, x (+) y is ~x -> y,
     minus is negation, and 0 is 1 -> 1.  These are componentwise, so the view
-    of a product is the product of its factors' views, its ``factors``."""
+    of a product is the product of its factors' views, its ``factors``, one
+    view per distinct factor."""
     t, one = m.tables, m.consts["one"]
     if sig is Sig.W:
         tables = {"impl": t["oplus"][t["uminus"]], "wneg": t["uminus"]}
@@ -570,7 +569,8 @@ def _signature_view(m: FiniteModel, sig: Sig, name: str) -> FiniteModel:
         tables = {"oplus": t["impl"][t["wneg"]], "uminus": t["wneg"]}
         zero = int(t["impl"][one, one])
     tables.update(pos=t["pos"], npart=t["npart"])
-    factors = tuple(_signature_view(f, sig, f"{f.name}@{sig.value}") for f in m.factors)
+    views = {f: _signature_view(f, sig, f"{f.name}@{sig.value}") for f in dict.fromkeys(m.factors)}
+    factors = tuple(map(views.__getitem__, m.factors))
     return FiniteModel(name, sig, m.elements, tables, {"one": one, "zero": zero}, factors)
 
 
@@ -597,11 +597,9 @@ def product_axes(values: np.ndarray, k: int) -> list[np.ndarray]:
 @dataclass(frozen=True)
 class Tape:
     """Formulas as a post-order program, one step ``("var", name)`` or ``(op,
-    argument steps)`` per distinct subterm, ``op`` an operation's name (or,
-    once ``compose`` has run, a finite model's table, or a constant's carrier
-    index).  ``last_use[i]`` is
-    the last step reading step i, past the end for the formulas'
-    ``outputs``."""
+    argument steps)`` per distinct subterm, ``op`` an operation's or a
+    constant's name.  ``last_use[i]`` is the last step reading step i, past
+    the end for the formulas' ``outputs``."""
 
     steps: tuple[tuple, ...]
     names: tuple[str, ...]
@@ -623,14 +621,6 @@ class Tape:
         return owns
 
 
-def _tape(steps: list[tuple], outputs: tuple[int, ...]) -> Tape:
-    """The tape of ``steps``; a variable's step is the one whose arguments are a name."""
-    last = {j: i for i, (_, args) in enumerate(steps) if type(args) is not str for j in args}
-    last.update(dict.fromkeys(outputs, len(steps)))
-    names = tuple(sorted(args for _, args in steps if type(args) is str))
-    return Tape(tuple(steps), names, outputs, tuple(last[j] for j in range(len(steps))))
-
-
 def compile(terms: Sequence[Term], sig: Sig) -> Tape:
     """One step per distinct subterm of ``terms``, numbered in the order one
     ``fold`` over all of them finishes the nodes: each after its arguments."""
@@ -643,81 +633,11 @@ def compile(terms: Sequence[Term], sig: Sig) -> Tape:
         return len(steps) - 1
 
     memo: dict[Term, int] = {}
-    return _tape(steps, tuple(fold(t, step, memo) for t in terms))
-
-
-def _along(t: np.ndarray, basis: tuple, axes: tuple) -> np.ndarray:
-    """The table ``t`` over ``basis`` as an array over ``axes`` (which hold
-    ``basis``), a one-step table along its own axis."""
-    if len(basis) == len(axes):
-        return t if basis == axes else t.T
-    return t[:, None] if basis[0] == axes[0] else t
-
-
-def compose(tape: Tape, m: FiniteModel) -> Tape:
-    """``tape`` on ``m`` with each step one table over at most two kept
-    steps, its basis, so that ``run`` gathers only at the kept steps.  A
-    variable is kept and is its own basis; a step with no variable below it
-    is a carrier index; a unary step, or a binary step with a constant
-    argument, is a unary table on its operand's basis and remembers its
-    root, the nearest binary or variable step down that chain.  A binary
-    step whose operands span at most two kept steps is tabulated over them
-    (one n*n gather here, none per block); where they span more, the wider
-    operand is cut: its root is kept, once, and read by every later step
-    on that root.  The outputs are kept.  Each table has at most n*n cells
-    and is dropped after its last reader.  A tape of variables and binary
-    steps alone comes back as it is."""
-    if all(type(args) is str or len(args) == 2 for _, args in tape.steps):
-        # such a tape keeps every step but where a subterm repeats a
-        # variable, as x (+) (x (+) y): not worth the walk
-        return tape
-    ident = np.arange(len(m.elements), dtype=m.index_dtype)
-    steps: list[tuple] = []     # the composed tape
-    kept: dict[int, int] = {}   # step -> its composed step
-    const: dict[int, int] = {}  # step with no variable below it -> its carrier index
-    # step -> (table, basis, root, table on the root's value); a root is
-    # (its step, its table, its basis), which a cut keeps
-    info: list = [None] * len(tape.steps)
-
-    def read(j: int) -> tuple:
-        t, basis, root, u = info[j]
-        return (u, (kept[root[0]],)) if root[0] in kept else (t, basis)
-
-    def keep(j: int, step: tuple) -> None:
-        kept[j] = len(steps)
-        steps.append(step)
-
-    for i, (op, args) in enumerate(tape.steps):
-        if type(args) is str:
-            keep(i, (op, args))
-            basis = (kept[i],)
-            info[i] = (ident, basis, (i, ident, basis), ident)
-            continue
-        if all(j in const for j in args):
-            const[i] = int(m.tables[op][tuple(const[j] for j in args)]) if args else m.consts[op]
-            continue
-        t, a, b = m.tables[op], args[0], args[-1]
-        if a in const or b in const:
-            t, a = (t[const[a]], b) if a in const else (t[:, const[b]], a)
-        ta, ba = read(a)
-        if t.ndim == 1:  # a unary table
-            info[i] = (t[ta], ba, info[a][2], t[info[a][3]])
-        else:
-            tb, bb = read(b)
-            while len(basis := tuple(dict.fromkeys(ba + bb))) > 2:
-                r, rt, rb = info[a if len(ba) >= len(bb) else b][2]  # the wider's root
-                keep(r, (rt, rb))
-                (ta, ba), (tb, bb) = read(a), read(b)
-            if not (len(basis) == 2 and ta is ident and tb is ident):  # else t is the table
-                t = t[_along(ta, ba, basis), _along(tb, bb, basis)]
-            info[i] = (t, basis, (i, t, basis), ident)
-        for j in args:
-            if tape.last_use[j] == i:
-                info[j] = None
-    for j in tape.outputs:
-        if j not in kept:
-            keep(j, (const[j], ()) if j in const else read(j))
-    return _tape(steps, tuple(kept[j] for j in tape.outputs))
+    outputs = tuple(fold(t, step, memo) for t in terms)
+    last = {j: i for i, (_, args) in enumerate(steps) if type(args) is not str for j in args}
+    last.update(dict.fromkeys(outputs, len(steps)))
+    names = tuple(sorted(args for _, args in steps if type(args) is str))
+    return Tape(tuple(steps), names, outputs, tuple(last[j] for j in range(len(steps))))
 
 
 def run(tape: Tape, m: Model, env: dict, D: int) -> list:

@@ -367,11 +367,6 @@ def _check(terms: Sequence[Term], m: Model, strategy: Strategy, seed: int,
     own variables alone: its witness and ``samples`` are its own check's."""
     tape = _tape(terms, m.signature)
     env, D, total = _valuations(m, strategy, tape.names, terms, seed)
-    # a composed tape gathers only at its kept steps, from tables of n*n
-    # cells built once per check: compose when the sweep is wide, outnumbers
-    # a table's cells and a table fits a block
-    if m.finite and max(md.WIDE, cells := len(m.elements) ** 2) < total and cells <= _SLICE:
-        tape = md.compose(tape, m)
     shared = md.run(tape, m, env, D) if len(groups) > 1 else None
     reports = []
     for g, own in zip(groups, [tape.names] if shared is None else tape.reading(groups)):
@@ -406,17 +401,19 @@ def check_equation(lhs: Term, rhs: Term, m: Model, strategy: Strategy,
 def check_equations(pairs: Sequence[tuple[Term, Term]], m: Model) -> list[CheckReport]:
     """``check_equation(lhs, rhs, m, Exhaustive())`` of each pair: all in one
     sweep of one tape where ``m`` is finite and a sweep over all their
-    variables has at most ``models.WIDE`` valuations (one block, nothing
-    composed), one check per pair otherwise.  There, a pair that holds on
-    every factor of ``m`` (see ``models.product``) holds on ``m`` and is not
-    swept: it reports the product of its factors' ``samples``, which is n^k
-    over its own k variables, since n is the product of their sizes."""
+    variables has at most ``models.WIDE`` valuations (one block), one check
+    per pair otherwise.  There, a pair that holds on every factor of ``m``
+    (see ``models.product``; a repeated factor is checked once) holds on
+    ``m`` and is not swept: it reports the product of its factors'
+    ``samples``, which is n^k over its own k variables, since n is the
+    product of their sizes."""
     terms = [t for pair in pairs for t in pair]
     if not m.finite or len(m.elements) ** len(_tape(terms, m.signature).names) > md.WIDE:
-        on = [check_equations(pairs, f) for f in m.factors]
-        return [CheckReport(Verdict.VALID_EXHAUSTIVE, prod(rs[j].samples_tried for rs in on),
+        on = {f: check_equations(pairs, f) for f in dict.fromkeys(m.factors)}
+        return [CheckReport(Verdict.VALID_EXHAUSTIVE,
+                            prod(on[f][j].samples_tried for f in m.factors),
                             Exhaustive().describe(), 0)
-                if on and not any(rs[j].found_countermodel for rs in on)
+                if on and not any(rs[j].found_countermodel for rs in on.values())
                 else check_equation(*pair, m, Exhaustive()) for j, pair in enumerate(pairs)]
     return _check(terms, m, Exhaustive(), 0, _vec_neq, _differ,
                   tuple((j, j + 1) for j in range(0, len(terms), 2)))

@@ -120,6 +120,19 @@ def random_terms(sig: Sig):
     )
 
 
+@st.composite
+def table_models(draw, sig: Sig, sizes=range(1, 26)):
+    """A model of ``sig`` with random tables (not an algebra, and almost never
+    commutative) on n elements, n drawn from ``sizes``, each element its own
+    carrier index, whose ``npart`` is the identity."""
+    n = draw(st.sampled_from(sizes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tables = {op: rng.integers(0, n, (n,) * arity) for op, arity in ops_for(sig).items()}
+    tables["npart"] = np.arange(n)
+    consts = {c: int(rng.integers(0, n)) for c in ("zero", "one")}
+    return FiniteModel(f"random:{n}", sig, tuple(range(n)), tables, consts)
+
+
 def random_square_valuation(rng, names, den: int = 120) -> dict:
     return {n: (rand_fraction(rng, den), rand_fraction(rng, den)) for n in names}
 

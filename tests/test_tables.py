@@ -5,6 +5,7 @@ battery cache, and table text that stays byte-identical."""
 import hashlib
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 from functools import partial
 
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sqmv.semantics as sem
-from conftest import clamp1, random_term
+from conftest import clamp1, random_term, table_models
 from sqmv import axioms
 from sqmv.cli import main
 from sqmv.models import (
@@ -286,18 +287,6 @@ def per_equation(pairs, m):
     return [check_equation(lhs, rhs, m, Exhaustive()) for lhs, rhs in pairs]
 
 
-@st.composite
-def table_models(draw, sig):
-    """A model with random tables (not an algebra) on 1..25 elements, each
-    element its own carrier index, whose ``npart`` is the identity."""
-    n = draw(st.sampled_from(range(1, 26)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    tables = {op: rng.integers(0, n, (n,) * arity) for op, arity in ops_for(sig).items()}
-    tables["npart"] = np.arange(n)
-    consts = {c: int(rng.integers(0, n)) for c in ("zero", "one")}
-    return FiniteModel(f"random:{n}", sig, tuple(range(n)), tables, consts)
-
-
 class TestBatterySweep:
     @pytest.mark.parametrize("name", SMALL_VIEWS)
     def test_classify_equals_one_check_per_equation(self, name):
@@ -404,6 +393,16 @@ class TestProductFactors:
         assert tables_equal(mv, product(finite_mv_view(w1), finite_mv_view(w2)))
         assert tables_equal(mv, m)
         assert all(tables_equal(f, finite_mv_view(g)) for f, g in zip(mv.factors, wp.factors))
+
+    @pytest.mark.parametrize("view", ["", "@w"])
+    def test_a_repeated_factor_is_swept_once(self, monkeypatch, view):
+        # PRODUCT_81 is one 9-element product twice, and so is its view:
+        # classify sweeps that factor's quasi and star batteries once each
+        m = _build(PRODUCT_81 + view)
+        assert m.factors[0] is m.factors[1]
+        calls = count_sweeps(monkeypatch)
+        classify(m)
+        assert Counter(name for name, _ in calls)[m.factors[0].name] == 2
 
     def test_other_constructions_have_no_factors(self):
         m = resolve("product:chain:1,chain:2")

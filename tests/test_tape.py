@@ -1,7 +1,7 @@
 """The shared-subterm tape: one step per distinct subterm, batch values equal
-to the exact evaluator at every valuation, the signature error of the
-preorder walk, the composed tables of finite sweeps, the tape cache, and the
-memory of a large sampled entailment."""
+to the exact evaluator at every valuation, finite sweeps on random tables
+against a plain numpy reference, the signature error of the preorder walk,
+the tape cache, and the memory of a large sampled entailment."""
 
 import gc
 import itertools
@@ -19,6 +19,7 @@ from conftest import (
     oracle_pair,
     random_terms,
     subterms,
+    table_models,
 )
 from sqmv import models, proofkit, semantics
 from sqmv.models import (
@@ -27,9 +28,7 @@ from sqmv.models import (
     FiniteModel,
     StandardModel,
     _build,
-    classify,
     compile,
-    compose,
     resolve,
     run,
 )
@@ -46,11 +45,14 @@ from sqmv.syntax import (
     ONE,
     Impl,
     Neg,
+    NegPart,
     OPlus,
     Sig,
     SignatureError,
     UMinus,
     Var,
+    children,
+    count_connective,
     join_term,
     parse,
     substitute,
@@ -126,7 +128,7 @@ class TestValues:
     def test_sum_permutations_sweep_every_valuation(self, n):
         # (a (+) b) (+) c = c (+) (b (+) a) in every order of x, y, z, the
         # inner sum on the right mirrored or not: each whole-axis layout of
-        # the row gather, on a sweep that composes
+        # the row gather
         m = resolve(f"chain:{n}")
         for a, b, c in itertools.permutations("xyz"):
             for inner in (f"{b} (+) {a}", f"{a} (+) {b}"):
@@ -238,12 +240,8 @@ class TestSharing:
         compound = {s for s in subterms(lhs)} | {s for s in subterms(rhs)}
         compound = {s for s in compound if s.op != "var"}
         assert len(compound) == 9
-        # 81**4 valuations outnumber 2**14 and the 81**2 cells of a table,
-        # so the tape is composed: w (+) w folds into (.) (+) z, and x^-^+
-        # and y^-^+ into the outer sums, which leaves (w (+) w) (+) z and
-        # w (+) z (each cut where an outer sum would read three kept
-        # steps) and the two outer sums
-        assert calls["vec_apply"] == 4 * calls["run"]
+        # the tape runs as compiled: each distinct subterm once per block
+        assert calls["vec_apply"] == len(compound) * calls["run"]
 
     def test_once_per_run_of_whole_rows(self, monkeypatch):
         # a valid 4-variable sweep of chain:40 runs the tape on 169 blocks of
@@ -260,142 +258,94 @@ class TestSharing:
 PRODUCT_81 = "product:(product:chain:1,flatten:chain:1:0),(product:chain:1,flatten:chain:1:0)"
 
 
-# The join laws (commutativity and associativity) and the distributive laws of
-# each signature.
-JOIN_LAWS = {
-    Sig.MV: ("QMV*12", "QMV*13", "QMV*14", "MV*10", "MV*11", "MV*12"),
-    Sig.W: ("QW*10", "QW*11", "QW*12", "W*9", "W*10", "W*11"),
-}
+def reference(t, m, axes):
+    """The carrier indices of ``t`` on ``m`` over the whole sweep, ``axes``
+    holding each variable's full array: fancy indexing into ``m.tables``,
+    one node at a time (no tape, no blocks, no gather layouts)."""
+    if type(t) is Var:
+        return axes[t.name]
+    if t.op in m.consts:
+        return np.full(np.shape(next(iter(axes.values()), 0)), m.consts[t.op])
+    return m.tables[t.op][tuple(reference(c, m, axes) for c in children(t))]
 
 
-def battery(sig):
-    """Every equation of every classification battery of ``sig``, by name."""
-    return {e.name: e for make in models._BATTERIES.values() for e in make(sig)}
+def full_axes(n, terms):
+    """The whole n^k sweep over the k variables of ``terms``: one full array
+    per variable, in sorted order, row-major with the last fastest."""
+    names = sorted({nm for t in terms for nm in variables(t)})
+    return dict(zip(names, np.indices((n,) * len(names))))
 
 
-def first_block(m, strategy, tape, terms):
-    """The first block of the valuations ``strategy`` gives on ``m``, its
-    shape, and ``D``."""
-    env, D, _ = semantics._valuations(m, strategy, tape.names, terms, 0)
-    _, index, shape = next(semantics._blocks(semantics._env_shape(env)))
-    return {nm: semantics._take(rep, index) for nm, rep in env.items()}, shape, D
+def sweep_terms(sig):
+    """Random terms, beside three over x, y, z whose binary steps read a
+    variable on either side and on an earlier or a later axis than the
+    other operand, so that every sweep is 3-variable."""
+    binary = OPlus if sig is Sig.MV else Impl
+    return st.lists(random_terms(sig), min_size=1, max_size=3).map(lambda ts: [
+        *ts, binary(binary(y, z), x), binary(x, binary(y, z)), binary(y, binary(z, x))])
 
 
-class TestCompose:
-    @pytest.mark.parametrize("name, strategy", [
-        *((name, Exhaustive()) for name in FINITE_VIEWS),
-        ("chain:3@w", RandomSampling(500)),
-    ], ids=lambda v: str(v) if isinstance(v, str) else v.describe())
-    @given(data=st.data())
-    @settings(max_examples=10, deadline=None)
-    def test_composed_tables_give_the_same_values(self, name, strategy, data):
-        # random terms, and a join or distributive law with random terms
-        # for its variables (so that its binary steps are cut, their roots
-        # read again and their operands met in either order), beside a term
-        # over x, y, z, so that the sweep has more valuations than a table
-        # has cells; the first block of the sweep through the tape as
-        # compiled and as composed
-        m = resolve(name)
-        sig = m.signature
-        binary = OPlus if sig is Sig.MV else Impl
-        law = battery(sig)[data.draw(st.sampled_from(JOIN_LAWS[sig]))]
-        sigma = dict(zip("xyz", data.draw(st.tuples(*[random_terms(sig)] * 3))))
-        terms = [*data.draw(st.lists(random_terms(sig), min_size=1, max_size=3)),
-                 substitute(law.lhs, sigma, sig), substitute(law.rhs, sigma, sig),
-                 binary(x, binary(y, z))]
-        self.assert_composed_matches(m, strategy, terms)
+# Carrier sizes on either side of the batch path's bounds: a 3-variable sweep
+# is wider than models.WIDE from n = 26 (the row gather and the
+# rows-then-columns path) and has more than one block from n = 65 (a cut
+# leading axis).
+SIZES = {"narrow": range(2, 26), "wide": range(26, 65), "blocks": range(65, 71)}
 
-    @staticmethod
-    def assert_composed_matches(m, strategy, terms):
-        tape = compile(terms, m.signature)
-        part, shape, D = first_block(m, strategy, tape, terms)
-        composed = compose(tape, m)
-        assert composed.names == tape.names and len(composed.outputs) == len(terms)
-        for want, got in zip(run(tape, m, part, D), run(composed, m, part, D)):
-            assert np.array_equal(np.broadcast_to(want, shape), np.broadcast_to(got, shape))
 
-    @pytest.mark.parametrize("name", FINITE_VIEWS)
-    def test_every_battery_law_composes(self, name):
-        # each equation of the four batteries on the first block of its
-        # exhaustive sweep, also where the sweep is too small to compose
-        m = resolve(name)
-        for eq in battery(m.signature).values():
-            self.assert_composed_matches(m, Exhaustive(), (eq.lhs, eq.rhs))
+class TestRandomTables:
+    # random tables are not commutative, so that a swapped operand shows
 
-    @pytest.mark.parametrize("name, composes", [
-        ("chain:1", False), ("ex32-grid", False), ("chain:40", True), ("chain:40@w", True),
-        (PRODUCT_81, False), (PRODUCT_81 + "@w", False),
-    ])
-    def test_only_wide_sweeps_compose(self, monkeypatch, name, composes):
-        # a sweep of at most models.WIDE valuations runs its tape as
-        # compiled: 15**3 < WIDE < 81**3; a product sweeps only the laws
-        # that fail on a factor, and those on PRODUCT_81 are not wide
-        calls = []
+    @pytest.mark.parametrize("sizes", SIZES.values(), ids=SIZES)
+    @given(data=st.data(), sig=st.sampled_from(Sig))
+    @settings(max_examples=8, deadline=None)
+    def test_every_block_matches_the_reference(self, sizes, data, sig):
+        m = data.draw(table_models(sig, sizes))
+        terms = data.draw(sweep_terms(sig))
+        want = [reference(t, m, full_axes(len(m.elements), terms)).ravel() for t in terms]
+        tape = compile(terms, sig)
+        env, D, _ = semantics._valuations(m, Exhaustive(), tape.names, terms, 0)
+        for offset, index, shape in semantics._blocks(semantics._env_shape(env)):
+            part = {nm: semantics._take(rep, index) for nm, rep in env.items()}
+            for w, got in zip(want, run(tape, m, part, D)):
+                cells = w[offset:offset + int(np.prod(shape))]
+                assert np.array_equal(np.broadcast_to(got, shape).ravel(), cells)
 
-        def counted_compose(tape, m, _compose=compose):
-            calls.append(tape)
-            return _compose(tape, m)
-
-        monkeypatch.setattr(models, "compose", counted_compose)
-        classify(_build(name))
-        assert bool(calls) is composes
-
-    @pytest.mark.parametrize("name, law", [("chain:255", "MV*11"), ("chain:255@w", "W*10")])
-    def test_tables_go_after_their_last_reader(self, name, law):
-        # 511 elements, so a table of n*n int32 cells takes 1 MB: keeping
-        # every table peaked at 41 MB on MV*11, composing by the three
-        # earlier folds at 22 MB, and dropping each table after its last
-        # reader at 7 MB
-        m = resolve(name)
-        eq = battery(m.signature)[law]
-        tape = compile((eq.lhs, eq.rhs), m.signature)
-        tracemalloc.start()
-        try:
-            compose(tape, m)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 22 * 2**20
-
-    @pytest.mark.parametrize("name, law, gathers, steps, composed", [
-        (PRODUCT_81, "MV*11", 18, 63, 4), (PRODUCT_81, "QMV*13", 14, 44, 4),
-        (PRODUCT_81, "QMV*14", 8, 29, 5), (PRODUCT_81, "MV*12", 10, 42, 5),
-        (PRODUCT_81 + "@w", "W*10", 18, 66, 4), (PRODUCT_81 + "@w", "QW*11", 14, 44, 4),
-        (PRODUCT_81 + "@w", "QW*12", 8, 29, 5), (PRODUCT_81 + "@w", "W*11", 10, 44, 5),
-    ])
-    def test_full_width_gathers_per_block(self, monkeypatch, name, law, gathers, steps,
-                                          composed):
-        # the join and distributive laws in three variables: the steps that
-        # read all three gather the whole block, 2 of them per block once
-        # composed (the two sides), and the gathers of a block, these and
-        # the narrower ones, go from ``steps`` to ``composed``
-        m = resolve(name)
-        eq = battery(m.signature)[law]
-        sizes = []
-
-        def counted_apply(self, op, args, D, _apply=FiniteModel.vec_apply):
-            out = _apply(self, op, args, D)
-            sizes[-1].append(np.size(out))
-            return out
-
-        def counted_run(*args, _run=models.run):
-            sizes.append([])
-            return _run(*args)
-
-        monkeypatch.setattr(FiniteModel, "vec_apply", counted_apply)
-        monkeypatch.setattr(models, "run", counted_run)
-        report = check_equation(eq.lhs, eq.rhs, m, Exhaustive())
-        starts = [offset for offset, _, _ in semantics._blocks((81,) * 3)]
-        assert len(sizes) == sum(1 for s in starts if s < report.samples_tried)
-        blocks = [*np.diff(starts), 81**3 - starts[-1]]
-        assert [out.count(cells) for out, cells in zip(sizes, blocks)] == [2] * len(sizes)
-        assert list(map(len, sizes)) == [composed] * len(sizes)
-        # the same sweep on the tape as compiled
-        tape = compile((eq.lhs, eq.rhs), m.signature)
-        sizes.append([])
-        part, shape, D = first_block(m, Exhaustive(), tape, (eq.lhs, eq.rhs))
-        models.run(tape, m, part, D)
-        assert (sizes[-1].count(np.prod(shape)), len(sizes[-1])) == (gathers, steps)
+    @pytest.mark.parametrize("sizes", SIZES.values(), ids=SIZES)
+    @given(data=st.data(), sig=st.sampled_from(Sig))
+    @settings(max_examples=8, deadline=None)
+    def test_samples_and_witness_are_the_first_mismatch(self, sizes, data, sig):
+        # random equations, and s^- = s, which holds since npart is the
+        # identity, on the model and on a copy whose npart differs at the
+        # value of s at a drawn valuation v: the first mismatch is there or
+        # before it
+        m = data.draw(table_models(sig, sizes))
+        n = len(m.elements)
+        terms = data.draw(sweep_terms(sig))
+        t = data.draw(random_terms(sig).filter(lambda t: count_connective(t, "npart") == 0))
+        s = (OPlus if sig is Sig.MV else Impl)(t, terms[-1])  # over x, y, z
+        v = data.draw(st.integers(0, n**3 - 1))
+        cell = reference(s, m, full_axes(n, [s])).flat[v]
+        tables = {op: tbl.copy() for op, tbl in m.tables.items()}
+        tables["npart"][cell] = (cell + 1) % n
+        planted = FiniteModel(f"planted:{n}", sig, m.elements, tables, m.consts)
+        cases = [(m, terms[0], terms[-2]), (m, terms[-1], terms[-2]),
+                 (m, NegPart(s), s), (planted, NegPart(s), s)]
+        for model, lhs, rhs in cases:
+            report = check_equation(lhs, rhs, model, Exhaustive())
+            axes = full_axes(n, (lhs, rhs))
+            lv, rv = (reference(side, model, axes).ravel() for side in (lhs, rhs))
+            bad = np.flatnonzero(lv != rv)
+            if not bad.size:
+                assert report.verdict is Verdict.VALID_EXHAUSTIVE
+                assert report.samples_tried == n ** len(axes)
+                continue
+            i = int(bad[0])
+            assert report.samples_tried == i + 1
+            w = report.witness
+            assert w.valuation == {nm: int(a.flat[i]) for nm, a in axes.items()}
+            assert (w.lhs_value, w.rhs_value) == (lv[i], rv[i])
+        # the last case, the planted cell, shows
+        assert report.found_countermodel and report.samples_tried <= v + 1
 
 
 class TestTapeCache:

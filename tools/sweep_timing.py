@@ -8,8 +8,9 @@
   ``a (+) (b (+) c) = (a (+) b) (+) c``, which fails at an early witness.
   With k = 2 the orders are those of ``x, y, x``.
 - ``batteries``: each of the four classification batteries (quasi, strong,
-  flat, star) on each catalog view of at most 25 elements and on the 49-
-  and 81-element product models in both signatures, as ``classify`` runs
+  flat, star) on each catalog view of at most 25 elements, on ``chain:40``
+  (81 elements, not a product) and on the 49- and 81-element product
+  models, all in both signatures, as ``classify`` runs
   them (``models._battery`` with the model's battery cache emptied before
   each run): one sweep of one tape per battery where a sweep over all its
   variables has at most ``models.WIDE`` valuations.  Otherwise, on a
@@ -91,7 +92,7 @@ def batteries() -> dict:
     views = [v for name in models.FINITE_CATALOG for v in (name, name + "@w")
              if len(models.resolve(v).elements) <= 25]
     report = {}
-    for view in views + [PRODUCT_49, PRODUCT_49 + "@w", PRODUCT_81, PRODUCT_81 + "@w"]:
+    for view in views + [v + w for v in ("chain:40", PRODUCT_49, PRODUCT_81) for w in ("", "@w")]:
         m = models.resolve(view)
         entry = report[view] = {}
         for name in models._BATTERIES:
