@@ -1,7 +1,8 @@
 """The shared-subterm tape: one step per distinct subterm, batch values equal
 to the exact evaluator at every valuation, finite sweeps on random tables
-against a plain numpy reference, the signature error of the preorder walk,
-the tape cache, and the memory of a large sampled entailment."""
+and on the catalog against a plain numpy reference, each step run once and
+freed after its last reader, the signature error of the preorder walk, the
+tape cache, and the memory of a large sampled entailment."""
 
 import gc
 import itertools
@@ -28,6 +29,7 @@ from sqmv.models import (
     FiniteModel,
     StandardModel,
     _build,
+    classify,
     compile,
     resolve,
     run,
@@ -260,8 +262,9 @@ PRODUCT_81 = "product:(product:chain:1,flatten:chain:1:0),(product:chain:1,flatt
 
 def reference(t, m, axes):
     """The carrier indices of ``t`` on ``m`` over the whole sweep, ``axes``
-    holding each variable's full array: fancy indexing into ``m.tables``,
-    one node at a time (no tape, no blocks, no gather layouts)."""
+    holding each variable's array (full, or one that broadcasts to the
+    sweep): fancy indexing into ``m.tables``, one node at a time (no tape,
+    no blocks, no gather layouts)."""
     if type(t) is Var:
         return axes[t.name]
     if t.op in m.consts:
@@ -346,6 +349,138 @@ class TestRandomTables:
             assert (w.lhs_value, w.rhs_value) == (lv[i], rv[i])
         # the last case, the planted cell, shows
         assert report.found_countermodel and report.samples_tried <= v + 1
+
+
+# The join laws (commutativity and associativity) and the distributive laws of
+# each signature.
+JOIN_LAWS = {
+    Sig.MV: ("QMV*12", "QMV*13", "QMV*14", "MV*10", "MV*11", "MV*12"),
+    Sig.W: ("QW*10", "QW*11", "QW*12", "W*9", "W*10", "W*11"),
+}
+
+
+def battery(sig):
+    """Every equation of every classification battery of ``sig``, by name."""
+    return {e.name: e for make in models._BATTERIES.values() for e in make(sig)}
+
+
+def first_block(m, strategy, tape, terms):
+    """The first block of the valuations ``strategy`` gives on ``m``, its
+    shape, and ``D``."""
+    env, D, _ = semantics._valuations(m, strategy, tape.names, terms, 0)
+    _, index, shape = next(semantics._blocks(semantics._env_shape(env)))
+    return {nm: semantics._take(rep, index) for nm, rep in env.items()}, shape, D
+
+
+class TestCatalogSweeps:
+    # the catalog's finite views through the tape as compiled
+
+    @staticmethod
+    def assert_first_block_matches(m, strategy, terms):
+        tape = compile(terms, m.signature)
+        part, shape, D = first_block(m, strategy, tape, terms)
+        for t, got in zip(terms, run(tape, m, part, D)):
+            want = np.broadcast_to(reference(t, m, part), shape)
+            assert np.array_equal(np.broadcast_to(got, shape), want)
+
+    @pytest.mark.parametrize("name, strategy", [
+        *((name, Exhaustive()) for name in FINITE_VIEWS),
+        ("chain:3@w", RandomSampling(500)),
+    ], ids=lambda v: str(v) if isinstance(v, str) else v.describe())
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_first_block_matches_the_reference(self, name, strategy, data):
+        # random terms, and a join or distributive law with random terms
+        # for its variables (so that its binary steps read their operands
+        # on either side and again), beside a term over x, y, z, so that
+        # the sweep has more valuations than a table has cells
+        m = resolve(name)
+        sig = m.signature
+        binary = OPlus if sig is Sig.MV else Impl
+        law = battery(sig)[data.draw(st.sampled_from(JOIN_LAWS[sig]))]
+        sigma = dict(zip("xyz", data.draw(st.tuples(*[random_terms(sig)] * 3))))
+        terms = [*data.draw(st.lists(random_terms(sig), min_size=1, max_size=3)),
+                 substitute(law.lhs, sigma, sig), substitute(law.rhs, sigma, sig),
+                 binary(x, binary(y, z))]
+        self.assert_first_block_matches(m, strategy, terms)
+
+    @pytest.mark.parametrize("name", FINITE_VIEWS)
+    def test_every_battery_law_matches_the_reference(self, name):
+        # each equation of the four batteries on the first block of its
+        # exhaustive sweep
+        m = resolve(name)
+        for eq in battery(m.signature).values():
+            self.assert_first_block_matches(m, Exhaustive(), (eq.lhs, eq.rhs))
+
+    @pytest.mark.parametrize("name", [
+        "chain:1", "ex32-grid", "chain:40", "chain:40@w", PRODUCT_81, PRODUCT_81 + "@w",
+    ])
+    def test_classify_runs_each_step_once(self, monkeypatch, name):
+        # every sweep of classify, wider than models.WIDE (chain:40) or not,
+        # runs its tape as compiled: one operation per operation step
+        runs = []
+
+        def counted_apply(self, op, args, D, _apply=FiniteModel.vec_apply):
+            runs[-1][1] += 1
+            return _apply(self, op, args, D)
+
+        def counted_run(tape, m, env, D, _run=models.run):
+            runs.append([sum(1 for _, args in tape.steps if args and type(args) is not str), 0])
+            return _run(tape, m, env, D)
+
+        monkeypatch.setattr(FiniteModel, "vec_apply", counted_apply)
+        monkeypatch.setattr(models, "run", counted_run)
+        classify(_build(name))
+        assert runs and all(steps == applied for steps, applied in runs)
+
+    @pytest.mark.parametrize("name, law", [("chain:255", "MV*11"), ("chain:255@w", "W*10")])
+    def test_values_go_after_their_last_reader(self, name, law):
+        # 511 elements, so that a first block of 511**2 int32 values takes
+        # 1 MB: keeping every value of the run peaked at 35.6 MB on either
+        # law, freeing each after its last reader at 7.3 MB
+        m = resolve(name)
+        eq = battery(m.signature)[law]
+        tape = compile((eq.lhs, eq.rhs), m.signature)
+        part, shape, D = first_block(m, Exhaustive(), tape, (eq.lhs, eq.rhs))
+        tracemalloc.start()
+        try:
+            run(tape, m, part, D)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
+    @pytest.mark.parametrize("name, law, gathers, steps", [
+        (PRODUCT_81, "MV*11", 18, 63), (PRODUCT_81, "QMV*13", 14, 44),
+        (PRODUCT_81, "QMV*14", 8, 29), (PRODUCT_81, "MV*12", 10, 42),
+        (PRODUCT_81 + "@w", "W*10", 18, 66), (PRODUCT_81 + "@w", "QW*11", 14, 44),
+        (PRODUCT_81 + "@w", "QW*12", 8, 29), (PRODUCT_81 + "@w", "W*11", 10, 44),
+    ])
+    def test_full_width_gathers_per_block(self, monkeypatch, name, law, gathers, steps):
+        # the join and distributive laws in three variables: each block of
+        # the sweep runs ``steps`` operations, of which ``gathers`` read all
+        # three variables and gather the whole block
+        m = resolve(name)
+        eq = battery(m.signature)[law]
+        sizes = []
+
+        def counted_apply(self, op, args, D, _apply=FiniteModel.vec_apply):
+            out = _apply(self, op, args, D)
+            sizes[-1].append(np.size(out))
+            return out
+
+        def counted_run(*args, _run=models.run):
+            sizes.append([])
+            return _run(*args)
+
+        monkeypatch.setattr(FiniteModel, "vec_apply", counted_apply)
+        monkeypatch.setattr(models, "run", counted_run)
+        report = check_equation(eq.lhs, eq.rhs, m, Exhaustive())
+        starts = [offset for offset, _, _ in semantics._blocks((81,) * 3)]
+        assert len(sizes) == sum(1 for s in starts if s < report.samples_tried)
+        blocks = [*np.diff(starts), 81**3 - starts[-1]]
+        assert ([(out.count(cells), len(out)) for out, cells in zip(sizes, blocks)]
+                == [(gathers, steps)] * len(sizes))
 
 
 class TestTapeCache:
