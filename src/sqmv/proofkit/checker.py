@@ -2,18 +2,18 @@
 
 Every justification must reconstruct the line's formula: axiom lines match
 one direction of a schema (the direction is recorded), rule and lemma lines
-are matched conclusion-first so that shared pattern pieces (the ``r -> r``
-prefix of the regularisation rules) are forced to agree across the premises
-and the conclusion of one application.
+are matched by one matcher of ``(conclusion, *premises)``, so that shared
+pattern pieces (the ``r -> r`` prefix of the regularisation rules) are forced
+to agree across the premises and the conclusion of one application.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..syntax import Term, match_schema
+from ..syntax import matcher
 from .script import AxiomRef, HypRef, LemmaRef, ProofScript, RuleRef
-from .systems import AXIOMS, RULES, SQL, Rule
+from .systems import AXIOMS, RULES, SQL
 
 
 @dataclass
@@ -37,17 +37,6 @@ class ProofReport:
         return f"REJECT at line {self.failure_line}: {self.failure_reason}"
 
 
-def _match_application(rule: Rule, cited: list[Term], goal: Term) -> dict[str, Term] | None:
-    sigma = match_schema(rule.conclusion, goal)
-    if sigma is None:
-        return None
-    for schema, formula in zip(rule.premises, cited):
-        sigma = match_schema(schema, formula, sigma)
-        if sigma is None:
-            return None
-    return sigma
-
-
 def check_proof(script: ProofScript, registry=None) -> ProofReport:
     """Verify ``script``; rejection is a verdict, not an exception."""
     checks: list[LineCheck] = []
@@ -66,7 +55,7 @@ def check_proof(script: ProofScript, registry=None) -> ProofReport:
                 return reject(n, f"UnknownAxiom: {just.name}")
             direction = None
             for i, schema in enumerate(forms):
-                if match_schema(schema, line.formula) is not None:
+                if matcher((schema,))(line.formula) is not None:
                     direction = "NA" if len(forms) == 1 else ("LR", "RL")[i]
                     break
             if direction is None:
@@ -103,7 +92,7 @@ def check_proof(script: ProofScript, registry=None) -> ProofReport:
             return reject(n, f"Unknown{kind}: {name}")
         if len(cited) != len(rule.premises):
             return reject(n, f"ArityMismatch: {name} takes {len(rule.premises)} premises")
-        if _match_application(rule, cited, line.formula) is None:
+        if matcher((rule.conclusion, *rule.premises))(line.formula, *cited) is None:
             return reject(n, f"NoMatching{kind}Instance: {name}")
         checks.append(LineCheck(n, True, f"{kind.lower()} {name}"))
 

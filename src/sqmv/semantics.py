@@ -16,7 +16,6 @@ This module decides how to sample; ``models`` owns what the values look like
 from __future__ import annotations
 
 import enum
-import weakref
 from dataclasses import dataclass, field
 from functools import partial
 from math import prod
@@ -34,6 +33,7 @@ from .syntax import (
     check_signature,
     count_connective,
     fold,
+    kept,
 )
 
 
@@ -341,19 +341,13 @@ def _valuation_at(m: Model, env: dict, D: int, i: int) -> dict:
 
 
 # The tape of each formula tuple whose formulas are all alive, by the ids of the
-# signature and of the formulas; a formula's death drops the entry, so an id is
-# never reused in a key.  (Ids hash faster than a Sig.)
+# signature and of the formulas (see ``syntax.kept``; ids hash faster than a Sig).
 _TAPES: dict[tuple, tuple[md.Tape, list]] = {}
 
 
 def _tape(terms: Sequence[Term], sig: Sig) -> md.Tape:
     """``models.compile(terms, sig)``, once for as long as ``terms`` live."""
-    key = (id(sig), *map(id, terms))
-    if (entry := _TAPES.get(key)) is None:
-        tape = md.compile(terms, sig)
-        drop = lambda ref: _TAPES.pop(key, None)  # noqa: E731
-        entry = _TAPES[key] = (tape, [weakref.ref(t, drop) for t in terms])
-    return entry[0]
+    return kept(_TAPES, (id(sig), *map(id, terms)), terms, md.compile, terms, sig)
 
 
 def _check(terms: Sequence[Term], m: Model, strategy: Strategy, seed: int,

@@ -492,27 +492,75 @@ def _print(s: Term, texts: tuple[str, ...]) -> str:
 # One-sided schema matching
 
 
+def kept(store: dict, key: tuple, objects, make, *args):
+    """``make(*args)``, made once and kept in ``store`` under ``key`` (the ids
+    of ``objects``, and perhaps more) for as long as all of ``objects`` live;
+    the death of one drops the entry, so an id is never reused in a key."""
+    if (entry := store.get(key)) is None:
+        drop = lambda ref: store.pop(key, None)  # noqa: E731
+        entry = store[key] = (make(*args), [weakref.ref(s, drop) for s in objects])
+    return entry[0]
+
+
+# The matcher of each tuple of patterns that are all alive, by their ids.
+_MATCHERS: dict[tuple, tuple] = {}
+
+
+def matcher(patterns: tuple[Term, ...]):
+    """The matcher of ``patterns``, made once for as long as they live: a
+    function of one ground per pattern that matches all under one assignment
+    and returns the images of the metavariables in its ``names`` (in preorder,
+    the patterns in turn), or None.  Variables of a ground are constants."""
+    return kept(_MATCHERS, tuple(map(id, patterns)), patterns, _generate, patterns)
+
+
+def _generate(patterns: tuple[Term, ...]):
+    """The matcher's code: one type check and field load per distinct pattern
+    node, in preorder, in one ``or`` chain; as terms are interned, a node's
+    later images must be its first (``is``).  Only generated names (``g<i>``,
+    ``n<k>``) and node class names enter the source."""
+    grounds = [f"g{i}" for i in range(len(patterns))]
+    image, namespace, names, images, fails = {}, {}, [], [], []
+    stack = list(zip(reversed(patterns), reversed(grounds)))  # (node, its image) in preorder
+    while stack:
+        s, ground = stack.pop()
+        if (first := image.get(s)) is not None:
+            fails.append(f"{ground} is not {first}")
+            continue
+        if type(s) is Var:  # any image: no check, and no local
+            names.append(s.name)
+            images.append(ground + ", ")
+        else:
+            load, cls = ground, namespace.setdefault(type(s).__name__, type(s))
+            if "." in ground:  # a field load, kept in a local
+                ground = f"n{len(image)}"
+                load = f"({ground} := {load})"
+            fails.append(f"type({load}) is not {cls.__name__}")
+            stack.extend((getattr(s, f), f"{ground}.{f}") for f in reversed(s._fields))
+        image[s] = ground
+    test = " if ({}): return None\n".format("\n  or ".join(fails)) if fails else ""
+    exec(f"def match({', '.join(grounds)}):\n{test} return ({''.join(images)})", namespace)
+    match = namespace.pop("match")  # so that no reference cycle goes through the namespace
+    match.names = tuple(names)
+    return match
+
+
 def match_schema(
     pattern: Term, ground: Term, bindings: dict[str, Term] | None = None
 ) -> dict[str, Term] | None:
-    """Match ``ground`` against ``pattern``; repeated metavariables must agree.
+    """Match ``ground`` against ``pattern``; repeated metavariables must agree,
+    and with those of ``bindings``.
 
     Returns the (unique) assignment or None.  Matching is one-sided: variables
     occurring in ``ground`` are treated as ordinary constants.
     """
+    match = matcher((pattern,))
+    if (images := match(ground)) is None:
+        return None
     out = dict(bindings) if bindings else {}
-    pairs = [(pattern, ground)]  # still to match; they pop in preorder
-    while pairs:
-        pat, g = pairs.pop()
-        if type(pat) is Var:  # bind at the first occurrence, else agree with it
-            if out.setdefault(pat.name, g) is not g:
-                return None
-        elif type(pat) is not type(g):
+    for name, image in zip(match.names, images):
+        if out.setdefault(name, image) is not image:
             return None
-        elif isinstance(pat, Binary):
-            pairs += (pat.right, g.right), (pat.left, g.left)
-        elif isinstance(pat, Unary):
-            pairs.append((pat.arg, g.arg))
     return out
 
 

@@ -1,9 +1,9 @@
 """Shared helpers: seeded random terms/valuations, hypothesis terms, an independent
 reference evaluator written straight from the model definitions, a reference
 parser (the library's previous parser, one method call per token), a reference
-substitution (a tree walk), the occurrence walk ``subterms``, the carrier restriction and valuation
-projection that only tests use, and one check of batch values against the
-exact evaluator."""
+substitution and a reference schema match (tree walks), the occurrence walk
+``subterms``, the carrier restriction and valuation projection that only tests
+use, and one check of batch values against the exact evaluator."""
 
 from __future__ import annotations
 
@@ -339,6 +339,37 @@ def reference_substitute(s: Term, assignment: dict[str, Term]) -> Term:
             raise MissingBinding(f"no binding for metavariable {s.name!r}") from None
     return syntax.rebuild(s, tuple(reference_substitute(c, assignment)
                                    for c in syntax.children(s)))
+
+
+def reference_match(pattern: Term, ground: Term,
+                    bindings: dict[str, Term] | None = None) -> dict[str, Term] | None:
+    """The library's previous ``match_schema``: a stack walk of every
+    occurrence of the pattern's tree, which binds a metavariable at its first
+    occurrence and requires each later one, and ``bindings``, to agree."""
+    out = dict(bindings) if bindings else {}
+    pairs = [(pattern, ground)]  # still to match; they pop in preorder
+    while pairs:
+        pat, g = pairs.pop()
+        if type(pat) is Var:  # bind at the first occurrence, else agree with it
+            if out.setdefault(pat.name, g) is not g:
+                return None
+        elif type(pat) is not type(g):
+            return None
+        elif isinstance(pat, syntax.Binary):
+            pairs += (pat.right, g.right), (pat.left, g.left)
+        elif isinstance(pat, syntax.Unary):
+            pairs.append((pat.arg, g.arg))
+    return out
+
+
+def reference_application(patterns, grounds) -> dict[str, Term] | None:
+    """The checker's previous rule application: the conclusion's match, then
+    each premise's under the bindings so far."""
+    sigma = {}
+    for pattern, ground in zip(patterns, grounds):
+        if (sigma := reference_match(pattern, ground, sigma)) is None:
+            return None
+    return sigma
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,8 @@ from conftest import (
     nested_join_text,
     random_term,
     random_terms,
+    reference_application,
+    reference_match,
     reference_parse,
     reference_parse_iff,
     reference_substitute,
@@ -24,6 +26,8 @@ from conftest import (
 )
 from sqmv import cli, models, syntax
 from sqmv.models import ops_for, resolve
+from sqmv.proofkit import HypRef, LemmaRef, ProofLine, ProofScript, Rule, check_proof
+from sqmv.proofkit.systems import SQL
 from sqmv.semantics import evaluate
 from sqmv.transform import mv_to_w_term, w_to_mv_term
 from sqmv.syntax import (
@@ -495,6 +499,123 @@ class TestSchema:
             assert substitute(pattern, sigma) == ground
             hits += 1
         assert hits == 3000
+
+
+_W = _TERMS[Sig.W]
+# schemas over the metavariables x, y, z, some holding a compound subterm twice
+_PATTERNS = st.one_of(_W, st.builds(lambda a, b: Impl(Impl(a, b), Neg(Impl(a, b))), _W, _W))
+_SIGMAS = st.fixed_dictionaries({name: _W for name in "xyz"})
+# a node of another class over the same operands, for one-node changes
+_SWAP = {Impl: OPlus, OPlus: Impl, Neg: PosPart, PosPart: NegPart, NegPart: UMinus,
+         UMinus: Neg, Const1: Const0, Const0: Const1}
+
+
+def _changed(t: Term, k: int, new: Term | None) -> Term:
+    """``t`` with the ``k``-th occurrence of a subterm in preorder replaced by
+    ``new``, or by a node of another class over its operands (a variable by 1)."""
+    if k == 0:
+        if new is not None:
+            return new
+        return Const1() if type(t) is Var else _SWAP[type(t)](*children(t))
+    k -= 1
+    kids = list(children(t))
+    for i, c in enumerate(kids):
+        if k < (size := sum(1 for _ in subterms(c))):
+            kids[i] = _changed(c, k, new)
+            return type(t)(*kids)
+        k -= size
+    raise IndexError(k)
+
+
+@st.composite
+def _grounds(draw, pattern: Term, sigma: dict[str, Term]) -> Term:
+    """An instance of ``pattern`` under ``sigma``: as it is, with one node
+    changed, or (a pattern holding one compound subterm twice) with another
+    image at the second occurrence."""
+    ground = substitute(pattern, sigma)
+    how = draw(st.sampled_from(("instance", "changed", "twice")))
+    if how == "changed":
+        k = draw(st.integers(0, sum(1 for _ in subterms(ground)) - 1))
+        ground = _changed(ground, k, draw(st.none() | _W))
+    elif (how == "twice" and type(pattern) is Impl and type(pattern.right) is Neg
+          and pattern.right.arg is pattern.left):
+        ground = Impl(ground.left, Neg(substitute(pattern.left, draw(_SIGMAS))))
+    return ground
+
+
+class TestMatcher:
+    """The generated matchers against the tree walk they replace."""
+
+    @given(_PATTERNS, _SIGMAS, st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_match_schema_agrees_with_the_tree_walk(self, pattern, sigma, data):
+        ground = data.draw(_grounds(pattern, sigma))
+        # seeded bindings: none, a part of sigma, or any
+        seeds = st.none() | st.dictionaries(st.sampled_from(sorted(sigma)), _W, max_size=2)
+        seeds |= st.sets(st.sampled_from(sorted(sigma))).map(lambda ks: {k: sigma[k] for k in ks})
+        for bindings in (None, data.draw(seeds)):
+            want = reference_match(pattern, ground, bindings)
+            got = match_schema(pattern, ground, bindings)
+            assert (got is None) is (want is None)
+            if want is not None:  # one image per name, in the same order
+                assert list(got.items()) == list(want.items())
+
+    @given(st.lists(_PATTERNS, min_size=1, max_size=3), _SIGMAS, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_an_application_agrees_with_the_conclusion_first_chain(self, patterns, sigma, data):
+        # a ground may also be an instance under an assignment of its own
+        grounds = [data.draw(_grounds(pattern, data.draw(_SIGMAS) if data.draw(st.booleans())
+                                      else sigma)) for pattern in patterns]
+        want = reference_application(patterns, grounds)
+        match = syntax.matcher(tuple(patterns))
+        images = match(*grounds)
+        assert (images is None) is (want is None)
+        if want is not None:  # one image per name, in the same order
+            assert list(zip(match.names, images)) == list(want.items())
+        # the checker's verdict on the lemma conclusion <- premises at that line
+        rule = Rule("lemma", tuple(patterns[1:]), patterns[0])
+        hyps = tuple(grounds[1:])
+        lines = (*(ProofLine(h, HypRef(i)) for i, h in enumerate(hyps, 1)),
+                 ProofLine(grounds[0], LemmaRef("lemma", tuple(range(1, len(hyps) + 1)))))
+        report = check_proof(ProofScript(SQL, hyps, lines), {"lemma": rule})
+        assert report.accepted is (want is not None)
+        if want is None:
+            assert report.failure_reason == "NoMatchingLemmaInstance: lemma"
+
+    def test_metavariable_names_never_enter_the_source(self, monkeypatch):
+        sources = []
+        monkeypatch.setattr(syntax, "exec", lambda source, namespace: sources.append(source)
+                            or exec(source, namespace), raising=False)
+        odd, evil = Var("p q"), Var("x); import os; (")
+        pattern = Impl(Impl(odd, evil), Neg(Impl(odd, Const1())))
+        a, b = parse("a -> b", Sig.W), Neg(Var("c"))
+        ground = Impl(Impl(a, b), Neg(Impl(a, Const1())))
+        assert match_schema(pattern, ground) == {"p q": a, "x); import os; (": b}
+        assert match_schema(pattern, ground, {"p q": b}) is None
+        assert match_schema(Impl(evil, evil), Impl(a, b)) is None
+        assert match_schema(evil, a, {"x); import os; (": a}) == {"x); import os; (": a}
+        allowed = {"def", "match", "if", "type", "is", "not", "or", "return", "None",
+                   "left", "right", "arg", *(c.__name__ for c in syntax._NODES)}
+        assert sources
+        for source in sources:
+            names = set(re.findall(r"[A-Za-z_]\w*", source))
+            assert all(n in allowed or re.fullmatch(r"[gn]\d+", n) for n in names), source
+
+    def test_an_entry_lives_as_long_as_its_patterns(self, monkeypatch):
+        monkeypatch.setattr(syntax, "_MATCHERS", {})
+        conclusion, premise = parse("m_a -> m_b", Sig.W), Neg(Var("m_c"))
+        match = syntax.matcher((conclusion, premise))
+        assert syntax.matcher((conclusion, premise)) is match
+        one = Const1()
+        assert match_schema(premise, Neg(one)) == {"m_c": one}
+        assert len(syntax._MATCHERS) == 2
+        del conclusion
+        gc.collect()
+        assert list(syntax._MATCHERS) == [(id(premise),)]
+        del premise
+        gc.collect()
+        assert syntax._MATCHERS == {}
+        assert match(Impl(one, one), Neg(one)) == (one, one, one)  # the function outlives them
 
 
 class TestPaths:

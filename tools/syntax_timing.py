@@ -3,11 +3,14 @@
 
 - ``parse`` runs on every formula line (hypotheses and numbered lines) of the
   packaged certificates and L* fixtures, and ``print_term`` on each line's term;
-- ``match_schema`` runs on every (schema, formula, bindings) call that
-  ``check_proof`` makes while checking those scripts;
+- ``matcher`` runs on every call of a schema's matcher that ``check_proof``
+  makes while checking those scripts (the lookup of the matcher included),
+  and ``match_schema`` on the (schema, formula, bindings) calls of the same
+  matches, an application's conclusion first and each premise under the
+  bindings so far;
 - ``parse_script`` runs on each whole script.
 
-Each ``parse``, ``print_term`` and ``match_schema`` call is timed on its own
+Each ``parse``, ``print_term``, ``matcher`` and ``match_schema`` call is timed on its own
 (best of ``REPEAT`` rounds of ``NUMBER`` runs). The output is one JSON object:
 per function, the number of calls, the median and the 90th percentile of the
 per-call times in microseconds, and their sum in milliseconds (one pass over
@@ -37,7 +40,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from sqmv.proofkit import checker, parse_script, standard_registry  # noqa: E402
-from sqmv.syntax import Sig, match_schema, parse, print_term  # noqa: E402
+from sqmv.syntax import Sig, match_schema, matcher, parse, print_term  # noqa: E402
 
 FIXTURES = ROOT / "src" / "sqmv" / "fixtures"
 # the formula of a hypothesis or of a numbered proof line
@@ -85,20 +88,38 @@ def parse_script_ms() -> dict:
 
 
 def match_calls(texts: list[str]) -> list[tuple]:
-    """The ``match_schema`` calls that ``check_proof`` makes on ``texts``."""
+    """The (patterns, grounds) of each matcher call that ``check_proof`` makes on ``texts``."""
     registry = standard_registry()
     calls = []
 
-    def recording(pattern, ground, bindings=None):
-        calls.append((pattern, ground, dict(bindings) if bindings else None))
-        return match_schema(pattern, ground, bindings)
+    def recording(patterns):
+        match = matcher(patterns)
+        return lambda *grounds: calls.append((patterns, grounds)) or match(*grounds)
 
-    checker.match_schema = recording
+    checker.matcher = recording
     try:
         for text in texts:
             checker.check_proof(parse_script(text), registry)
     finally:
-        checker.match_schema = match_schema
+        checker.matcher = matcher
+    return calls
+
+
+def matched(patterns: tuple, grounds: tuple):
+    """A matcher call as ``check_proof`` makes it: the lookup, then the match."""
+    return matcher(patterns)(*grounds)
+
+
+def schema_calls(matches: list[tuple]) -> list[tuple]:
+    """The ``match_schema`` calls of the same matches: each pattern in turn
+    under the bindings so far, until one fails."""
+    calls = []
+    for patterns, grounds in matches:
+        sigma = None
+        for pattern, ground in zip(patterns, grounds):
+            calls.append((pattern, ground, sigma))
+            if (sigma := match_schema(pattern, ground, sigma)) is None:
+                break
     return calls
 
 
@@ -122,7 +143,8 @@ def main() -> int:
         "scripts": len(texts),
         "parse": per_call_us(parse, lines),
         "print_term": per_call_us(print_term, [(t,) for t in kept]),
-        "match_schema": per_call_us(match_schema, matches),
+        "matcher": per_call_us(matched, matches),
+        "match_schema": per_call_us(match_schema, schema_calls(matches)),
         "parse_script": parse_script_ms(),
     }
     print(json.dumps(report, indent=2))
