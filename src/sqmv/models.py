@@ -329,8 +329,6 @@ class FiniteModel(Model):
             self.tables[op] = arr
         self.consts = consts          # const name -> index
         self.factors = factors
-        # battery name -> (all hold, results, witnesses), filled by _battery
-        self._batteries: dict[str, tuple[bool, dict, dict]] = {}
 
     def contains(self, el) -> bool:
         return el in self.index
@@ -690,36 +688,33 @@ _BATTERIES = {
 }
 
 
-def _battery(m: FiniteModel, name: str) -> tuple[bool, dict, dict]:
-    """Run the axiom battery ``name`` on ``m`` by exhaustive checks, once per
-    model: ``(all hold, results by equation, witnesses of the failures)``."""
+def _battery(m: FiniteModel, names: Iterable[str]) -> tuple[dict, dict]:
+    """Check the axiom batteries ``names`` on ``m`` in one exhaustive
+    ``check_equations`` call: the results by equation, in battery order, and
+    the witnesses of the failures."""
     if not m.finite:
         raise ClassError("classification sweeps require a finite carrier")
-    done = m._batteries.get(name)
-    if done is None:
-        # imported here because semantics imports this module
-        from .semantics import check_equations
+    # imported here because semantics imports this module
+    from .semantics import check_equations
 
-        eqs = _BATTERIES[name](m.signature)
-        reports = check_equations([(eq.lhs, eq.rhs) for eq in eqs], m)
-        results = {eq.name: not r.found_countermodel for eq, r in zip(eqs, reports)}
-        witnesses = {eq.name: r.witness.valuation for eq, r in zip(eqs, reports) if r.witness}
-        done = m._batteries[name] = (all(results.values()), results, witnesses)
-    return done
+    eqs = [eq for name in names for eq in _BATTERIES[name](m.signature)]
+    reports = check_equations([(eq.lhs, eq.rhs) for eq in eqs], m)
+    results = {eq.name: not r.found_countermodel for eq, r in zip(eqs, reports)}
+    witnesses = {eq.name: r.witness.valuation for eq, r in zip(eqs, reports) if r.witness}
+    return results, witnesses
 
 
 def is_strong(m: FiniteModel) -> bool:
-    """Whether ``m`` is a strong quasi-algebra; runs only the quasi and strong
-    batteries."""
-    return _battery(m, "quasi")[0] and _battery(m, "strong")[0]
+    """Whether ``m`` is a strong quasi-algebra; checks only the quasi and
+    strong batteries."""
+    return all(_battery(m, ("quasi", "strong"))[0].values())
 
 
 def classify(m: FiniteModel) -> ClassFlags:
     """Decide the class flags of a finite model by exhaustive axiom checks."""
-    runs = [_battery(m, name) for name in _BATTERIES]
-    results = {k: v for _, res, _ in runs for k, v in res.items()}
-    witnesses = {k: v for _, _, wit in runs for k, v in wit.items()}
-    quasi, strong, flat, star = (ok for ok, _, _ in runs)
+    results, witnesses = _battery(m, _BATTERIES)
+    quasi, strong, flat, star = (all(results[eq.name] for eq in battery(m.signature))
+                                 for battery in _BATTERIES.values())
     return ClassFlags(m.signature, results, witnesses, quasi, strong and quasi,
                       flat and quasi, star)
 

@@ -177,27 +177,25 @@ def lift_lstar_proof(source: ProofScript, prefix: str = "p") -> ProofScript:
         just = line.just
         f = line.formula
         if isinstance(just, AxiomRef):
-            base = b.add(f, AxiomRef(L_TO_SQ_AXIOM[just.name]))
-            lifted[i] = b.add(Impl(pp, f), RuleRef("Reg", (base,)))
+            bare = b.add(f, AxiomRef(L_TO_SQ_AXIOM[just.name]))
         elif isinstance(just, HypRef):
-            base = b.add(f, just)
-            lifted[i] = b.add(Impl(pp, f), RuleRef("Reg", (base,)))
+            bare = b.add(f, just)
         elif isinstance(just, RuleRef) and just.name == "R1":
             j, k = just.premises
             lifted[i] = b.add(Impl(pp, f), RuleRef("qMP", (lifted[j], lifted[k])))
+            continue
         elif isinstance(just, RuleRef) and just.name == "R2":
             j, k = just.premises
             # both premises are implications, hence regular: recover them bare
             pj = b.add(source.lines[j - 1].formula, RuleRef("AReg1", (lifted[j],)))
             pk = b.add(source.lines[k - 1].formula, RuleRef("AReg1", (lifted[k],)))
             bare = b.add(f, RuleRef("R2'", (pj, pk)))
-            lifted[i] = b.add(Impl(pp, f), RuleRef("Reg", (bare,)))
         elif isinstance(just, RuleRef) and just.name == "R3":
             (j,) = just.premises
             bare = b.add(f, RuleRef("R3'", (lifted[j],)))
-            lifted[i] = b.add(Impl(pp, f), RuleRef("Reg", (bare,)))
         else:
             raise SourceProofInvalid(f"unsupported justification {just!r}")
+        lifted[i] = b.add(Impl(pp, f), RuleRef("Reg", (bare,)))
     return b.script()
 
 

@@ -400,7 +400,8 @@ def check_equations(pairs: Sequence[tuple[Term, Term]], m: Model) -> list[CheckR
     (see ``models.product``; a repeated factor is checked once) holds on
     ``m`` and is not swept: it reports the product of its factors'
     ``samples``, which is n^k over its own k variables, since n is the
-    product of their sizes."""
+    product of their sizes.  ``models.classify`` checks all four axiom
+    batteries in one call, and nothing is cached between calls."""
     terms = [t for pair in pairs for t in pair]
     if not m.finite or len(m.elements) ** len(_tape(terms, m.signature).names) > md.WIDE:
         on = {f: check_equations(pairs, f) for f in dict.fromkeys(m.factors)}

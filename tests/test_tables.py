@@ -1,6 +1,6 @@
 """Finite operation tables: the tables built by index arithmetic against the Fraction
-definitions, batch lookups at the int16/int32 dtype boundaries, the per-model
-battery cache, and table text that stays byte-identical."""
+definitions, batch lookups at the int16/int32 dtype boundaries, classification
+by one check of all its axioms, and table text that stays byte-identical."""
 
 import hashlib
 import itertools
@@ -23,6 +23,7 @@ from sqmv.models import (
     FINITE_CATALOG,
     WIDE,
     _BATTERIES,
+    ClassFlags,
     FiniteModel,
     _build,
     _split_top,
@@ -214,7 +215,8 @@ class TestDtypeBoundaries:
 
 def count_sweeps(monkeypatch):
     """Record (model, formulas) of every sweep: each call of the one check
-    driver, which runs a whole battery on a small model."""
+    driver, which checks all the equations of one ``check_equations`` call
+    on a small model."""
     calls = []
     real = sem._check
 
@@ -239,21 +241,18 @@ class TestBatteryCache:
         there, back = ((mv_to_w_model, w_to_mv_model) if sig is Sig.MV
                        else (w_to_mv_model, mv_to_w_model))
         assert tables_equal(back(there(m)), m)
-        # each battery of these small models is one sweep of all its formulas
+        # the strength check of these small models is one sweep of the
+        # formulas of both batteries
         on_m = [terms for nm, terms in calls if nm == m.name]
         on_view = [terms for nm, terms in calls if nm != m.name]
-        assert on_m == [formulas(axioms.quasi_axioms(sig)), formulas(axioms.strong_axioms(sig))]
-        assert on_view == [formulas(axioms.quasi_axioms(other)),
-                           formulas(axioms.strong_axioms(other))]
+        assert on_m == [formulas(axioms.quasi_axioms(sig) + axioms.strong_axioms(sig))]
+        assert on_view == [formulas(axioms.quasi_axioms(other) + axioms.strong_axioms(other))]
 
+        # classify caches nothing: it sweeps all four batteries at once
         calls.clear()
         classify(m)
         assert [terms for _, terms in calls] == [
-            formulas([axioms.flat_equation(sig)]), formulas(axioms.star_axioms(sig))]
-        calls.clear()
-        classify(m)
-        is_strong(m)
-        assert calls == []
+            formulas([eq for battery in _BATTERIES.values() for eq in battery(sig)])]
 
     @pytest.mark.parametrize("name", VIEWS)
     def test_flags_equal_a_fresh_classify(self, name):
@@ -274,6 +273,87 @@ class TestBatteryCache:
             assert a == b and a is not b
             a.clear()
             assert battery(sig) == b
+
+
+# ---------------------------------------------------------------------------
+# classify as one check of all four batteries
+
+
+def classify_by_battery(m):
+    """The reference: ``classify`` as one ``check_equations`` call per
+    battery, merged in battery order."""
+    results, witnesses, holds = {}, {}, []
+    for battery in (axioms.quasi_axioms, axioms.strong_axioms,
+                    lambda sig: [axioms.flat_equation(sig)], axioms.star_axioms):
+        eqs = battery(m.signature)
+        reports = sem.check_equations([(eq.lhs, eq.rhs) for eq in eqs], m)
+        for eq, report in zip(eqs, reports):
+            results[eq.name] = not report.found_countermodel
+            if report.witness:
+                witnesses[eq.name] = report.witness.valuation
+        holds.append(not any(r.found_countermodel for r in reports))
+    quasi, strong, flat, star = holds
+    return ClassFlags(m.signature, results, witnesses, quasi, strong and quasi,
+                      flat and quasi, star)
+
+
+def assert_classify_by_battery(m):
+    flags, want = classify(m), classify_by_battery(m)
+    assert flags == want  # flags, results and witnesses
+    assert list(flags.axiom_results) == list(want.axiom_results)
+    assert list(flags.witnesses) == list(want.witnesses)
+    assert is_strong(m) == flags.is_strong
+
+
+class TestClassifyInOneCheck:
+    @pytest.mark.parametrize("name", VIEWS)
+    def test_classify_equals_one_check_per_battery(self, name):
+        assert_classify_by_battery(_build(name))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), sig=st.sampled_from(Sig))
+    def test_random_tables(self, data, sig):
+        # up to 30 elements: past 25, three variables no longer fit one sweep
+        assert_classify_by_battery(data.draw(table_models(sig, sizes=range(1, 31))))
+
+    @pytest.mark.parametrize("name", ["chain:2", "chain:2@w"])
+    def test_the_strong_laws_alone_are_not_strength(self, name):
+        # one cell changed off the cells the strong laws read (x (+) 0, resp.
+        # (1 -> 1) -> x): they still hold, a quasi law fails
+        m = resolve(name)
+        op = "oplus" if m.signature is Sig.MV else "impl"
+        tables = {o: t.copy() for o, t in m.tables.items()}
+        if op == "oplus":
+            i, j = [k for k in range(len(m.elements)) if k != m.consts["zero"]][:2]
+        else:
+            one = m.consts["one"]
+            i, j = next(k for k in range(len(m.elements))
+                        if k not in (one, tables[op][one, one])), 0
+        tables[op][i, j] = (tables[op][i, j] + 1) % len(m.elements)
+        planted = FiniteModel(m.name, m.signature, m.elements, tables, m.consts)
+        assert_classify_by_battery(planted)
+        flags = classify(planted)
+        assert all(flags.axiom_results[eq.name] for eq in axioms.strong_axioms(m.signature))
+        assert not flags.is_quasi and not is_strong(planted)
+
+    @pytest.mark.parametrize("name", ["chain:2@w", "flatten:chain:3:0",
+                                      "product:chain:3,flatten:chain:3:0"])
+    def test_one_check_equations_call(self, monkeypatch, name):
+        m = _build(name)
+        calls = []
+        real = sem.check_equations
+
+        def counting(pairs, model):
+            calls.append(model)
+            return real(pairs, model)
+
+        monkeypatch.setattr(sem, "check_equations", counting)
+        for fn in (classify, is_strong):
+            calls.clear()
+            fn(m)
+            # a product's factors are checked from inside the one call
+            assert [c for c in calls if c is m] == [m]
+            assert all(c in m.factors for c in calls if c is not m)
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +477,12 @@ class TestProductFactors:
     @pytest.mark.parametrize("view", ["", "@w"])
     def test_a_repeated_factor_is_swept_once(self, monkeypatch, view):
         # PRODUCT_81 is one 9-element product twice, and so is its view:
-        # classify sweeps that factor's quasi and star batteries once each
+        # classify sweeps that factor once, for all four batteries
         m = _build(PRODUCT_81 + view)
         assert m.factors[0] is m.factors[1]
         calls = count_sweeps(monkeypatch)
         classify(m)
-        assert Counter(name for name, _ in calls)[m.factors[0].name] == 2
+        assert Counter(name for name, _ in calls)[m.factors[0].name] == 1
 
     def test_other_constructions_have_no_factors(self):
         m = resolve("product:chain:1,chain:2")

@@ -501,26 +501,22 @@ class TestTapeCache:
     def test_classify_compiles_each_battery_equation_once(self, tapes):
         for sig in Sig:
             # fresh models of one signature, so that nothing else is cached; a
-            # view of at most 25 elements sweeps each battery through one tape
+            # view of at most 25 elements sweeps all four batteries through
+            # one tape
             chains = [models.finite_chain(2), models.finite_chain(3)]
             for m in chains if sig is Sig.MV else map(models.finite_w_view, chains):
                 models.classify(m)
-            batteries = {name: battery(sig) for name, battery in models._BATTERIES.items()}
-            assert len(tapes) == len(set(tapes)) == len(batteries)
-            assert set(tapes) == {tuple(id(t) for eq in eqs for t in (eq.lhs, eq.rhs))
-                                  for eqs in batteries.values()}
+            battery = [eq for eqs in models._BATTERIES.values() for eq in eqs(sig)]
+            assert tapes == [tuple(id(t) for eq in battery for t in (eq.lhs, eq.rhs))]
             tapes.clear()
-            # on the 49- and 81-element products an equation of the
-            # 3-variable batteries that fails on a factor, and so on the
-            # product, is its own tape (the battery's tape above, which names
-            # its variables, is not compiled again); the strong and flat
-            # batteries read one variable or none and sweep as above
+            # on the 49- and 81-element products an equation that fails on a
+            # factor, and so on the product, is its own tape (the tape above,
+            # which names the variables, is not compiled again)
             failing = set()
             for name in ("product:chain:3,flatten:chain:3:0", PRODUCT_81):
                 flags = models.classify(_build(name + ("" if sig is Sig.MV else "@w")))
                 failing |= {law for law, ok in flags.axiom_results.items() if not ok}
-            equations = {(id(eq.lhs), id(eq.rhs)) for name in ("quasi", "star")
-                         for eq in batteries[name] if eq.name in failing}
+            equations = {(id(eq.lhs), id(eq.rhs)) for eq in battery if eq.name in failing}
             assert equations and len(tapes) == len(set(tapes)) and set(tapes) == equations
             tapes.clear()
 

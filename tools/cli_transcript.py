@@ -11,9 +11,10 @@ join, and the printed and translated forms of an 800-operand sum and of the
 join (``DEPTH_ARGV``), catalog names,
 element literals, bindings and model lists that the readers accept or refuse
 (``READER_ARGV``), and ``classify``, ``classify --json`` and ``audit-axioms``
-on every finite catalog view (``FINITE_ARGV``; on the 49- and 81-element
-products ``classify`` reads the laws that hold off the factors, while
-``audit-axioms`` checks each law on the product itself).  Each runs as
+on every finite catalog view (``FINITE_ARGV``; ``classify`` checks all
+four batteries in one check, which on the 49- and 81-element products
+reads the laws that hold off the factors, while ``audit-axioms`` checks
+each law on the product itself).  Each runs as
 ``python -m sqmv.cli`` from the repository root, with ``src/`` first on the
 import path.  A pipe runs its stages one after another, each reading the previous stage's
 output; it reports the last stage's exit code and stdout, and the stderr of

@@ -8,15 +8,15 @@
   ``a (+) (b (+) c) = (a (+) b) (+) c``, which fails at an early witness.
   With k = 2 the orders are those of ``x, y, x``.
 - ``batteries``: each of the four classification batteries (quasi, strong,
-  flat, star) on each catalog view of at most 25 elements, on ``chain:40``
-  (81 elements, not a product) and on the 49- and 81-element product
-  models, all in both signatures, as ``classify`` runs
-  them (``models._battery`` with the model's battery cache emptied before
-  each run): one sweep of one tape per battery where a sweep over all its
-  variables has at most ``models.WIDE`` valuations.  Otherwise, on a
-  product, the battery runs on each factor, and one exhaustive
-  ``check_equation`` runs on the product for each equation that fails on a
-  factor; on any other model, one runs per equation.
+  flat, star) alone, and then ``classify`` as a whole, which checks all
+  four in one ``check_equations`` call, on each catalog view of at most 25
+  elements, on ``chain:40`` (81 elements, not a product) and on the 49- and
+  81-element product models, all in both signatures (``models._battery``;
+  nothing is cached between runs): one sweep of one tape where a sweep over
+  all the equations' variables has at most ``models.WIDE`` valuations.
+  Otherwise, on a product, the equations are checked on each factor, and
+  one exhaustive ``check_equation`` runs on the product for each equation
+  that fails on a factor; on any other model, one runs per equation.
 
 Each entry is the median over ``REPEAT`` runs, in milliseconds. The formulas
 are parsed once and kept alive, so their tapes are compiled once and every
@@ -96,10 +96,8 @@ def batteries() -> dict:
         m = models.resolve(view)
         entry = report[view] = {}
         for name in models._BATTERIES:
-            def run():
-                m._batteries.pop(name, None)
-                models._battery(m, name)
-            entry[name] = median_ms(run)
+            entry[name] = median_ms(lambda: models._battery(m, (name,)))
+        entry["classify"] = median_ms(lambda: models.classify(m))
     return report
 
 
